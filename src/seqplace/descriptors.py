@@ -47,6 +47,15 @@ class DeltaConfig:
             raise ValueError(f"delta window must be even and >= 2, got {self.window}")
 
 
+def unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Nonzero rows scaled to unit norm, zero rows kept; and whether none was zero."""
+    norms = np.linalg.norm(matrix, axis=1)
+    nonzero = norms > 0.0
+    out = np.zeros_like(matrix)
+    out[nonzero] = matrix[nonzero] / norms[nonzero, None]
+    return out, bool(nonzero.all())
+
+
 def l2_normalize(seq: DescriptorSequence) -> DescriptorSequence:
     """Scale each nonzero row to unit Euclidean norm.
 
@@ -56,12 +65,8 @@ def l2_normalize(seq: DescriptorSequence) -> DescriptorSequence:
     """
     if seq.normalized:
         return seq
-    data = seq.data.astype(np.float64)
-    norms = np.linalg.norm(data, axis=1)
-    nonzero = norms > 0.0
-    out = np.zeros_like(data)
-    out[nonzero] = data[nonzero] / norms[nonzero, None]
-    return DescriptorSequence(data=out, normalized=bool(nonzero.all()))
+    out, normalized = unit_rows(seq.data.astype(np.float64))
+    return DescriptorSequence(data=out, normalized=normalized)
 
 
 def _resize_area(image: np.ndarray, width: int, height: int) -> np.ndarray:
@@ -124,11 +129,8 @@ def delta_transform(seq: DescriptorSequence, cfg: DeltaConfig) -> tuple[Descript
     input stretches) are left zero and clear the normalized flag.
     """
     raw, centers = delta_raw(seq.data, cfg.window)
-    norms = np.linalg.norm(raw, axis=1)
-    nonzero = norms > 0.0
-    out = np.zeros_like(raw)
-    out[nonzero] = raw[nonzero] / norms[nonzero, None]
-    return DescriptorSequence(data=out, normalized=bool(nonzero.all())), centers
+    out, normalized = unit_rows(raw)
+    return DescriptorSequence(data=out, normalized=normalized), centers
 
 
 def read_pgm(path) -> np.ndarray:

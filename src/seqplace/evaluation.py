@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import platform
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -258,12 +259,14 @@ def thread_cap(value: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class SweepCell:
-    """One (method, d_s, query) evaluation; auc None when the cell failed."""
+    """One (method, d_s, query) evaluation; auc None when the cell failed,
+    error then "TypeName: message" of the exception that failed it."""
 
     method: str
     d_s: int
     query_name: str
     auc: float | None
+    error: str | None = None
 
 
 def ds_sweep(
@@ -274,18 +277,20 @@ def ds_sweep(
 ) -> list[SweepCell]:
     """AUC per (method, d_s, pair) at delta = d_s + 10, sorted by key.
 
-    Cell failures are recorded as missing values rather than aborting the
-    sweep. Cells are independent, so they may run on a small thread pool;
-    the sorted output makes worker scheduling invisible.
+    A cell failing with a domain error (those the CLI exits 3 on) gets auc
+    None, its error and a stderr line; other exceptions abort the sweep.
+    Cells are independent, so they may run on a small thread pool; the
+    sorted output makes worker scheduling invisible.
     """
 
     def run(method: Method, d_s: int, pair: SynthPair) -> SweepCell:
+        auc = error = None
         try:
             report = method.prepare(pair.reference, d_s)(pair.query)
             auc = pr_curve(report, tolerance_for(d_s)).auc
-        except Exception:
-            auc = None
-        return SweepCell(method=method.name, d_s=d_s, query_name=pair.query.name, auc=auc)
+        except (ValueError, OSError, RuntimeError) as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        return SweepCell(method.name, d_s, pair.query.name, auc, error)
 
     cells = [(m, d, p) for m in methods for d in ds_values for p in pairs]
     workers = thread_cap(threads)
@@ -294,7 +299,12 @@ def ds_sweep(
             results = list(pool.map(lambda c: run(*c), cells))
     else:
         results = [run(*c) for c in cells]
-    return sorted(results, key=lambda c: (c.method, c.d_s, c.query_name))
+    results.sort(key=lambda c: (c.method, c.d_s, c.query_name))
+    for c in results:
+        if c.error is not None:
+            print(f"sweep: {c.method} d_s={c.d_s} {c.query_name} failed: {c.error}",
+                  file=sys.stderr)
+    return results
 
 
 def save_sweep_csv(cells: list[SweepCell], path) -> None:

@@ -5,18 +5,22 @@ concatenated with the 2-d position, in that order) and a linear head maps
 the final hidden state to one logit per reference frame. Training is plain
 softmax cross-entropy with hand-derived backpropagation through time and
 Adam; inference emits a softmax activity profile over reference places for
-every query frame.
+every query frame. Training, inference and the single-window functions of
+the gradient check share one core: _recur over the gates fused in the order
+i, f, g, o, and its BPTT, _backward.
 
 Checkpoints use the SPM1 container: magic "SPM1"; m, H, N, d_s as unsigned
-32-bit little-endian; then every parameter tensor in declaration order
-(w_ii, w_if, w_ig, w_io, w_hi, w_hf, w_hg, w_ho, b_i, b_f, b_g, b_o, head
-w, head b) as float32 little-endian, row-major.
+32-bit little-endian; then the two flat parameter buffers, the LSTM's
+[W_x (4H x m) | W_h (4H x H) | b (4H)] and the head's [w (N x H) | b (N)],
+as float32 little-endian, row-major. That is every tensor in declaration
+order: w_ii, w_if, w_ig, w_io, w_hi, w_hf, w_hg, w_ho, b_i, b_f, b_g, b_o,
+head w, head b.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,46 +40,42 @@ class TrainingError(RuntimeError):
         self.batch = batch
 
 
-@dataclass
 class LstmParams:
-    """Gate weights (H x m), recurrent weights (H x H), biases (H)."""
+    """LSTM weights as views of one flat float64 buffer in SPM1 order: the
+    fused blocks w_x (4H x m), w_h (4H x H), b (4H) and their per-gate row
+    slices w_ii ... w_io, w_hi ... w_ho, b_i ... b_o (gates i, f, g, o)."""
 
-    w_ii: np.ndarray
-    w_if: np.ndarray
-    w_ig: np.ndarray
-    w_io: np.ndarray
-    w_hi: np.ndarray
-    w_hf: np.ndarray
-    w_hg: np.ndarray
-    w_ho: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_g: np.ndarray
-    b_o: np.ndarray
+    def __init__(self, input_dim: int, hidden_dim: int):
+        four = 4 * hidden_dim
+        self.flat = np.zeros(four * (input_dim + hidden_dim + 1))
+        self.w_x = self.flat[: four * input_dim].reshape(four, input_dim)
+        self.w_h = self.flat[four * input_dim : -four].reshape(four, hidden_dim)
+        self.b = self.flat[-four:]
+        self.w_ii, self.w_if, self.w_ig, self.w_io = np.split(self.w_x, 4)
+        self.w_hi, self.w_hf, self.w_hg, self.w_ho = np.split(self.w_h, 4)
+        self.b_i, self.b_f, self.b_g, self.b_o = np.split(self.b, 4)
 
     @property
     def hidden_dim(self) -> int:
-        return self.w_ii.shape[0]
+        return self.w_h.shape[1]
 
     @property
     def input_dim(self) -> int:
-        return self.w_ii.shape[1]
+        return self.w_x.shape[1]
 
     @classmethod
     def zeros(cls, input_dim: int, hidden_dim: int) -> "LstmParams":
-        return cls(
-            *(np.zeros((hidden_dim, input_dim)) for _ in range(4)),
-            *(np.zeros((hidden_dim, hidden_dim)) for _ in range(4)),
-            *(np.zeros(hidden_dim) for _ in range(4)),
-        )
+        return cls(input_dim, hidden_dim)
 
 
-@dataclass
 class HeadParams:
-    """Linear place-classification head: N x H weights, N biases."""
+    """Linear place-classification head in one flat float64 buffer laid out
+    in SPM1 order: [w (N x H) | b (N)]; w and b are views of flat."""
 
-    w: np.ndarray
-    b: np.ndarray
+    def __init__(self, hidden_dim: int, places: int):
+        self.flat = np.zeros(places * (hidden_dim + 1))
+        self.w = self.flat[: places * hidden_dim].reshape(places, hidden_dim)
+        self.b = self.flat[places * hidden_dim :]
 
     @property
     def places(self) -> int:
@@ -83,13 +83,20 @@ class HeadParams:
 
     @classmethod
     def zeros(cls, hidden_dim: int, places: int) -> "HeadParams":
-        return cls(w=np.zeros((places, hidden_dim)), b=np.zeros(places))
+        return cls(hidden_dim, places)
 
 
 @dataclass
 class Gradients:
     lstm: LstmParams
     head: HeadParams
+
+    @classmethod
+    def zeros(cls, model: "SequenceModel") -> "Gradients":
+        hidden = model.lstm.hidden_dim
+        return cls(
+            LstmParams.zeros(model.input_dim, hidden), HeadParams.zeros(hidden, model.places)
+        )
 
 
 @dataclass
@@ -111,11 +118,15 @@ class SequenceModel:
         return self.head.places
 
 
+_LSTM_TENSORS = (
+    "w_ii", "w_if", "w_ig", "w_io", "w_hi", "w_hf", "w_hg", "w_ho", "b_i", "b_f", "b_g", "b_o",
+)
+
+
 def param_items(lstm: LstmParams, head: HeadParams) -> list[tuple[str, np.ndarray]]:
-    """(name, tensor) pairs in declaration order; fixes checkpoint layout."""
-    items = [(f.name, getattr(lstm, f.name)) for f in fields(LstmParams)]
-    items += [(f"head_{f.name}", getattr(head, f.name)) for f in fields(HeadParams)]
-    return items
+    """(name, tensor view) pairs in SPM1 order: the LSTM buffer, then the head's."""
+    items = [(name, getattr(lstm, name)) for name in _LSTM_TENSORS]
+    return items + [("head_w", head.w), ("head_b", head.b)]
 
 
 @dataclass
@@ -142,59 +153,64 @@ class TrainingCurves:
         return len(self.losses)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _project(lstm: LstmParams, xs: np.ndarray) -> np.ndarray:
+    """Input-side gate pre-activations x W_x^T + b of all rows of xs, one GEMM."""
+    proj = xs.reshape(-1, xs.shape[-1]) @ lstm.w_x.T
+    proj += lstm.b
+    return proj.reshape(xs.shape[:-1] + (proj.shape[1],))
 
 
-def _forward_core(lstm: LstmParams, xs: np.ndarray, h0: np.ndarray, c0: np.ndarray):
-    """Run the recurrence over xs (steps, B, m); returns h_T and step caches."""
-    h, c = h0, c0
-    cache = []
-    for t in range(xs.shape[0]):
-        x = xs[t]
-        gi = _sigmoid(x @ lstm.w_ii.T + h @ lstm.w_hi.T + lstm.b_i)
-        gf = _sigmoid(x @ lstm.w_if.T + h @ lstm.w_hf.T + lstm.b_f)
-        gg = np.tanh(x @ lstm.w_ig.T + h @ lstm.w_hg.T + lstm.b_g)
-        go = _sigmoid(x @ lstm.w_io.T + h @ lstm.w_ho.T + lstm.b_o)
-        c_new = gf * c + gi * gg
-        tc = np.tanh(c_new)
-        cache.append((x, h, c, gi, gf, gg, go, tc))
-        h = go * tc
-        c = c_new
-    return h, cache
+def _recur(lstm: LstmParams, steps, h: np.ndarray, c: np.ndarray, keep: bool = False):
+    """Run the recurrence from state (h, c) over steps, an iterable of B x 4H
+    projections; returns h_T and, if keep, the tape _backward needs."""
+    # sigmoid(a) = tanh(a / 2) / 2 + 1 / 2, so one tanh activates all four
+    # gates: scale is 1/2 on the sigmoid gates i, f, o and 1 on g
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], h.shape[1])
+    shift = 1.0 - scale
+    tape = []
+    for proj in steps:
+        gates = h @ lstm.w_h.T
+        gates += proj
+        gates *= scale
+        np.tanh(gates, out=gates)
+        gates *= scale
+        gates += shift
+        i, f, g, o = np.split(gates, 4, axis=1)
+        c_next = f * c + i * g
+        tc = np.tanh(c_next)
+        if keep:
+            tape.append((h, c, gates, tc))
+        h = o * tc
+        c = c_next
+    return h, tape
 
 
-def _backward_core(lstm: LstmParams, cache, dh: np.ndarray) -> LstmParams:
-    """BPTT from the gradient of the final hidden state; returns param grads."""
-    grads = LstmParams.zeros(lstm.input_dim, lstm.hidden_dim)
+def _backward(model: SequenceModel, xs: np.ndarray, tape, h_last: np.ndarray,
+              dlogits: np.ndarray, grads: Gradients) -> None:
+    """Overwrite grads with the gradients of sum(dlogits * logits), where
+    _recur turned inputs xs (steps, B, m) into h_last and tape."""
+    lstm = model.lstm
+    np.matmul(dlogits.T, h_last, out=grads.head.w)
+    np.sum(dlogits, axis=0, out=grads.head.b)
+    dh = dlogits @ model.head.w
     dc = np.zeros_like(dh)
-    for x, h_prev, c_prev, gi, gf, gg, go, tc in reversed(cache):
-        do = dh * tc
-        dc = dc + dh * go * (1.0 - tc * tc)
-        dai = (dc * gg) * gi * (1.0 - gi)
-        daf = (dc * c_prev) * gf * (1.0 - gf)
-        dag = (dc * gi) * (1.0 - gg * gg)
-        dao = do * go * (1.0 - go)
-        grads.w_ii += dai.T @ x
-        grads.w_if += daf.T @ x
-        grads.w_ig += dag.T @ x
-        grads.w_io += dao.T @ x
-        grads.w_hi += dai.T @ h_prev
-        grads.w_hf += daf.T @ h_prev
-        grads.w_hg += dag.T @ h_prev
-        grads.w_ho += dao.T @ h_prev
-        grads.b_i += dai.sum(axis=0)
-        grads.b_f += daf.sum(axis=0)
-        grads.b_g += dag.sum(axis=0)
-        grads.b_o += dao.sum(axis=0)
-        dh = dai @ lstm.w_hi + daf @ lstm.w_hf + dag @ lstm.w_hg + dao @ lstm.w_ho
-        dc = dc * gf
-    return grads
+    da = np.empty((len(tape),) + tape[0][2].shape)
+    grads.lstm.w_h[...] = 0.0
+    for t in reversed(range(len(tape))):
+        h_prev, c_prev, gates, tc = tape[t]
+        i, f, g, o = np.split(gates, 4, axis=1)
+        da_i, da_f, da_g, da_o = np.split(da[t], 4, axis=1)
+        dc = dc + dh * o * (1.0 - tc * tc)
+        da_i[...] = dc * g * i * (1.0 - i)
+        da_f[...] = dc * c_prev * f * (1.0 - f)
+        da_g[...] = dc * i * (1.0 - g * g)
+        da_o[...] = dh * tc * o * (1.0 - o)
+        grads.lstm.w_h += da[t].T @ h_prev
+        dh = da[t] @ lstm.w_h
+        dc = dc * f
+    da = da.reshape(-1, da.shape[-1])
+    np.matmul(da.T, xs.reshape(-1, xs.shape[-1]), out=grads.lstm.w_x)
+    np.sum(da, axis=0, out=grads.lstm.b)
 
 
 def lstm_forward(params: LstmParams, inputs: np.ndarray, h0: np.ndarray, c0: np.ndarray):
@@ -210,8 +226,8 @@ def lstm_forward(params: LstmParams, inputs: np.ndarray, h0: np.ndarray, c0: np.
     c0 = np.asarray(c0, dtype=np.float64).reshape(1, -1)
     if h0.shape[1] != params.hidden_dim or c0.shape[1] != params.hidden_dim:
         raise ValueError("h0/c0 must have the hidden dimension")
-    h, cache = _forward_core(params, inputs[:, None, :], h0, c0)
-    return h[0], cache
+    h, tape = _recur(params, _project(params, inputs[:, None, :]), h0, c0, keep=True)
+    return h[0], tape
 
 
 def model_forward(model: SequenceModel, window: np.ndarray, with_cache: bool = False):
@@ -237,45 +253,53 @@ def model_forward(model: SequenceModel, window: np.ndarray, with_cache: bool = F
     return logits
 
 
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log softmax, shifted by the row maximum so exp cannot overflow."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
+    """Per-row -log softmax(logits)[label] and its gradient w.r.t. logits."""
+    log_probs = _log_softmax(logits)
+    rows = np.arange(logits.shape[0])
+    losses = -log_probs[rows, labels]
+    dlogits = np.exp(log_probs)
+    dlogits[rows, labels] -= 1.0
+    return losses, dlogits
+
+
 def cross_entropy_loss(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
     """Stable -log softmax(logits)[label] and its gradient w.r.t. logits."""
     logits = np.asarray(logits, dtype=np.float64)
     if label < 0 or label >= logits.shape[-1]:
         raise ValueError(f"label {label} outside [0, {logits.shape[-1]})")
-    shifted = logits - logits.max()
-    log_z = np.log(np.exp(shifted).sum())
-    loss = log_z - shifted[label]
-    dlogits = np.exp(shifted - log_z)
-    dlogits[label] -= 1.0
-    return float(loss), dlogits
-
-
-def _cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    rows = np.arange(logits.shape[0])
-    losses = log_z - shifted[rows, labels]
-    dlogits = np.exp(shifted - log_z[:, None])
-    dlogits[rows, labels] -= 1.0
-    return losses, dlogits
+    losses, dlogits = _cross_entropy_batch(logits[None], np.array([label]))
+    return float(losses[0]), dlogits[0]
 
 
 def model_backward(model: SequenceModel, window: np.ndarray, label: int, cache) -> Gradients:
     """Exact gradients of cross_entropy_loss(model_forward(window), label)."""
-    lstm_cache, h_last = cache
+    tape, h_last = cache
     window = np.asarray(window, dtype=np.float64)
-    if len(lstm_cache) != window.shape[0] or h_last.shape[0] != model.lstm.hidden_dim:
+    if len(tape) != window.shape[0] or h_last.shape[0] != model.lstm.hidden_dim:
         raise RuntimeError("cache does not match this window/model")
-    logits = model.head.w @ h_last + model.head.b
-    _, dlogits = cross_entropy_loss(logits, label)
-    head_grads = HeadParams(w=np.outer(dlogits, h_last), b=dlogits.copy())
-    dh = (model.head.w.T @ dlogits)[None, :]
-    lstm_grads = _backward_core(model.lstm, lstm_cache, dh)
-    for f in fields(LstmParams):  # collapse the batch axis kept by the core
-        arr = getattr(lstm_grads, f.name)
-        if arr.ndim > getattr(model.lstm, f.name).ndim:
-            setattr(lstm_grads, f.name, arr[0])
-    return Gradients(lstm=lstm_grads, head=head_grads)
+    _, dlogits = cross_entropy_loss(model.head.w @ h_last + model.head.b, label)
+    grads = Gradients.zeros(model)
+    _backward(model, window[:, None, :], tape, h_last[None], dlogits[None], grads)
+    return grads
+
+
+def _batch_gradients(model: SequenceModel, xs: np.ndarray, labels: np.ndarray, grads: Gradients):
+    """Write the gradients of the mean loss of windows xs (d_s, B, m) into
+    grads unless a loss is non-finite; returns the losses and logits."""
+    h0 = np.zeros((xs.shape[1], model.lstm.hidden_dim))
+    h_last, tape = _recur(model.lstm, _project(model.lstm, xs), h0, h0, keep=True)
+    logits = h_last @ model.head.w.T + model.head.b
+    losses, dlogits = _cross_entropy_batch(logits, labels)
+    if np.isfinite(losses).all():
+        _backward(model, xs, tape, h_last, dlogits / len(labels), grads)
+    return losses, logits
 
 
 def adam_init(model: SequenceModel) -> AdamState:
@@ -333,13 +357,6 @@ def _window_inputs(traversal: Traversal) -> np.ndarray:
     )
 
 
-def _grad_norm(grads: Gradients) -> float:
-    total = 0.0
-    for _, g in param_items(grads.lstm, grads.head):
-        total += float((g * g).sum())
-    return float(np.sqrt(total))
-
-
 def train(
     reference: Traversal,
     d_s: int,
@@ -364,10 +381,11 @@ def train(
     model = _init_from_stream(rng, desc.dim, reference.frame_count, d_s, hidden)
     model.rng_seed = rng_seed
     state = adam_init(model)
+    grads = Gradients.zeros(model)
     inputs = _window_inputs(reference)
     starts = np.array([w.start for w in windows])
     labels = np.array([w.label for w in windows])
-    offsets = np.arange(d_s)
+    offsets = np.arange(d_s)[:, None]
     curves = TrainingCurves(losses=[], accuracies=[], seconds=[])
     order = np.arange(len(windows))
     for epoch in range(epochs):
@@ -377,27 +395,17 @@ def train(
         hits = 0
         for bi, lo in enumerate(range(0, len(order), batch_size)):
             idx = order[lo : lo + batch_size]
-            xs = inputs[starts[idx][:, None] + offsets].transpose(1, 0, 2)
             ys = labels[idx]
-            h0 = np.zeros((len(idx), hidden))
-            h_last, cache = _forward_core(model.lstm, xs, h0, h0.copy())
-            logits = h_last @ model.head.w.T + model.head.b
-            losses, dlogits = _cross_entropy_batch(logits, ys)
+            losses, logits = _batch_gradients(model, inputs[starts[idx] + offsets], ys, grads)
             if not np.isfinite(losses).all():
                 raise TrainingError(epoch, bi)
             loss_sum += float(losses.sum())
             hits += int((np.argmax(logits, axis=1) == ys).sum())
-            dlogits /= len(idx)
-            head_grads = HeadParams(w=dlogits.T @ h_last, b=dlogits.sum(axis=0))
-            dh = dlogits @ model.head.w
-            lstm_grads = _backward_core(model.lstm, cache, dh)
-            grads = Gradients(lstm=lstm_grads, head=head_grads)
             if clip_norm is not None:
-                norm = _grad_norm(grads)
+                norm = np.sqrt(grads.lstm.flat @ grads.lstm.flat + grads.head.flat @ grads.head.flat)
                 if norm > clip_norm:
-                    factor = clip_norm / norm
-                    for _, g in param_items(grads.lstm, grads.head):
-                        g *= factor
+                    grads.lstm.flat *= clip_norm / norm
+                    grads.head.flat *= clip_norm / norm
             adam_step(state, model, grads, lr)
         curves.losses.append(loss_sum / len(order))
         curves.accuracies.append(hits / len(order))
@@ -420,34 +428,18 @@ def infer(model: SequenceModel, query: Traversal, d_s: int | None = None):
         raise ValueError(
             f"query descriptor dim {query.descriptors.dim} != model dim {model.n}"
         )
-    lstm = model.lstm
-    hidden = lstm.hidden_dim
     frames = _window_inputs(query)
     n_query = frames.shape[0]
     # input-side gate projections depend only on the frame, so compute them
-    # once and gather per step; gate order i, f, g, o
-    wx = np.vstack([lstm.w_ii, lstm.w_if, lstm.w_ig, lstm.w_io])
-    wh = np.vstack([lstm.w_hi, lstm.w_hf, lstm.w_hg, lstm.w_ho])
-    bias = np.concatenate([lstm.b_i, lstm.b_f, lstm.b_g, lstm.b_o])
-    proj = frames @ wx.T
+    # once and gather them per step
+    proj = _project(model.lstm, frames)
     activity = np.empty((n_query, model.places))
     for lo in range(0, n_query, 1024):
         qs = np.arange(lo, min(lo + 1024, n_query))
-        h = np.zeros((len(qs), hidden))
-        c = np.zeros((len(qs), hidden))
-        for k in range(d_s):
-            src = np.maximum(qs - d_s + 1 + k, 0)
-            pre = proj[src] + h @ wh.T + bias
-            gi = _sigmoid(pre[:, :hidden])
-            gf = _sigmoid(pre[:, hidden : 2 * hidden])
-            gg = np.tanh(pre[:, 2 * hidden : 3 * hidden])
-            go = _sigmoid(pre[:, 3 * hidden :])
-            c = gf * c + gi * gg
-            h = go * np.tanh(c)
-        logits = h @ model.head.w.T + model.head.b
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        ez = np.exp(shifted)
-        activity[qs] = ez / ez.sum(axis=1, keepdims=True)
+        steps = (proj[np.maximum(qs - d_s + 1 + k, 0)] for k in range(d_s))
+        h0 = np.zeros((len(qs), model.lstm.hidden_dim))
+        h, _ = _recur(model.lstm, steps, h0, h0)
+        activity[qs] = np.exp(_log_softmax(h @ model.head.w.T + model.head.b))
     best = np.argmax(activity, axis=1)
     report = MatchReport(
         query_indices=np.arange(n_query),
@@ -459,36 +451,34 @@ def infer(model: SequenceModel, query: Traversal, d_s: int | None = None):
 
 
 def save_checkpoint(model: SequenceModel, path) -> None:
-    """Write the SPM1 container (float32 tensors, declaration order)."""
+    """Write the SPM1 container: the header, then each flat buffer as float32."""
     header = SPM1_MAGIC + np.array(
         [model.input_dim, model.lstm.hidden_dim, model.places, model.d_s], dtype="<u4"
     ).tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
-        for _, arr in param_items(model.lstm, model.head):
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        for flat in (model.lstm.flat, model.head.flat):
+            fh.write(flat.astype("<f4"))
 
 
 def load_checkpoint(path) -> SequenceModel:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 20 or blob[:4] != SPM1_MAGIC:
-        raise ValueError(f"{path}: not an SPM1 checkpoint")
-    m, hidden, places, d_s = (int(v) for v in np.frombuffer(blob, dtype="<u4", count=4, offset=4))
-    if m < 3 or hidden < 1 or places < 1 or d_s < 1:
-        raise ValueError(f"{path}: implausible SPM1 header ({m}, {hidden}, {places}, {d_s})")
-    lstm = LstmParams.zeros(m, hidden)
-    head = HeadParams.zeros(hidden, places)
-    offset = 20
-    for name, arr in param_items(lstm, head):
-        count = arr.size
-        if offset + 4 * count > len(blob):
-            raise ValueError(f"{path}: checkpoint truncated in tensor {name}")
-        vals = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        arr[...] = vals.astype(np.float64).reshape(arr.shape)
-        offset += 4 * count
-    if offset != len(blob):
-        raise ValueError(f"{path}: {len(blob) - offset} trailing bytes")
+        header = fh.read(20)
+        if len(header) < 20 or header[:4] != SPM1_MAGIC:
+            raise ValueError(f"{path}: not an SPM1 checkpoint")
+        m, hidden, places, d_s = (int(v) for v in np.frombuffer(header, dtype="<u4", offset=4))
+        if m < 3 or hidden < 1 or places < 1 or d_s < 1:
+            raise ValueError(f"{path}: implausible SPM1 header ({m}, {hidden}, {places}, {d_s})")
+        lstm = LstmParams.zeros(m, hidden)
+        head = HeadParams.zeros(hidden, places)
+        for name, flat in (("LSTM", lstm.flat), ("head", head.flat)):
+            data = fh.read(4 * flat.size)
+            if len(data) < 4 * flat.size:
+                raise ValueError(f"{path}: checkpoint truncated in the {name} tensors")
+            flat[...] = np.frombuffer(data, dtype="<f4")
+        trailing = len(fh.read())
+    if trailing:
+        raise ValueError(f"{path}: {trailing} trailing bytes")
     return SequenceModel(lstm=lstm, head=head, d_s=d_s, n=m - 2, rng_seed=None)
 
 

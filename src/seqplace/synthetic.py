@@ -22,6 +22,7 @@ from .dataset import (
     save_descriptor_file,
     save_positions_file,
 )
+from .descriptors import unit_rows
 from .rng import ALGORITHM_ID, RandomStream
 
 PATH_KINDS = ("loop", "line")
@@ -69,14 +70,6 @@ class SynthPair:
             raise ValueError("reference and query must have equal frame counts")
 
 
-def _unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, bool]:
-    norms = np.linalg.norm(matrix, axis=1)
-    nonzero = norms > 0.0
-    out = np.zeros_like(matrix)
-    out[nonzero] = matrix[nonzero] / norms[nonzero, None]
-    return out, bool(nonzero.all())
-
-
 def _walk(rng: RandomStream, cfg: SynthConfig) -> np.ndarray:
     """AR(1) descriptor walk, rows L2-normalized, float64."""
     eps = rng.normal(cfg.frames * cfg.dim).reshape(cfg.frames, cfg.dim)
@@ -85,7 +78,7 @@ def _walk(rng: RandomStream, cfg: SynthConfig) -> np.ndarray:
     fade = np.sqrt(1.0 - cfg.smoothness**2)
     for t in range(1, cfg.frames):
         walk[t] = cfg.smoothness * walk[t - 1] + fade * eps[t]
-    rows, _ = _unit_rows(walk)
+    rows, _ = unit_rows(walk)
     return rows
 
 
@@ -106,7 +99,7 @@ def _compose_query(rng: RandomStream, reference_rows: np.ndarray, cfg: SynthConf
     normalized = True
     if cfg.condition_noise > 0.0:
         noise = rng.normal(rows.size).reshape(rows.shape)
-        rows, normalized = _unit_rows(rows + cfg.condition_noise * noise)
+        rows, normalized = unit_rows(rows + cfg.condition_noise * noise)
     if cfg.drift is not None:
         # the drift survives as an exact constant offset only if rows are
         # not rescaled afterwards, so the normalized flag is dropped here
@@ -156,7 +149,7 @@ def generate_revisit(cfg: SynthConfig, revisit_at: int, segment_length: int = 10
     if segment_length > 0:
         noise = rng.normal(segment_length * cfg.dim).reshape(segment_length, cfg.dim)
         copied = rows[:segment_length] + 1e-3 * noise
-        rows[revisit_at : revisit_at + segment_length], _ = _unit_rows(copied)
+        rows[revisit_at : revisit_at + segment_length], _ = unit_rows(copied)
     return _build_pair(cfg, rows, rng)
 
 

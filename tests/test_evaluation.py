@@ -221,6 +221,28 @@ def test_ds_sweep_records_failures_and_sorts():
     assert ds_sweep(methods, [2, 1], pairs, threads=4) == cells
 
 
+def test_ds_sweep_records_domain_errors(capsys):
+    pair = generate(SynthConfig(frames=6, dim=4, smoothness=0.5, seed=0))
+    # d_s=8 needs a delta window of 8 frames; the route has 6
+    cells = ds_sweep([delta_method()], [1, 8], [pair], threads=1)
+    assert cells[0].auc is not None and cells[0].error is None
+    failed = cells[1]
+    assert failed.auc is None
+    assert failed.error == "ValueError: both sequences need >= 8 frames (got 6 and 6)"
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"sweep: delta d_s=8 {pair.query.name} failed: {failed.error}"]
+
+
+def test_ds_sweep_propagates_programming_errors():
+    def prepare(reference, d_s):
+        raise TypeError("prepare() got an unexpected argument")
+
+    pair = generate(SynthConfig(frames=20, dim=4, smoothness=0.5, seed=0))
+    for threads in (1, 2):
+        with pytest.raises(TypeError, match="unexpected argument"):
+            ds_sweep([Method(name="buggy", prepare=prepare)], [1, 2], [pair], threads=threads)
+
+
 def test_deep_method_prepare_and_deploy():
     pair = generate(SynthConfig(frames=30, dim=8, smoothness=0.5, condition_noise=0.05, seed=3))
     deploy = deep_method(epochs=3, hidden=8, seed=0).prepare(pair.reference, 2)

@@ -11,6 +11,7 @@ from seqplace.neural import (
     LstmParams,
     TrainingCurves,
     TrainingError,
+    _batch_gradients,
     adam_init,
     adam_step,
     cross_entropy_loss,
@@ -47,6 +48,28 @@ def test_analytic_gradients_match_finite_differences():
         window = rng.standard_normal((3, 4))
         label = int(rng.integers(0, 5))
         assert max_gradient_error(model, window, label) < 1e-4
+
+
+def test_batch_gradients_are_mean_of_window_gradients():
+    # B=4 windows of d_s=3 steps: a steps/batch mix-up in the fused GEMMs
+    # cannot cancel out
+    rng = np.random.default_rng(9)
+    model = init_model(n=5, places=6, d_s=3, hidden=4, seed=2)
+    windows = rng.standard_normal((4, 3, 7))
+    labels = np.array([0, 5, 2, 5])
+    grads = Gradients.zeros(model)
+    xs = np.ascontiguousarray(windows.transpose(1, 0, 2))  # step-major, as train builds it
+    losses, logits = _batch_gradients(model, xs, labels, grads)
+    mean = {name: np.zeros_like(arr) for name, arr in param_items(model.lstm, model.head)}
+    for b, (window, label) in enumerate(zip(windows, labels)):
+        window_logits, cache = model_forward(model, window, with_cache=True)
+        assert np.allclose(logits[b], window_logits, rtol=1e-12, atol=0.0)
+        assert losses[b] == pytest.approx(cross_entropy_loss(window_logits, label)[0], rel=1e-12)
+        window_grads = model_backward(model, window, label, cache)
+        for name, g in param_items(window_grads.lstm, window_grads.head):
+            mean[name] += g / len(labels)
+    for name, g in param_items(grads.lstm, grads.head):
+        assert np.allclose(g, mean[name], rtol=1e-10, atol=1e-15), name
 
 
 def test_lstm_forward_matches_gate_equations():
