@@ -5,6 +5,12 @@ descriptor sequences (rows = query frames, columns = reference frames).
 SeqSLAM standardizes the matrix with a local contrast window, then sweeps
 constant-velocity lines through it; delta matching is nearest-neighbor
 retrieval in delta-descriptor space.
+
+The SeqSLAM stages walk the matrix in blocks of query rows: contrast
+enhancement writes one Q x R float64 output and the velocity search keeps
+only per-query results, so a deploy holds about two Q x R float64 arrays
+(the difference matrix and its enhanced copy) plus a few block-sized
+scratch arrays.
 """
 
 from __future__ import annotations
@@ -18,16 +24,40 @@ from .descriptors import DeltaConfig, delta_transform
 
 METRICS = ("cosine", "euclidean")
 
+# Bytes of one block of query rows in a Q x R float64 array. The blocked
+# SeqSLAM stages keep a few arrays of this size, so they stay in a core's
+# L2 cache while the full matrix does not.
+_BLOCK_BYTES = 1 << 19
+
+
+def _block_rows(n_ref: int) -> int:
+    return max(1, _BLOCK_BYTES // (8 * n_ref))
+
+
+@dataclass(frozen=True)
+class _Fresh:
+    """An array this module has just computed and holds no other reference
+    to; DifferenceMatrix adopts it without a copy."""
+
+    array: np.ndarray
+
 
 @dataclass(frozen=True)
 class DifferenceMatrix:
-    """Pairwise distances; lower means more similar."""
+    """Pairwise distances; lower means more similar.
+
+    The data is stored read-only. A caller's array is copied first, so it is
+    never frozen or aliased.
+    """
 
     data: np.ndarray
     metric: str
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=np.float64, order="C")
+        if isinstance(self.data, _Fresh):
+            data = np.asarray(self.data.array, dtype=np.float64, order="C")
+        else:
+            data = np.array(self.data, dtype=np.float64, order="C")
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
             raise ValueError(f"difference matrix must be Q x R, got shape {data.shape}")
         if not np.isfinite(data).all():
@@ -116,14 +146,20 @@ def difference_matrix(
         bz = nb == 0.0
         an = np.where(az, 1.0, na)
         bn = np.where(bz, 1.0, nb)
-        dist = 1.0 - (a / an[:, None]) @ (b / bn[:, None]).T
+        dist = (a / an[:, None]) @ (b / bn[:, None]).T
+        np.subtract(1.0, dist, out=dist)
         dist[az, :] = 1.0
         dist[:, bz] = 1.0
         np.clip(dist, 0.0, 2.0, out=dist)
     else:
-        sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-        dist = np.sqrt(np.clip(sq, 0.0, None))
-    return DifferenceMatrix(data=dist, metric=metric)
+        dist = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+        gram = a @ b.T
+        gram *= 2.0
+        dist -= gram
+        del gram
+        np.clip(dist, 0.0, None, out=dist)
+        np.sqrt(dist, out=dist)
+    return DifferenceMatrix(data=_Fresh(dist), metric=metric)
 
 
 def contrast_enhance(matrix: DifferenceMatrix, r_window: int = 10) -> DifferenceMatrix:
@@ -132,23 +168,71 @@ def contrast_enhance(matrix: DifferenceMatrix, r_window: int = 10) -> Difference
     Entry (q, r) becomes (M[q,r] - mu) / sigma where mu, sigma are the mean
     and population std of column r over rows [q - r_window, q + r_window]
     clamped to the matrix; windows with sigma < 1e-8 yield 0.
+
+    The output is written block by block of query rows from running column
+    sums of M and M*M, so besides the new Q x R matrix only block-sized
+    scratch is held. The running sums are carried across blocks in row
+    order, so every entry is bit-identical to one computed from whole-column
+    prefix sums.
     """
     if r_window < 1:
         raise ValueError("r_window must be >= 1")
     data = matrix.data
-    rows = data.shape[0]
-    csum = np.vstack([np.zeros((1, data.shape[1])), np.cumsum(data, axis=0)])
-    csum2 = np.vstack([np.zeros((1, data.shape[1])), np.cumsum(data * data, axis=0)])
-    q = np.arange(rows)
-    lo = np.maximum(q - r_window, 0)
-    hi = np.minimum(q + r_window, rows - 1)
-    count = (hi - lo + 1).astype(np.float64)[:, None]
-    means = (csum[hi + 1] - csum[lo]) / count
-    variances = np.clip((csum2[hi + 1] - csum2[lo]) / count - means * means, 0.0, None)
-    stds = np.sqrt(variances)
-    flat = stds < 1e-8
-    out = np.where(flat, 0.0, (data - means) / np.where(flat, 1.0, stds))
-    return DifferenceMatrix(data=out, metric=matrix.metric)
+    rows, cols = data.shape
+    out = np.empty_like(data)
+    step = min(_block_rows(cols), rows)
+    # pre[j] and pre2[j] hold the column sums of data and data * data over
+    # rows [0, base + j), for base + j in [base, top]: the prefix rows that
+    # one block's windows reach
+    span = min(step + 2 * r_window, rows) + 1
+    pre = np.zeros((span, cols))
+    pre2 = np.zeros((span, cols))
+    base = top = 0
+    means = np.empty((step, cols))
+    stds = np.empty((step, cols))
+    tmp = np.empty((step, cols))
+    flat = np.empty((step, cols), dtype=bool)
+    for b0 in range(0, rows, step):
+        b1 = min(b0 + step, rows)
+        q = np.arange(b0, b1)
+        lo = np.maximum(q - r_window, 0)
+        hi = np.minimum(q + r_window, rows - 1)
+        first, last = int(lo[0]), int(hi[-1]) + 1
+        held = slice(first - base, top - base + 1)
+        pre[: held.stop - held.start] = pre[held]
+        pre2[: held.stop - held.start] = pre2[held]
+        base = first
+        if last > top:
+            new = slice(top - base + 1, last - base + 1)
+            pre[new] = data[top:last]
+            np.multiply(data[top:last], data[top:last], out=pre2[new])
+            if top > 0:  # continue the running sums from row top
+                pre[new.start] += pre[new.start - 1]
+                pre2[new.start] += pre2[new.start - 1]
+            for j in range(new.start + 1, new.stop):
+                np.add(pre[j - 1], pre[j], out=pre[j])
+                np.add(pre2[j - 1], pre2[j], out=pre2[j])
+            top = last
+        n = b1 - b0
+        m, s, t, f = means[:n], stds[:n], tmp[:n], flat[:n]
+        upper, lower = hi + 1 - base, lo - base
+        count = (hi - lo + 1).astype(np.float64)[:, None]
+        np.take(pre, upper, axis=0, out=m, mode="clip")
+        m -= np.take(pre, lower, axis=0, out=t, mode="clip")
+        m /= count
+        np.take(pre2, upper, axis=0, out=s, mode="clip")
+        s -= np.take(pre2, lower, axis=0, out=t, mode="clip")
+        s /= count
+        s -= np.multiply(m, m, out=t)
+        np.clip(s, 0.0, None, out=s)
+        np.sqrt(s, out=s)
+        np.less(s, 1e-8, out=f)
+        block = out[b0:b1]
+        np.subtract(data[b0:b1], m, out=block)
+        np.copyto(s, 1.0, where=f)
+        block /= s
+        np.copyto(block, 0.0, where=f)
+    return DifferenceMatrix(data=_Fresh(out), metric=matrix.metric)
 
 
 def velocity_grid(cfg: SeqSlamConfig) -> np.ndarray:
@@ -156,6 +240,66 @@ def velocity_grid(cfg: SeqSlamConfig) -> np.ndarray:
     count = int(round((cfg.v_max - cfg.v_min) / cfg.v_step)) + 1
     grid = cfg.v_min + cfg.v_step * np.arange(count)
     return grid[grid <= cfg.v_max + 1e-9]
+
+
+def _offset_plan(vels: np.ndarray, d_s: int, n_ref: int) -> list[list]:
+    """How to sample each (velocity, offset k >= 1) of the line search.
+
+    The sample of reference r is column rint(r - v*k). That is almost always
+    the shift r - s with s = rint(v*k): the entry is then a shift (clamped
+    to n_ref). Where rounding half to even breaks the shift (v*k = 4.5, say)
+    the entry is the gather (columns, out-of-range mask) instead.
+    """
+    refs = np.arange(n_ref)
+    plan: list[list] = [[] for _ in vels]
+    for k in range(1, d_s):
+        raw = np.rint(refs[None, :] - vels[:, None] * k).astype(np.int64)
+        for terms, cols, shift in zip(plan, raw, np.rint(vels * k).astype(np.int64)):
+            if np.array_equal(cols, refs - shift):
+                terms.append(min(int(shift), n_ref))
+            else:
+                bad = (cols < 0) | (cols >= n_ref)
+                terms.append((np.where(bad, 0, cols), bad))
+    return plan
+
+
+def _add_sample(out, base, rows, maxes, term) -> None:
+    """out = base + the samples of one (v, k) entry of the offset plan, taken
+    from `rows` (the block's queries moved back by k) with row maxima
+    `maxes` for out-of-range columns."""
+    if isinstance(term, int):
+        np.add(base[:, term:], rows[:, : rows.shape[1] - term], out=out[:, term:])
+        np.add(base[:, :term], maxes[:, None], out=out[:, :term])
+    else:
+        cols, bad = term
+        gathered = rows[:, cols]
+        np.copyto(gathered, maxes[:, None], where=bad)
+        np.add(base, gathered, out=out)
+
+
+def _search_rows(data, row_max, plan, b0, b1, length, acc, best) -> None:
+    """Least line cost per reference for queries [b0, b1), all of which use
+    `length` offsets, left in `best`.
+
+    Each velocity's sum adds the samples in the order k = 0, 1, ..., as the
+    definition in `seqslam_search` does starting from 0.0. Two steps differ
+    from that without changing a result: the sum starts from the offset-0
+    sample, which can only turn a zero sum into -0.0 (the caller adds 0.0
+    to the scores), and the division by `length` follows the minimum over
+    velocities, which commutes with it because rounded division by a
+    positive number is monotone.
+    """
+    first = data[b0:b1]
+    for v, terms in enumerate(plan):
+        out = best if v == 0 else acc
+        if length == 1:
+            out[...] = first
+        for k in range(1, length):
+            base = first if k == 1 else out
+            _add_sample(out, base, data[b0 - k : b1 - k], row_max[b0 - k : b1 - k], terms[k - 1])
+        if v > 0:
+            np.minimum(best, acc, out=best)
+    best /= length
 
 
 def seqslam_search(matrix: DifferenceMatrix, cfg: SeqSlamConfig) -> MatchReport:
@@ -166,34 +310,35 @@ def seqslam_search(matrix: DifferenceMatrix, cfg: SeqSlamConfig) -> MatchReport:
     falls outside the matrix contribute the maximum of their query row
     instead. Queries earlier than d_s - 1 use the longest available prefix.
     Ties pick the lowest reference index.
+
+    Queries are searched in blocks of rows; each (v, k) sample is a shifted
+    slice of the block's rows (a gather only where rounding breaks the
+    shift). Scratch is two block-sized arrays. The sums are taken in the
+    order of k, so scores are bit-identical to a scalar evaluation of the
+    definition.
     """
     data = matrix.data
     n_query, n_ref = data.shape
     if n_query < cfg.d_s:
         raise ValueError(f"need at least d_s={cfg.d_s} query frames, got {n_query}")
-    vels = velocity_grid(cfg)
-    refs = np.arange(n_ref, dtype=np.float64)
+    plan = _offset_plan(velocity_grid(cfg), cfg.d_s, n_ref)
     row_max = data.max(axis=1)
-    # per (velocity, offset-k) reference indices; independent of the query row
-    cols, oob = [], []
-    for k in range(cfg.d_s):
-        raw = np.rint(refs[None, :] - vels[:, None] * k).astype(np.int64)
-        bad = (raw < 0) | (raw >= n_ref)
-        cols.append(np.where(bad, 0, raw))
-        oob.append(bad)
+    step = _block_rows(n_ref)
+    acc = np.empty((step, n_ref))
+    best = np.empty((step, n_ref))
     best_ref = np.empty(n_query, dtype=np.int64)
     scores = np.empty(n_query, dtype=np.float64)
-    for q in range(n_query):
-        length = min(cfg.d_s, q + 1)
-        acc = np.zeros((len(vels), n_ref))
-        for k in range(length):
-            row = data[q - k]
-            acc += np.where(oob[k], row_max[q - k], row[cols[k]])
-        acc /= length
-        per_ref = acc.min(axis=0)
-        best = int(np.argmin(per_ref))
-        best_ref[q] = best
-        scores[q] = per_ref[best]
+    # queries before d_s - 1 see a shorter prefix each; the rest see d_s frames
+    blocks = [(q, q + 1, q + 1) for q in range(cfg.d_s - 1)]
+    blocks += [
+        (b0, min(b0 + step, n_query), cfg.d_s) for b0 in range(cfg.d_s - 1, n_query, step)
+    ]
+    for b0, b1, length in blocks:
+        n = b1 - b0
+        _search_rows(data, row_max, plan, b0, b1, length, acc[:n], best[:n])
+        winner = np.argmin(best[:n], axis=1)
+        best_ref[b0:b1] = winner
+        scores[b0:b1] = best[np.arange(n), winner] + 0.0
     return MatchReport(
         query_indices=np.arange(n_query),
         best_ref=best_ref,

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import seqslam_oracle
 
+from seqplace import matching_classic
 from seqplace.dataset import DescriptorSequence
 from seqplace.descriptors import DeltaConfig
 from seqplace.matching_classic import (
@@ -70,6 +73,11 @@ def test_difference_matrix_symmetry_and_validation():
         difference_matrix(q, r, "manhattan")
     with pytest.raises(ValueError):
         DifferenceMatrix(data=np.array([[np.inf]]), metric="cosine")
+    # a caller's array is copied: it stays writable and unshared
+    mine = np.ones((2, 3))
+    held = DifferenceMatrix(data=mine, metric="cosine").data
+    assert mine.flags.writeable and not np.shares_memory(mine, held)
+    assert not held.flags.writeable
 
 
 def _enhance_oracle(data: np.ndarray, r_window: int) -> np.ndarray:
@@ -171,6 +179,63 @@ def test_seqslam_prefix_queries_use_available_frames():
         seqslam_search(
             DifferenceMatrix(data=data[:3], metric="cosine"), SeqSlamConfig(d_s=4)
         )
+
+
+def test_blocked_stages_match_oracles_across_block_seams(monkeypatch):
+    rng = np.random.default_rng(12)
+    rows, cols = 53, 11
+    data = rng.uniform(0.0, 2.0, size=(rows, cols))
+    matrix = DifferenceMatrix(data=data, metric="cosine")
+    whole = contrast_enhance(matrix, 9).data  # one block holds every row
+    for block_rows in (1, 3, 7, 16):
+        monkeypatch.setattr(matching_classic, "_BLOCK_BYTES", 8 * cols * block_rows)
+        for win in (1, 4, 9):
+            got = contrast_enhance(matrix, win).data
+            assert np.allclose(got, _enhance_oracle(data, win), atol=1e-9)
+            if win == 9:
+                assert np.array_equal(got, whole), f"{block_rows} rows per block"
+        for d_s in (1, 3, 8):
+            cfg = SeqSlamConfig(d_s=d_s)
+            report = seqslam_search(DifferenceMatrix(data=whole, metric="cosine"), cfg)
+            want_ref, want_score = seqslam_oracle(whole, cfg)
+            assert np.array_equal(report.best_ref, want_ref), f"{block_rows}, d_s={d_s}"
+            assert np.array_equal(report.scores, want_score), f"{block_rows}, d_s={d_s}"
+
+
+def test_seqslam_half_way_velocity_products_and_ties():
+    # v * k = 0.5, 1.5, 2.5, 4.5, 7.5 all occur: rint rounds half to even,
+    # so those samples are no pure column shift
+    cfg = SeqSlamConfig(d_s=6, v_min=0.5, v_max=1.5, v_step=0.25)
+    plan = matching_classic._offset_plan(velocity_grid(cfg), cfg.d_s, 14)
+    assert any(not isinstance(term, int) for terms in plan for term in terms)
+    rng = np.random.default_rng(13)
+    for case in range(6):
+        # few distinct values (signed zeros among them) make many tied lines
+        data = rng.choice(np.array([-0.0, 0.0, 1.0, 2.0]), size=(int(rng.integers(6, 20)), 14))
+        report = seqslam_search(DifferenceMatrix(data=data, metric="cosine"), cfg)
+        want_ref, want_score = seqslam_oracle(data, cfg)
+        assert np.array_equal(report.best_ref, want_ref), f"case {case}"
+        assert np.array_equal(report.scores, want_score), f"case {case}"
+        assert np.array_equal(np.signbit(report.scores), np.signbit(want_score))
+
+
+def test_seqslam_stages_hold_no_full_size_temporaries():
+    rng = np.random.default_rng(14)
+    matrix = DifferenceMatrix(data=rng.uniform(0.0, 2.0, size=(1500, 1000)), metric="cosine")
+    size = matrix.data.nbytes
+    tracemalloc.start()
+    try:
+        enhanced = contrast_enhance(matrix, 10)
+        enhance_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        seqslam_search(enhanced, SeqSlamConfig())
+        search_scratch = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    # the enhanced output is one matrix; the rest is block scratch
+    assert enhance_peak <= 2.5 * size, enhance_peak / size
+    assert search_scratch <= 0.5 * size, search_scratch / size
 
 
 def test_nearest_neighbor_match_is_row_argmin():
