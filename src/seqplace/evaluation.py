@@ -13,14 +13,14 @@ import platform
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import median
 from typing import Callable
 
 import numpy as np
 
 from .dataset import Traversal
-from .descriptors import DeltaConfig
+from .descriptors import DeltaConfig, l2_normalize
 from .matching_classic import (
     MatchReport,
     SeqSlamConfig,
@@ -237,6 +237,8 @@ def deep_method(
         )
 
         def deploy(query: Traversal) -> MatchReport:
+            # the model saw unit rows; match --method deep normalizes likewise
+            query = replace(query, descriptors=l2_normalize(query.descriptors))
             _, report = neural.infer(model, query)
             return report
 

@@ -30,6 +30,11 @@ from .rng import RandomStream
 
 SPM1_MAGIC = b"SPM1"
 
+# float64 elements per Adam chunk: 128 KiB of each of the four buffers and of
+# the two scratch arrays, 768 KiB in all, so a chunk stays in L2 between its
+# operations (fastest of 2^12-2^18 at H=512 on a Xeon with 2 MiB L2 per core)
+_ADAM_CHUNK = 1 << 14
+
 
 class TrainingError(RuntimeError):
     """Raised when the loss turns non-finite; carries epoch and batch."""
@@ -131,7 +136,12 @@ def param_items(lstm: LstmParams, head: HeadParams) -> list[tuple[str, np.ndarra
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators keyed like param_items."""
+    """First/second moment accumulators keyed like param_items.
+
+    adam_init builds m and v as views of two flat buffers each, laid out like
+    the model's LstmParams.flat and HeadParams.flat; adam_step updates those
+    buffers chunk by chunk through the views' common base.
+    """
 
     step: int
     m: dict[str, np.ndarray]
@@ -303,29 +313,56 @@ def _batch_gradients(model: SequenceModel, xs: np.ndarray, labels: np.ndarray, g
 
 
 def adam_init(model: SequenceModel) -> AdamState:
-    zeros_like = {name: np.zeros_like(arr) for name, arr in param_items(model.lstm, model.head)}
+    m, v = Gradients.zeros(model), Gradients.zeros(model)
     return AdamState(
-        step=0,
-        m=zeros_like,
-        v={name: np.zeros_like(arr) for name, arr in param_items(model.lstm, model.head)},
+        step=0, m=dict(param_items(m.lstm, m.head)), v=dict(param_items(v.lstm, v.head))
     )
 
 
+def _flat_buffers(moment: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The LSTM and head buffers under the views of an adam_init moment dict."""
+    return moment["w_ii"].base, moment["head_w"].base
+
+
 def adam_step(state: AdamState, model: SequenceModel, grads: Gradients, lr: float):
-    """One bias-corrected Adam update, applied to the model in place."""
+    """One bias-corrected Adam update, applied to the model in place.
+
+    Walks the flat parameter, gradient and moment buffers in chunks of
+    _ADAM_CHUNK elements with two chunk-sized scratch arrays, applying the
+    per-element operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+    p -= lr (m / c1) / (sqrt(v / c2) + eps) in that order, so the result does
+    not depend on the chunk size.
+    """
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
-    params = dict(param_items(model.lstm, model.head))
-    for name, g in param_items(grads.lstm, grads.head):
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        params[name] -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    buffers = zip(
+        (model.lstm.flat, model.head.flat),
+        (grads.lstm.flat, grads.head.flat),
+        _flat_buffers(state.m),
+        _flat_buffers(state.v),
+    )
+    scratch_a, scratch_b = np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)
+    for p_flat, g_flat, m_flat, v_flat in buffers:
+        for lo in range(0, p_flat.size, _ADAM_CHUNK):
+            chunk = slice(lo, lo + _ADAM_CHUNK)
+            p, g, m, v = p_flat[chunk], g_flat[chunk], m_flat[chunk], v_flat[chunk]
+            a, b = scratch_a[: p.size], scratch_b[: p.size]
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=a)
+            m += a
+            v *= b2
+            np.multiply(g, g, out=a)
+            a *= 1.0 - b2
+            v += a
+            np.divide(m, c1, out=a)
+            a *= lr
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += state.eps
+            a /= b
+            p -= a
     return model, state
 
 

@@ -353,6 +353,39 @@ def test_sweep(capsys, tmp_path):
     assert run(capsys, *base, "--methods", "unknown")[0] == 2
 
 
+def test_deep_match_eval_and_sweep_report_the_same_auc(capsys, tmp_path):
+    ds = synth_dataset(capsys, tmp_path, frames=120, dim=16, drift=",".join(["0.3"] * 16))
+    ckpt = tmp_path / "model.spm1"
+    deep = {"ds": "2", "epochs": "20", "hidden": "32", "seed": "0"}
+    code, _, err = run(capsys, *train_args(ds, ckpt, tmp_path / "curves.csv", **deep))
+    assert code == 0, err
+    matches = tmp_path / "matches.csv"
+    code, _, err = run(
+        capsys, "match", "--method", "deep",
+        "--ref", str(ds / "reference.spd1"), "--query", str(ds / "query.spd1"),
+        "--query-positions", str(ds / "query_positions.txt"),
+        "--checkpoint", str(ckpt), "--out", str(matches),
+    )
+    assert code == 0, err
+    code, stdout, err = run(capsys, "eval", "--matches", str(matches))
+    assert code == 0, err
+    auc = float(next(line for line in stdout.splitlines() if line.startswith("auc,"))[4:])
+
+    out = tmp_path / "sweep.csv"
+    code, _, err = run(
+        capsys, "sweep",
+        "--ref", str(ds / "reference.spd1"), "--query", str(ds / "query.spd1"),
+        "--ref-positions", str(ds / "reference_positions.txt"),
+        "--query-positions", str(ds / "query_positions.txt"),
+        "--methods", "deep", "--ds-values", "2",
+        "--epochs", "20", "--hidden", "32", "--seed", "0",
+        "--out", str(out),
+    )
+    assert code == 0, err
+    [cell] = load_sweep_csv(out)
+    assert cell.auc == auc
+
+
 def test_bench(capsys, tmp_path):
     ds = synth_dataset(capsys, tmp_path)
     out = tmp_path / "bench.csv"

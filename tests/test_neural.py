@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from oracles import max_gradient_error
 
+from seqplace import neural
 from seqplace.dataset import DescriptorSequence, PositionTrack, Traversal
 from seqplace.neural import (
+    AdamState,
     Gradients,
     HeadParams,
     LstmParams,
@@ -185,6 +188,149 @@ def test_adam_identical_streams_identical_parameters():
         param_items(first.lstm, first.head), param_items(second.lstm, second.head)
     ):
         assert np.array_equal(a, b)
+
+
+def _reference_adam_init(model) -> AdamState:
+    """Moments as separate arrays, one per tensor view."""
+    items = param_items(model.lstm, model.head)
+    return AdamState(
+        step=0,
+        m={name: np.zeros_like(arr) for name, arr in items},
+        v={name: np.zeros_like(arr) for name, arr in items},
+    )
+
+
+def _reference_adam_step(state, model, grads, lr):
+    """The per-tensor Adam loop: one pass, with temporaries, per tensor view."""
+    state.step += 1
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1 ** state.step
+    c2 = 1.0 - b2 ** state.step
+    params = dict(param_items(model.lstm, model.head))
+    for name, g in param_items(grads.lstm, grads.head):
+        m = state.m[name]
+        v = state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        params[name] -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, None])
+def test_adam_matches_per_tensor_reference_across_chunk_seams(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(neural, "_ADAM_CHUNK", chunk)
+    rng = np.random.default_rng(21)
+    # LSTM buffer 208 and head buffer 50 elements: both end mid-chunk for
+    # chunks of 3, 7 and the default
+    model = init_model(n=6, places=10, d_s=2, hidden=4, seed=1)
+    model.lstm.flat[...] = rng.standard_normal(model.lstm.flat.size)
+    model.head.flat[...] = rng.standard_normal(model.head.flat.size)
+    reference = init_model(n=6, places=10, d_s=2, hidden=4, seed=1)
+    reference.lstm.flat[...] = model.lstm.flat
+    reference.head.flat[...] = model.head.flat
+    state, ref_state = adam_init(model), _reference_adam_init(reference)
+    grads = Gradients.zeros(model)
+    for step in range(5):
+        scale = 0.0 if step == 2 else 10.0 ** (step - 2)
+        grads.lstm.flat[...] = scale * rng.standard_normal(grads.lstm.flat.size)
+        grads.head.flat[...] = scale * rng.standard_normal(grads.head.flat.size)
+        adam_step(state, model, grads, 0.01 * (step + 1))
+        _reference_adam_step(ref_state, reference, grads, 0.01 * (step + 1))
+        assert np.array_equal(model.lstm.flat, reference.lstm.flat)
+        assert np.array_equal(model.head.flat, reference.head.flat)
+        for moments, ref_moments in ((state.m, ref_state.m), (state.v, ref_state.v)):
+            for name, arr in ref_moments.items():
+                assert np.array_equal(moments[name], arr), name
+    assert state.step == ref_state.step == 5
+    # the moment dicts are views tiling two flat buffers laid out like the model's
+    names = [name for name, _ in param_items(model.lstm, model.head)]
+    for moments, ref_moments in ((state.m, ref_state.m), (state.v, ref_state.v)):
+        lstm_flat, head_flat = moments["w_ii"].base, moments["head_w"].base
+        assert lstm_flat.shape == model.lstm.flat.shape
+        assert head_flat.shape == model.head.flat.shape
+        for name in names:
+            assert moments[name].base is (head_flat if name.startswith("head") else lstm_flat)
+        assert np.array_equal(
+            np.concatenate([lstm_flat, head_flat]),
+            np.concatenate([ref_moments[name].ravel() for name in names]),
+        )
+    assert state.m["w_ii"].base is not state.v["w_ii"].base
+
+
+def _traced_peak(step, state, model, grads) -> int:
+    tracemalloc.start()
+    try:
+        step(state, model, grads, 0.01)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_adam_step_holds_only_chunk_scratch():
+    rng = np.random.default_rng(22)
+    model = init_model(n=1024, places=50, d_s=2, hidden=64, seed=0)
+    grads = Gradients.zeros(model)
+    grads.lstm.flat[...] = rng.standard_normal(grads.lstm.flat.size)
+    grads.head.flat[...] = rng.standard_normal(grads.head.flat.size)
+    chunk_bytes = 8 * neural._ADAM_CHUNK
+    assert model.lstm.w_ii.nbytes >= 4 * chunk_bytes  # one view spans many chunks
+    bound = 2 * chunk_bytes + 64 * 1024
+    peak = _traced_peak(adam_step, adam_init(model), model, grads)
+    assert peak <= bound, peak / chunk_bytes
+    # the per-tensor loop allocates temporaries the size of a whole view
+    reference_peak = _traced_peak(_reference_adam_step, _reference_adam_init(model), model, grads)
+    assert reference_peak > bound, reference_peak / chunk_bytes
+
+
+def _grad_norm(grads) -> float:
+    return float(np.sqrt(grads.lstm.flat @ grads.lstm.flat + grads.head.flat @ grads.head.flat))
+
+
+def test_clip_norm_bounds_the_gradient_adam_receives(monkeypatch):
+    rng = np.random.default_rng(23)
+    trav = _tiny_traversal(rng, 20, 6)
+    kwargs = dict(d_s=3, epochs=3, lr=0.01, rng_seed=2, hidden=8, batch_size=4)
+    raw, seen = [], []
+    batch_gradients, step = neural._batch_gradients, neural.adam_step
+
+    def recording_batch(model, xs, labels, grads):
+        out = batch_gradients(model, xs, labels, grads)
+        raw.append(_grad_norm(grads))
+        return out
+
+    def recording_step(state, model, grads, lr):
+        seen.append(_grad_norm(grads))
+        return step(state, model, grads, lr)
+
+    monkeypatch.setattr(neural, "_batch_gradients", recording_batch)
+    monkeypatch.setattr(neural, "adam_step", recording_step)
+    unclipped, unclipped_curves = train(trav, **kwargs)
+    assert seen == raw
+    clip = float(np.median(raw))
+    ceiling = 2.0 * max(raw)
+
+    raw.clear()
+    seen.clear()
+    train(trav, clip_norm=clip, **kwargs)
+    assert len(seen) == len(raw)
+    over = [r > clip for r in raw]
+    assert any(over) and not all(over)
+    for r, s in zip(raw, seen):
+        if r > clip:
+            assert s <= clip * (1.0 + 1e-12)
+        else:
+            assert s == r
+
+    raw.clear()
+    seen.clear()
+    loose, loose_curves = train(trav, clip_norm=ceiling, **kwargs)
+    assert max(raw) < ceiling
+    assert np.array_equal(loose.lstm.flat, unclipped.lstm.flat)
+    assert np.array_equal(loose.head.flat, unclipped.head.flat)
+    assert loose_curves.losses == unclipped_curves.losses
+    assert loose_curves.accuracies == unclipped_curves.accuracies
 
 
 def test_init_model_distribution_and_forget_bias():
