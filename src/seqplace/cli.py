@@ -24,11 +24,10 @@ from .dataset import (
     normalize_positions,
     save_descriptor_file,
 )
-from .descriptors import ThumbnailConfig, DeltaConfig, l2_normalize, read_pgm, thumbnail_descriptor
+from .descriptors import ThumbnailConfig, l2_normalize, read_pgm, thumbnail_descriptor
 from .evaluation import (
     delta_method,
     deep_method,
-    delta_window_for,
     ds_sweep,
     load_ground_truth,
     pr_curve,
@@ -38,18 +37,13 @@ from .evaluation import (
     seqslam_method,
     benchmark,
     tolerance_for,
+    trained_method,
 )
-from .matching_classic import (
-    MatchReport,
-    SeqSlamConfig,
-    contrast_enhance,
-    delta_match,
-    difference_matrix,
-    seqslam_search,
-)
+from .matching_classic import MatchReport
 from .synthetic import SynthConfig, SynthPair, generate, generate_revisit, write_dataset
 
 METHODS = ("seqslam", "delta", "deep")
+_SEQSLAM_FLAGS = ("v_min", "v_max", "v_step", "r_window", "metric")
 
 
 class UsageError(Exception):
@@ -212,50 +206,29 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _match_report(args) -> tuple[MatchReport, np.ndarray | None, int]:
-    """Deep or seqslam matching; returns (report, exportable matrix, d_s)."""
+def cmd_match(args) -> int:
+    if args.ds is not None and args.ds < 1:
+        raise UsageError(f"--ds must be >= 1, got {args.ds}")
+    if args.method == "delta" and args.export_matrix is not None:
+        raise UsageError("method delta has no matrix to export")
+    model = None
     if args.method == "deep":
         if args.checkpoint is None:
             raise UsageError("deep matching needs --checkpoint")
         if args.query_positions is None:
             raise UsageError("deep matching needs --query-positions")
         model = neural.load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-        query = _load_traversal(args.query, args.query_positions, normalize=True)
-        d_s = args.ds if args.ds is not None else model.d_s
-        activity, report = neural.infer(model, query, d_s)
-        return report, activity, d_s
-    if args.ds is None:
+    elif args.ds is None:
         raise UsageError(f"--ds is required for method {args.method}")
-    if args.ds < 1:
-        raise UsageError(f"--ds must be >= 1, got {args.ds}")
-    query = _load_traversal(args.query)
-    reference = _load_traversal(args.ref)
-    cfg = SeqSlamConfig(
-        d_s=args.ds,
-        v_min=args.v_min,
-        v_max=args.v_max,
-        v_step=args.v_step,
-        r_window=args.r_window,
-    )
-    enhanced = contrast_enhance(
-        difference_matrix(query.descriptors, reference.descriptors, args.metric),
-        cfg.r_window,
-    )
-    return seqslam_search(enhanced, cfg), enhanced.data, args.ds
 
+    def export(matrix):
+        save_descriptor_file(DescriptorSequence(data=matrix, normalized=False), args.export_matrix)
 
-def cmd_match(args) -> int:
-    if args.method == "delta":
-        if args.ds is None or args.ds < 1:
-            raise UsageError("--ds must be >= 1 for method delta")
-        query = _load_traversal(args.query)
-        reference = _load_traversal(args.ref)
-        cfg = DeltaConfig(window=delta_window_for(args.ds))
-        report = delta_match(query.descriptors, reference.descriptors, cfg)
-        matrix = None
-        d_s = args.ds
-    else:
-        report, matrix, d_s = _match_report(args)
+    reference, query = _load_pair(args)
+    d_s = args.ds if args.ds is not None else model.d_s
+    sink = export if args.export_matrix is not None else None
+    [method] = _build_methods([args.method], args, model=model, sink=sink)
+    report = method.prepare(reference, d_s)(query)
     polarity = "higher" if report.higher_is_better else "lower"
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(f"# method={args.method}\n")
@@ -264,12 +237,6 @@ def cmd_match(args) -> int:
         fh.write("query_index,best_ref,score\n")
         for q, r, s in zip(report.query_indices, report.best_ref, report.scores):
             fh.write(f"{q},{r},{float(s)!r}\n")
-    if args.export_matrix is not None:
-        if matrix is None:
-            raise UsageError(f"method {args.method} has no matrix to export")
-        save_descriptor_file(
-            DescriptorSequence(data=matrix, normalized=False), args.export_matrix
-        )
     print(args.out)
     return 0
 
@@ -335,13 +302,17 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _build_methods(names: list[str], args):
+def _build_methods(names: list[str], args, model=None, sink=None):
+    """The named methods; match adds its checkpoint model, export sink and seqslam flags."""
     built = []
     for name in names:
         if name == "seqslam":
-            built.append(seqslam_method())
+            flags = {k: v for k, v in vars(args).items() if k in _SEQSLAM_FLAGS}
+            built.append(seqslam_method(**flags, sink=sink))
         elif name == "delta":
             built.append(delta_method())
+        elif name == "deep" and model is not None:
+            built.append(trained_method(model, sink=sink))
         elif name == "deep":
             built.append(
                 deep_method(epochs=args.epochs, lr=args.lr, hidden=args.hidden, seed=args.seed)
@@ -351,13 +322,12 @@ def _build_methods(names: list[str], args):
     return built
 
 
-def _load_pair(args, need_positions: bool) -> SynthPair:
-    pos_given = args.ref_positions is not None and args.query_positions is not None
-    if need_positions and not pos_given:
+def _load_pair(args, need_positions: bool = False) -> tuple[Traversal, Traversal]:
+    """Reference and query, descriptors as stored; positions when given, else zeros."""
+    if need_positions and (args.ref_positions is None or args.query_positions is None):
         raise UsageError("deep method needs --ref-positions and --query-positions")
-    reference = _load_traversal(args.ref, args.ref_positions, normalize=True)
-    query = _load_traversal(args.query, args.query_positions)
-    return SynthPair(reference=reference, query=query)
+    reference = _load_traversal(args.ref, args.ref_positions)
+    return reference, _load_traversal(args.query, args.query_positions)
 
 
 def cmd_sweep(args) -> int:
@@ -370,7 +340,11 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"--ds-values expects comma-separated integers, got {args.ds_values!r}") from None
     if not ds_values or min(ds_values) < 1:
         raise UsageError("--ds-values needs integers >= 1")
-    pair = _load_pair(args, need_positions="deep" in names)
+    for flag, values in (("--methods", names), ("--ds-values", ds_values)):
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise UsageError(f"{flag} repeats {', '.join(map(str, repeated))}")
+    pair = SynthPair(*_load_pair(args, need_positions="deep" in names))
     cells = ds_sweep(_build_methods(names, args), ds_values, [pair])
     save_sweep_csv(cells, args.out)
     print(args.out)
@@ -382,7 +356,7 @@ def cmd_bench(args) -> int:
         raise UsageError(f"--ds must be >= 1, got {args.ds}")
     if args.reps < 1:
         raise UsageError(f"--reps must be >= 1, got {args.reps}")
-    pair = _load_pair(args, need_positions=(args.method == "deep"))
+    pair = SynthPair(*_load_pair(args, need_positions=(args.method == "deep")))
     method = _build_methods([args.method], args)[0]
     result = benchmark(method, pair, args.ds, repetitions=args.reps)
     print(f"{result.method},{result.seconds!r},{result.frames}")
@@ -454,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-window", type=int, default=10)
     p.add_argument("--export-matrix", default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_match)
+    p.set_defaults(func=cmd_match, ref_positions=None)  # match never reads reference positions
 
     p = subs.add_parser("eval", help="precision-recall and AUC from a match CSV")
     p.add_argument("--matches", required=True)

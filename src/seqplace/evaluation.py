@@ -180,6 +180,7 @@ def load_ground_truth(path) -> dict[int, int]:
 
 
 Deploy = Callable[[Traversal], MatchReport]
+Sink = Callable[[np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -188,6 +189,7 @@ class Method:
 
     Preparation covers everything done once per reference (training, delta
     precomputation); only the returned deploy callable is benchmarked.
+    Traversals arrive as stored on disk; the LSTM normalizes rows itself.
     """
 
     name: str
@@ -195,14 +197,20 @@ class Method:
 
 
 def seqslam_method(
-    v_min: float = 0.8, v_max: float = 1.2, v_step: float = 0.04, r_window: int = 10
+    v_min: float = 0.8, v_max: float = 1.2, v_step: float = 0.04, r_window: int = 10,
+    metric: str = "cosine", sink: Sink | None = None,
 ) -> Method:
+    """Velocity-sweep SeqSLAM; sink, if given, receives each enhanced matrix."""
+
     def prepare(reference: Traversal, d_s: int) -> Deploy:
         cfg = SeqSlamConfig(d_s=d_s, v_min=v_min, v_max=v_max, v_step=v_step, r_window=r_window)
 
         def deploy(query: Traversal) -> MatchReport:
-            matrix = difference_matrix(query.descriptors, reference.descriptors)
-            return seqslam_search(contrast_enhance(matrix, cfg.r_window), cfg)
+            matrix = difference_matrix(query.descriptors, reference.descriptors, metric)
+            enhanced = contrast_enhance(matrix, cfg.r_window)
+            if sink is not None:
+                sink(enhanced.data)
+            return seqslam_search(enhanced, cfg)
 
         return deploy
 
@@ -228,21 +236,38 @@ def delta_method() -> Method:
     return Method(name="delta", prepare=prepare)
 
 
+def trained_method(model: neural.SequenceModel, sink: Sink | None = None) -> Method:
+    """The LSTM of a trained model; sink, if given, receives each activity matrix.
+    prepare rejects a reference whose frame count or dim is not the model's."""
+
+    def prepare(reference: Traversal, d_s: int) -> Deploy:
+        frames, dim = reference.frame_count, reference.descriptors.dim
+        if (model.places, model.n) != (frames, dim):
+            raise ValueError(f"checkpoint has {model.places} places of descriptor dim {model.n}, "
+                             f"but the reference has {frames} frames of dim {dim}")
+
+        def deploy(query: Traversal) -> MatchReport:
+            # the model was trained on unit rows, so it is fed unit rows
+            query = replace(query, descriptors=l2_normalize(query.descriptors))
+            activity, report = neural.infer(model, query, d_s)
+            if sink is not None:
+                sink(activity)
+            return report
+
+        return deploy
+
+    return Method(name="deep", prepare=prepare)
+
+
 def deep_method(
     epochs: int = 100, lr: float = 0.01, hidden: int = 512, seed: int = 0
 ) -> Method:
     def prepare(reference: Traversal, d_s: int) -> Deploy:
+        reference = replace(reference, descriptors=l2_normalize(reference.descriptors))
         model, _ = neural.train(
             reference, d_s, epochs=epochs, lr=lr, rng_seed=seed, hidden=hidden
         )
-
-        def deploy(query: Traversal) -> MatchReport:
-            # the model saw unit rows; match --method deep normalizes likewise
-            query = replace(query, descriptors=l2_normalize(query.descriptors))
-            _, report = neural.infer(model, query)
-            return report
-
-        return deploy
+        return trained_method(model).prepare(reference, d_s)
 
     return Method(name="deep", prepare=prepare)
 

@@ -1,9 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from seqplace import neural
+from seqplace import cli, neural
 from seqplace.cli import load_match_csv, main
-from seqplace.dataset import load_descriptor_file
+from seqplace.dataset import DescriptorSequence, load_descriptor_file, save_descriptor_file
 from seqplace.evaluation import load_pr_csv, load_sweep_csv
 
 
@@ -253,6 +256,81 @@ def test_match_delta_and_flag_errors(capsys, tmp_path):
     )[0] == 2
 
 
+def deep_match_argv(ds, ckpt, out, ref=None):
+    return [
+        "match", "--method", "deep",
+        "--ref", str(ref or ds / "reference.spd1"), "--query", str(ds / "query.spd1"),
+        "--query-positions", str(ds / "query_positions.txt"),
+        "--checkpoint", str(ckpt), "--out", str(out),
+    ]
+
+
+def test_match_deep_checks_the_reference_against_the_checkpoint(capsys, tmp_path):
+    ds = synth_dataset(capsys, tmp_path)
+    ckpt = tmp_path / "model.spm1"
+    assert run(capsys, *train_args(ds, ckpt, tmp_path / "curves.csv", epochs=0, hidden=8))[0] == 0
+    out = tmp_path / "m.csv"
+    code, _, err = run(capsys, *deep_match_argv(ds, ckpt, out, ref=tmp_path / "missing.spd1"))
+    assert code == 2 and "missing.spd1" in err
+
+    # a checkpoint trained on 40 frames of dim 8 fits neither of these references
+    for name, flags in (("longer", {"frames": "50"}), ("wider", {"dim": "12"})):
+        other = synth_dataset(capsys, tmp_path, name, **flags)
+        code, _, err = run(
+            capsys, *deep_match_argv(ds, ckpt, out, ref=other / "reference.spd1")
+        )
+        assert code == 3
+        assert "checkpoint has 40 places of descriptor dim 8" in err
+        frames, dim = flags.get("frames", "40"), flags.get("dim", "8")
+        assert f"reference has {frames} frames of dim {dim}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["seqslam", "delta", "deep"])
+def test_match_ds_below_one_is_a_usage_error(capsys, tmp_path, method):
+    ds = synth_dataset(capsys, tmp_path)
+    ckpt = tmp_path / "model.spm1"
+    assert run(capsys, *train_args(ds, ckpt, tmp_path / "curves.csv", epochs=0, hidden=8))[0] == 0
+    argv = deep_match_argv(ds, ckpt, tmp_path / "m.csv")
+    argv[2] = method
+    code, _, err = run(capsys, *argv, "--ds", "0")
+    assert code == 2 and "--ds must be >= 1" in err
+
+
+@pytest.mark.parametrize("method", ["seqslam", "delta"])
+def test_match_takes_a_reference_of_another_length(capsys, tmp_path, method):
+    query = synth_dataset(capsys, tmp_path, "query")
+    reference = synth_dataset(capsys, tmp_path, "reference", frames=55)
+    out = tmp_path / "m.csv"
+    code, _, err = run(
+        capsys, "match", "--method", method, "--ds", "2",
+        "--ref", str(reference / "reference.spd1"), "--query", str(query / "query.spd1"),
+        "--out", str(out),
+    )
+    assert code == 0, err
+    report, _ = load_match_csv(out)
+    assert report.best_ref.max() < 55
+
+
+def test_cli_has_no_matcher_pipeline_of_its_own():
+    # match, sweep and bench deploy through evaluation's methods; the CLI
+    # must neither import nor call the classic matchers' building blocks
+    banned = {
+        "difference_matrix", "contrast_enhance", "seqslam_search", "delta_match",
+        "SeqSlamConfig", "DeltaConfig", "delta_window_for",
+    }
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            used.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    assert not used & banned, sorted(used & banned)
+
+
 def write_match_csv(path, best_ref, scores, ds=2, polarity="higher"):
     with open(path, "w") as fh:
         fh.write(f"# method=test\n# polarity={polarity}\n# ds={ds}\n")
@@ -353,37 +431,86 @@ def test_sweep(capsys, tmp_path):
     assert run(capsys, *base, "--methods", "unknown")[0] == 2
 
 
-def test_deep_match_eval_and_sweep_report_the_same_auc(capsys, tmp_path):
-    ds = synth_dataset(capsys, tmp_path, frames=120, dim=16, drift=",".join(["0.3"] * 16))
-    ckpt = tmp_path / "model.spm1"
-    deep = {"ds": "2", "epochs": "20", "hidden": "32", "seed": "0"}
-    code, _, err = run(capsys, *train_args(ds, ckpt, tmp_path / "curves.csv", **deep))
-    assert code == 0, err
+def parity_dataset(capsys, tmp_path):
+    """The drifted pair on which match -> eval and sweep are compared."""
+    return synth_dataset(capsys, tmp_path, frames=120, dim=16, drift=",".join(["0.3"] * 16))
+
+
+def scale_reference_rows(ds):
+    """Rewrite the reference with rows scaled by U(0.2, 5) and the unit-row flag off."""
+    path = ds / "reference.spd1"
+    seq = load_descriptor_file(path)
+    scale = np.random.default_rng(0).uniform(0.2, 5.0, size=(seq.frame_count, 1))
+    save_descriptor_file(DescriptorSequence(data=seq.data * scale, normalized=False), path)
+
+
+PARITY_DEEP = {"epochs": "20", "hidden": "32", "seed": "0"}
+
+
+def match_eval_auc(capsys, tmp_path, ds, method, d_s):
+    if method == "deep":
+        ckpt = tmp_path / "model.spm1"
+        curves = tmp_path / "curves.csv"
+        code, _, err = run(capsys, *train_args(ds, ckpt, curves, ds=d_s, **PARITY_DEEP))
+        assert code == 0, err
+        flags = ["--checkpoint", str(ckpt), "--query-positions", str(ds / "query_positions.txt")]
+    else:
+        flags = ["--ds", str(d_s)]
     matches = tmp_path / "matches.csv"
     code, _, err = run(
-        capsys, "match", "--method", "deep",
+        capsys, "match", "--method", method,
         "--ref", str(ds / "reference.spd1"), "--query", str(ds / "query.spd1"),
-        "--query-positions", str(ds / "query_positions.txt"),
-        "--checkpoint", str(ckpt), "--out", str(matches),
+        *flags, "--out", str(matches),
     )
     assert code == 0, err
     code, stdout, err = run(capsys, "eval", "--matches", str(matches))
     assert code == 0, err
-    auc = float(next(line for line in stdout.splitlines() if line.startswith("auc,"))[4:])
+    return float(next(line for line in stdout.splitlines() if line.startswith("auc,"))[4:])
 
+
+def sweep_auc(capsys, tmp_path, ds, method, d_s):
     out = tmp_path / "sweep.csv"
     code, _, err = run(
         capsys, "sweep",
         "--ref", str(ds / "reference.spd1"), "--query", str(ds / "query.spd1"),
         "--ref-positions", str(ds / "reference_positions.txt"),
         "--query-positions", str(ds / "query_positions.txt"),
-        "--methods", "deep", "--ds-values", "2",
-        "--epochs", "20", "--hidden", "32", "--seed", "0",
+        "--methods", method, "--ds-values", str(d_s),
+        "--epochs", PARITY_DEEP["epochs"], "--hidden", PARITY_DEEP["hidden"],
+        "--seed", PARITY_DEEP["seed"],
         "--out", str(out),
     )
     assert code == 0, err
     [cell] = load_sweep_csv(out)
-    assert cell.auc == auc
+    return cell.auc
+
+
+def test_deep_match_eval_and_sweep_report_the_same_auc(capsys, tmp_path):
+    ds = parity_dataset(capsys, tmp_path)
+    auc = match_eval_auc(capsys, tmp_path, ds, "deep", 2)
+    assert sweep_auc(capsys, tmp_path, ds, "deep", 2) == auc
+
+
+@pytest.mark.parametrize("method", ["seqslam", "delta", "deep"])
+def test_match_eval_and_sweep_agree_on_a_row_scaled_reference(capsys, tmp_path, method):
+    # every command hands the matchers the descriptor files as stored
+    ds = parity_dataset(capsys, tmp_path)
+    scale_reference_rows(ds)
+    auc = match_eval_auc(capsys, tmp_path, ds, method, 2)
+    assert sweep_auc(capsys, tmp_path, ds, method, 2) == auc
+
+
+def test_sweep_rejects_repeated_methods_and_ds_values(capsys, tmp_path):
+    ds = synth_dataset(capsys, tmp_path)
+    base = [
+        "sweep", "--ref", str(ds / "reference.spd1"), "--query", str(ds / "query.spd1"),
+        "--out", str(tmp_path / "sweep.csv"),
+    ]
+    code, _, err = run(capsys, *base, "--methods", "delta,seqslam,delta", "--ds-values", "2")
+    assert code == 2 and "--methods repeats delta" in err
+    code, _, err = run(capsys, *base, "--methods", "delta", "--ds-values", "2,4,2")
+    assert code == 2 and "--ds-values repeats 2" in err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_bench(capsys, tmp_path):
