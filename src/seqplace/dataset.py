@@ -38,6 +38,24 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# Bytes of one block of _row_norms's float64 cast.
+_NORM_BLOCK_BYTES = 1 << 20
+
+
+def _row_norms(data: np.ndarray) -> np.ndarray:
+    """Float64 Euclidean norm of each row, cast a block of rows at a time.
+
+    Each row's norm is summed on its own, so the result is bitwise that of
+    np.linalg.norm over the whole matrix cast to float64.
+    """
+    norms = np.empty(data.shape[0])
+    step = max(1, _NORM_BLOCK_BYTES // (8 * data.shape[1]))
+    for r0 in range(0, data.shape[0], step):
+        rows = slice(r0, r0 + step)
+        norms[rows] = np.linalg.norm(data[rows].astype(np.float64), axis=1)
+    return norms
+
+
 @dataclass(frozen=True)
 class DescriptorSequence:
     """T x n matrix of per-frame global descriptors (float32 rows)."""
@@ -52,7 +70,7 @@ class DescriptorSequence:
         if not np.isfinite(data).all():
             raise ValueError("descriptor matrix contains non-finite values")
         if self.normalized:
-            norms = np.linalg.norm(data.astype(np.float64), axis=1)
+            norms = _row_norms(data)
             if np.any(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
                 bad = int(np.argmax(np.abs(norms - 1.0)))
                 raise ValueError(
@@ -152,9 +170,8 @@ def load_descriptor_file(path) -> DescriptorSequence:
         raise DescriptorFileError(
             "non-finite descriptor value", _HEADER_SIZE + 4 * first_bad
         )
-    return DescriptorSequence(
-        data=data.reshape(frames, dim).copy(), normalized=bool(flags & 1)
-    )
+    # DescriptorSequence copies the payload out of the file's bytes
+    return DescriptorSequence(data=data.reshape(frames, dim), normalized=bool(flags & 1))
 
 
 def save_descriptor_file(seq: DescriptorSequence, path) -> None:

@@ -51,9 +51,11 @@ def unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, bool]:
     """Nonzero rows scaled to unit norm, zero rows kept; and whether none was zero."""
     norms = np.linalg.norm(matrix, axis=1)
     nonzero = norms > 0.0
+    if nonzero.all():
+        return matrix / norms[:, None], True
     out = np.zeros_like(matrix)
     out[nonzero] = matrix[nonzero] / norms[nonzero, None]
-    return out, bool(nonzero.all())
+    return out, False
 
 
 def l2_normalize(seq: DescriptorSequence) -> DescriptorSequence:
@@ -114,12 +116,19 @@ def delta_raw(data: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     frames = data.shape[0]
     if frames < window:
         raise ValueError(f"need at least {window} frames, got {frames}")
-    csum = np.zeros((frames + 1, data.shape[1]), dtype=np.float64)
-    np.cumsum(data, axis=0, dtype=np.float64, out=csum[1:])
-    centers = np.arange(half, frames - half + 1)
-    lead = (csum[centers + half] - csum[centers]) / half
-    trail = (csum[centers] - csum[centers - half]) / half
-    return lead - trail, centers
+    # csum[t] = float64 sum of rows [0, t), added row after row in the order
+    # np.cumsum uses, so every prefix sum is the same to the bit
+    csum = np.empty((frames + 1, data.shape[1]))
+    csum[0] = 0.0
+    csum[1] = data[0]
+    for t in range(1, frames):
+        np.add(csum[t], data[t], out=csum[t + 1])
+    # means[j] is the mean of rows j .. j+half-1; a frame's leading mean is
+    # the trailing mean of the frame half rows later
+    means = csum[half:] - csum[:-half]
+    del csum
+    means /= half
+    return means[half:] - means[:-half], np.arange(half, frames - half + 1)
 
 
 def delta_transform(seq: DescriptorSequence, cfg: DeltaConfig) -> tuple[DescriptorSequence, np.ndarray]:

@@ -187,9 +187,13 @@ Sink = Callable[[np.ndarray], None]
 class Method:
     """A matcher: prepare(reference, d_s) returns the deployment function.
 
-    Preparation covers everything done once per reference (training, delta
-    precomputation); only the returned deploy callable is benchmarked.
-    Traversals arrive as stored on disk; the LSTM normalizes rows itself.
+    Preparation is the work done once per reference before any query: the
+    deep method trains there. The classic methods only fix their config.
+    Their reference-side work (the delta transform, the float64 unit rows
+    of the distance GEMM) is a small share of a deploy and runs inside it,
+    so a prepared matcher holds no float64 copy of the reference between
+    deploys. Only the returned deploy callable is benchmarked. Traversals
+    arrive as stored on disk; the LSTM normalizes rows itself.
     """
 
     name: str

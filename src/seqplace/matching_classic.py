@@ -1,12 +1,15 @@
 """Heuristic sequence matchers: SeqSLAM-style search and delta matching.
 
-Both operate on a Q x R difference matrix between query and reference
-descriptor sequences (rows = query frames, columns = reference frames).
-SeqSLAM standardizes the matrix with a local contrast window, then sweeps
-constant-velocity lines through it; delta matching is nearest-neighbor
-retrieval in delta-descriptor space.
+Both work on the distances between query and reference descriptor
+sequences (rows = query frames, columns = reference frames). SeqSLAM
+standardizes the Q x R difference matrix with a local contrast window, then
+sweeps constant-velocity lines through it; delta matching is
+nearest-neighbor retrieval in delta-descriptor space.
 
-The SeqSLAM stages walk the matrix in blocks of query rows: contrast
+Distances are computed in blocks of query rows, one GEMM per block. The
+difference matrix stores every block; nearest-neighbor and delta matching
+keep only each row's argmin and its distance, so they hold no Q x R array.
+The SeqSLAM stages walk the matrix in blocks of query rows too: contrast
 enhancement writes one Q x R float64 output and the velocity search keeps
 only per-query results, so a deploy holds about two Q x R float64 arrays
 (the difference matrix and its enhanced copy) plus a few block-sized
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DescriptorSequence
-from .descriptors import DeltaConfig, delta_transform
+from .descriptors import DeltaConfig, delta_transform, unit_rows
 
 METRICS = ("cosine", "euclidean")
 
@@ -32,6 +35,15 @@ _BLOCK_BYTES = 1 << 19
 
 def _block_rows(n_ref: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n_ref))
+
+
+# Query rows per GEMM of a distance computation. With one BLAS thread,
+# OpenBLAS gives every entry the bits of one whole-matrix GEMM only when each
+# block starts on a multiple of its dgemm kernel's row tile (24 rows on the
+# SkylakeX kernel, where 16- or 256-row blocks change a few entries); 384 is
+# a multiple of 24 and of the smaller tiles (4, 8, 16) of other kernels. At
+# paper scale, 384-row blocks run as fast as one whole-matrix GEMM.
+_DISTANCE_ROWS = 384
 
 
 @dataclass(frozen=True)
@@ -125,6 +137,80 @@ class MatchReport:
         return len(self.query_indices)
 
 
+def _unit_rows64(data: np.ndarray) -> np.ndarray:
+    """unit_rows of data cast to float64, a block of rows at a time, so no
+    full-size temporary is held besides the result."""
+    out = np.empty(data.shape)
+    step = _block_rows(data.shape[1])
+    for r0 in range(0, data.shape[0], step):
+        rows = slice(r0, r0 + step)
+        out[rows], _ = unit_rows(data[rows].astype(np.float64))
+    return out
+
+
+def _distance_blocks(query, reference, metric, out=None):
+    """Yield (rows, block): the distances of query rows `rows` (a slice) to
+    every reference row, block by block in row order.
+
+    Blocks are views of `out` (Q x R) when given, else of one scratch array
+    that the next block overwrites. A block never has a single row unless
+    the query does, since numpy hands a one-row product to GEMV, which sums
+    in another order than GEMM.
+    """
+    if query.dim != reference.dim:
+        raise ValueError(f"descriptor dims differ: {query.dim} vs {reference.dim}")
+    if metric not in METRICS:
+        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+    n_query, n_ref = query.frame_count, reference.frame_count
+    step = _DISTANCE_ROWS
+    most = min(step + 1, n_query)  # rows of the largest block
+    if metric == "cosine":
+        a = _unit_rows64(query.data)
+        b = _unit_rows64(reference.data)
+        a_zero = ~a.any(axis=1)
+        b_zero = ~b.any(axis=1)
+    else:
+        a = query.data.astype(np.float64)
+        b = reference.data.astype(np.float64)
+        a_sq = (a * a).sum(axis=1)
+        b_sq = (b * b).sum(axis=1)
+        gram = np.empty((most, n_ref))
+    if out is None:
+        scratch = np.empty((most, n_ref))
+    b0 = 0
+    while b0 < n_query:
+        b1 = n_query if n_query - b0 <= step + 1 else b0 + step
+        rows = slice(b0, b1)
+        block = scratch[: b1 - b0] if out is None else out[rows]
+        if metric == "cosine":
+            np.matmul(a[rows], b.T, out=block)
+            np.subtract(1.0, block, out=block)
+            block[a_zero[rows], :] = 1.0
+            block[:, b_zero] = 1.0
+            np.clip(block, 0.0, 2.0, out=block)
+        else:
+            np.add(a_sq[rows, None], b_sq[None, :], out=block)
+            g = np.matmul(a[rows], b.T, out=gram[: b1 - b0])
+            g *= 2.0
+            block -= g
+            np.clip(block, 0.0, None, out=block)
+            np.sqrt(block, out=block)
+        yield rows, block
+        b0 = b1
+
+
+def _nearest(query, reference, metric) -> tuple[np.ndarray, np.ndarray]:
+    """Per query row, the first reference row at the least distance and
+    that distance; the same as the argmin of the difference matrix."""
+    best = np.empty(query.frame_count, dtype=np.int64)
+    scores = np.empty(query.frame_count)
+    for rows, block in _distance_blocks(query, reference, metric):
+        winner = np.argmin(block, axis=1)
+        best[rows] = winner
+        scores[rows] = block[np.arange(len(winner)), winner]
+    return best, scores
+
+
 def difference_matrix(
     query: DescriptorSequence, reference: DescriptorSequence, metric: str = "cosine"
 ) -> DifferenceMatrix:
@@ -133,33 +219,10 @@ def difference_matrix(
     Cosine distance is 1 - dot(a, b)/(|a||b|); any pair involving a zero
     vector gets distance 1. Euclidean is the plain L2 distance.
     """
-    if query.dim != reference.dim:
-        raise ValueError(f"descriptor dims differ: {query.dim} vs {reference.dim}")
-    if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
-    a = query.data.astype(np.float64)
-    b = reference.data.astype(np.float64)
-    if metric == "cosine":
-        na = np.linalg.norm(a, axis=1)
-        nb = np.linalg.norm(b, axis=1)
-        az = na == 0.0
-        bz = nb == 0.0
-        an = np.where(az, 1.0, na)
-        bn = np.where(bz, 1.0, nb)
-        dist = (a / an[:, None]) @ (b / bn[:, None]).T
-        np.subtract(1.0, dist, out=dist)
-        dist[az, :] = 1.0
-        dist[:, bz] = 1.0
-        np.clip(dist, 0.0, 2.0, out=dist)
-    else:
-        dist = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
-        gram = a @ b.T
-        gram *= 2.0
-        dist -= gram
-        del gram
-        np.clip(dist, 0.0, None, out=dist)
-        np.sqrt(dist, out=dist)
-    return DifferenceMatrix(data=_Fresh(dist), metric=metric)
+    out = np.empty((query.frame_count, reference.frame_count))
+    for _ in _distance_blocks(query, reference, metric, out):
+        pass  # each block is written in place into out
+    return DifferenceMatrix(data=_Fresh(out), metric=metric)
 
 
 def contrast_enhance(matrix: DifferenceMatrix, r_window: int = 10) -> DifferenceMatrix:
@@ -351,12 +414,11 @@ def nearest_neighbor_match(
     query: DescriptorSequence, reference: DescriptorSequence, metric: str = "cosine"
 ) -> MatchReport:
     """Single-frame retrieval: per-query argmin of the difference matrix."""
-    dist = difference_matrix(query, reference, metric).data
-    best = np.argmin(dist, axis=1)
+    best, scores = _nearest(query, reference, metric)
     return MatchReport(
-        query_indices=np.arange(dist.shape[0]),
+        query_indices=np.arange(query.frame_count),
         best_ref=best,
-        scores=dist[np.arange(dist.shape[0]), best],
+        scores=scores,
         higher_is_better=False,
     )
 
@@ -376,11 +438,10 @@ def delta_match(
         )
     dq, q_frames = delta_transform(query, cfg)
     dr, r_frames = delta_transform(reference, cfg)
-    dist = difference_matrix(dq, dr, "cosine").data
-    best_cols = np.argmin(dist, axis=1)
+    best, scores = _nearest(dq, dr, "cosine")
     return MatchReport(
         query_indices=q_frames,
-        best_ref=r_frames[best_cols],
-        scores=dist[np.arange(dist.shape[0]), best_cols],
+        best_ref=r_frames[best],
+        scores=scores,
         higher_is_better=False,
     )

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from seqplace import dataset
 from seqplace.dataset import (
     DescriptorFileError,
     DescriptorSequence,
@@ -94,6 +97,44 @@ def test_normalized_flag_is_validated():
     row = np.array([[0.6, 0.8]], dtype=np.float32)
     seq = DescriptorSequence(data=row, normalized=True)
     assert seq.normalized
+
+
+def test_normalized_check_uses_whole_matrix_norms(monkeypatch):
+    rng = np.random.default_rng(23)
+    data = rng.standard_normal((11, 7)).astype(np.float32)
+    data /= np.linalg.norm(data, axis=1, keepdims=True)
+    data[4] *= np.float32(1.01)
+    whole = np.linalg.norm(data.astype(np.float64), axis=1)
+    bad = int(np.argmax(np.abs(whole - 1.0)))
+    for block_rows in (1, 3, 4, 11):
+        monkeypatch.setattr(dataset, "_NORM_BLOCK_BYTES", 8 * 7 * block_rows)
+        assert np.array_equal(dataset._row_norms(data), whole), block_rows
+        with pytest.raises(ValueError) as err:
+            DescriptorSequence(data=data, normalized=True)
+        assert str(err.value) == f"normalized flag set but row {bad} has norm {whole[bad]:.6g}"
+        assert DescriptorSequence(data=np.delete(data, 4, axis=0), normalized=True).normalized
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_load_descriptor_file_copies_the_payload_once(tmp_path, monkeypatch, normalized):
+    # norm blocks far smaller than the payload (raising=False: the bound
+    # below is what a loader without blocks must fail)
+    monkeypatch.setattr(dataset, "_NORM_BLOCK_BYTES", 1 << 15, raising=False)
+    seq = _random_sequence(np.random.default_rng(24), 400, 256, normalized)
+    path = tmp_path / "seq.spd1"
+    save_descriptor_file(seq, path)
+    payload = seq.data.nbytes
+    tracemalloc.start()
+    try:
+        loaded = load_descriptor_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.data, seq.data) and loaded.normalized == normalized
+    assert not loaded.data.flags.writeable
+    # the file's bytes, one float32 copy and the quarter-size finiteness
+    # masks; a second copy of the payload would exceed this
+    assert peak <= 2.75 * payload, peak / payload
 
 
 def test_descriptor_sequence_copies_and_freezes():

@@ -10,6 +10,7 @@ from seqplace.descriptors import (
     l2_normalize,
     read_pgm,
     thumbnail_descriptor,
+    unit_rows,
 )
 
 
@@ -39,6 +40,49 @@ def test_delta_matches_bruteforce_oracle():
         assert np.array_equal(centers, want_centers)
         assert got.shape[0] == frames - window + 1
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_delta_raw_equals_cumsum_formulation_exactly():
+    def cumsum_delta(data, window):
+        half = window // 2
+        frames = data.shape[0]
+        csum = np.zeros((frames + 1, data.shape[1]), dtype=np.float64)
+        np.cumsum(data, axis=0, dtype=np.float64, out=csum[1:])
+        centers = np.arange(half, frames - half + 1)
+        lead = (csum[centers + half] - csum[centers]) / half
+        trail = (csum[centers] - csum[centers - half]) / half
+        return lead - trail, centers
+
+    rng = np.random.default_rng(21)
+    values = np.array([-0.0, 0.0, 0.1, 1.0, -3.3])  # signed zeros, inexact sums
+    for case in range(40):
+        window = int(rng.choice([2, 4, 6, 10]))
+        frames = int(rng.integers(window, 50))
+        dtype = np.float32 if case % 2 else np.float64
+        data = rng.choice(values, size=(frames, int(rng.integers(1, 9)))).astype(dtype)
+        if case % 3 == 0:
+            data = rng.standard_normal(data.shape).astype(dtype)
+        got, centers = delta_raw(data, window)
+        want, want_centers = cumsum_delta(data, window)
+        assert np.array_equal(centers, want_centers)
+        assert np.array_equal(got, want), f"case {case}"
+        assert np.array_equal(np.signbit(got), np.signbit(want)), f"case {case}"
+
+
+def test_unit_rows_equals_masked_division_exactly():
+    rng = np.random.default_rng(22)
+    for dtype in (np.float32, np.float64):
+        for zero_rows in ([], [0, 3]):
+            matrix = rng.standard_normal((6, 5)).astype(dtype)
+            matrix[zero_rows] = 0.0
+            norms = np.linalg.norm(matrix, axis=1)
+            nonzero = norms > 0.0
+            want = np.zeros_like(matrix)
+            want[nonzero] = matrix[nonzero] / norms[nonzero, None]
+            got, normalized = unit_rows(matrix)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert normalized == (not zero_rows)
 
 
 def test_delta_cancels_constant_shift():

@@ -6,8 +6,9 @@ from oracles import seqslam_oracle
 
 from seqplace import matching_classic
 from seqplace.dataset import DescriptorSequence
-from seqplace.descriptors import DeltaConfig
+from seqplace.descriptors import DeltaConfig, delta_transform
 from seqplace.matching_classic import (
+    METRICS,
     DifferenceMatrix,
     MatchReport,
     SeqSlamConfig,
@@ -246,6 +247,85 @@ def test_nearest_neighbor_match_is_row_argmin():
     dist = difference_matrix(q, r).data
     assert np.array_equal(report.best_ref, np.argmin(dist, axis=1))
     assert not report.higher_is_better
+
+
+def test_nearest_scans_match_difference_matrix_argmin_across_block_seams(monkeypatch):
+    rng = np.random.default_rng(15)
+    for frames in (22, 23):  # with 7-row blocks, 22 ends on a block plus one row
+        # rounded values make tied distances; zero rows on both sides
+        query = np.round(rng.standard_normal((frames, 4)) * 2.0) / 2.0
+        reference = np.round(rng.standard_normal((17, 4)) * 2.0) / 2.0
+        query[[0, 9]] = 0.0
+        reference[[3, 16]] = 0.0
+        query[12:17] = query[12]  # constant stretches: zero delta rows
+        reference[5:11] = reference[5]
+        q = DescriptorSequence(data=query.astype(np.float32))
+        r = DescriptorSequence(data=reference.astype(np.float32))
+        for block_rows in (1, 3, 7):
+            monkeypatch.setattr(matching_classic, "_DISTANCE_ROWS", block_rows)
+            for metric in ("cosine", "euclidean"):
+                dist = difference_matrix(q, r, metric).data
+                want = np.argmin(dist, axis=1)
+                report = nearest_neighbor_match(q, r, metric)
+                assert np.array_equal(report.best_ref, want), (frames, block_rows, metric)
+                assert np.array_equal(report.scores, dist[np.arange(frames), want])
+                assert np.array_equal(report.query_indices, np.arange(frames))
+            assert any((row == row.min()).sum() > 1 for row in dist)
+            for window in (2, 4):
+                cfg = DeltaConfig(window=window)
+                dq, q_frames = delta_transform(q, cfg)
+                dr, r_frames = delta_transform(r, cfg)
+                assert not dq.normalized and not dr.normalized
+                dist = difference_matrix(dq, dr, "cosine").data
+                want = np.argmin(dist, axis=1)
+                report = delta_match(q, r, cfg)
+                assert np.array_equal(report.query_indices, q_frames)
+                assert np.array_equal(report.best_ref, r_frames[want]), (frames, block_rows, window)
+                assert np.array_equal(report.scores, dist[np.arange(len(want)), want])
+
+
+def test_difference_matrix_equals_one_whole_gemm_bit_for_bit():
+    def whole(a, b, metric):  # the formulas as one GEMM over every query row
+        a = a.astype(np.float64)
+        b = b.astype(np.float64)
+        if metric == "euclidean":
+            dist = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+            return np.sqrt(np.clip(dist, 0.0, None))
+        na = np.linalg.norm(a, axis=1)
+        nb = np.linalg.norm(b, axis=1)
+        dist = 1.0 - (a / np.where(na == 0.0, 1.0, na)[:, None]) @ (
+            b / np.where(nb == 0.0, 1.0, nb)[:, None]
+        ).T
+        dist[na == 0.0, :] = 1.0
+        dist[:, nb == 0.0] = 1.0
+        return np.clip(dist, 0.0, 2.0)
+
+    rng = np.random.default_rng(17)
+    step = matching_classic._DISTANCE_ROWS
+    # one block plus one row, two blocks plus one, and a short last block
+    for frames in (step + 1, 2 * step + 1, step + 16):
+        q = _seq(rng, frames, 8)
+        r = _seq(rng, 19, 8)
+        for metric in METRICS:
+            got = difference_matrix(q, r, metric).data
+            assert np.array_equal(got, whole(q.data, r.data, metric)), (frames, metric)
+
+
+def test_nearest_scans_hold_no_query_by_reference_matrix():
+    rng = np.random.default_rng(16)
+    query = _seq(rng, 1500, 32)
+    reference = _seq(rng, 1500, 32)
+    cfg = DeltaConfig(window=10)
+    size = 8 * (1500 - cfg.window + 1) ** 2  # one Q x R float64 delta matrix
+    for match in (lambda: delta_match(query, reference, cfg),
+                  lambda: nearest_neighbor_match(query, reference)):
+        tracemalloc.start()
+        try:
+            match()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size, peak / size
 
 
 def test_delta_match_self_retrieval_and_index_map():
