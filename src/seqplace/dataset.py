@@ -57,19 +57,36 @@ def _row_norms(data: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class _Vetted:
+    """Rows this package has checked or computed itself: every value is
+    finite and, if unit is set, each row has unit norm whenever the
+    normalized flag says so. DescriptorSequence copies them to float32
+    without repeating those checks."""
+
+    array: np.ndarray
+    unit: bool = False
+
+
+@dataclass(frozen=True)
 class DescriptorSequence:
-    """T x n matrix of per-frame global descriptors (float32 rows)."""
+    """T x n matrix of per-frame global descriptors (float32 rows).
+
+    The data is copied to float32 and stored read-only; a caller's array is
+    checked for non-finite values and, when the normalized flag is set, for
+    rows whose norm is not 1.
+    """
 
     data: np.ndarray
     normalized: bool = False
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=np.float32, order="C")
+        vetted = self.data if isinstance(self.data, _Vetted) else None
+        data = np.array(self.data if vetted is None else vetted.array, dtype=np.float32, order="C")
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
             raise ValueError(f"descriptor matrix must be T x n with T,n >= 1, got shape {data.shape}")
-        if not np.isfinite(data).all():
+        if vetted is None and not np.isfinite(data).all():
             raise ValueError("descriptor matrix contains non-finite values")
-        if self.normalized:
+        if self.normalized and not (vetted is not None and vetted.unit):
             norms = _row_norms(data)
             if np.any(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
                 bad = int(np.argmax(np.abs(norms - 1.0)))
@@ -170,8 +187,9 @@ def load_descriptor_file(path) -> DescriptorSequence:
         raise DescriptorFileError(
             "non-finite descriptor value", _HEADER_SIZE + 4 * first_bad
         )
-    # DescriptorSequence copies the payload out of the file's bytes
-    return DescriptorSequence(data=data.reshape(frames, dim), normalized=bool(flags & 1))
+    # DescriptorSequence copies the payload out of the file's bytes and checks
+    # the normalized flag; finiteness is checked above, with the offset
+    return DescriptorSequence(data=_Vetted(data.reshape(frames, dim)), normalized=bool(flags & 1))
 
 
 def save_descriptor_file(seq: DescriptorSequence, path) -> None:

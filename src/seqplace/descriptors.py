@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DescriptorSequence
+from .dataset import DescriptorSequence, _Vetted
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def l2_normalize(seq: DescriptorSequence) -> DescriptorSequence:
     if seq.normalized:
         return seq
     out, normalized = unit_rows(seq.data.astype(np.float64))
-    return DescriptorSequence(data=out, normalized=normalized)
+    return DescriptorSequence(data=_Vetted(out, unit=True), normalized=normalized)
 
 
 def _resize_area(image: np.ndarray, width: int, height: int) -> np.ndarray:
@@ -139,7 +139,8 @@ def delta_transform(seq: DescriptorSequence, cfg: DeltaConfig) -> tuple[Descript
     """
     raw, centers = delta_raw(seq.data, cfg.window)
     out, normalized = unit_rows(raw)
-    return DescriptorSequence(data=out, normalized=normalized), centers
+    # finite rows of finite input, and unit_rows set the flag itself
+    return DescriptorSequence(data=_Vetted(out, unit=True), normalized=normalized), centers
 
 
 def read_pgm(path) -> np.ndarray:

@@ -242,7 +242,12 @@ def delta_method() -> Method:
 
 def trained_method(model: neural.SequenceModel, sink: Sink | None = None) -> Method:
     """The LSTM of a trained model; sink, if given, receives each activity matrix.
-    prepare rejects a reference whose frame count or dim is not the model's."""
+    prepare rejects a reference whose frame count or dim is not the model's.
+
+    It deploys the model at checkpoint precision (float32 weights), so a model
+    trained in this process deploys bit for bit like its saved checkpoint.
+    """
+    model = neural.at_checkpoint_precision(model)
 
     def prepare(reference: Traversal, d_s: int) -> Deploy:
         frames, dim = reference.frame_count, reference.descriptors.dim

@@ -9,6 +9,12 @@ every query frame. Training, inference and the single-window functions of
 the gradient check share one core: _recur over the gates fused in the order
 i, f, g, o, and its BPTT, _backward.
 
+Precision follows the parameters. A model trained in this process keeps
+float64 weights, so training, Adam and the reference functions the gradient
+check uses run in float64. A checkpoint stores float32 weights and loads as
+float32, and infer runs its projection, recurrence and head GEMMs at the
+parameters' dtype; only the softmax over the logits is taken in float64.
+
 Checkpoints use the SPM1 container: magic "SPM1"; m, H, N, d_s as unsigned
 32-bit little-endian; then the two flat parameter buffers, the LSTM's
 [W_x (4H x m) | W_h (4H x H) | b (4H)] and the head's [w (N x H) | b (N)],
@@ -20,7 +26,7 @@ head w, head b.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,6 +35,8 @@ from .matching_classic import MatchReport
 from .rng import RandomStream
 
 SPM1_MAGIC = b"SPM1"
+# the dtype SPM1 stores weights in, and so the one loaded models compute in
+_CHECKPOINT_DTYPE = np.dtype(np.float32)
 
 # float64 elements per Adam chunk: 128 KiB of each of the four buffers and of
 # the two scratch arrays, 768 KiB in all, so a chunk stays in L2 between its
@@ -46,13 +54,14 @@ class TrainingError(RuntimeError):
 
 
 class LstmParams:
-    """LSTM weights as views of one flat float64 buffer in SPM1 order: the
-    fused blocks w_x (4H x m), w_h (4H x H), b (4H) and their per-gate row
-    slices w_ii ... w_io, w_hi ... w_ho, b_i ... b_o (gates i, f, g, o)."""
+    """LSTM weights as views of one flat buffer (float64 unless dtype says
+    otherwise) in SPM1 order: the fused blocks w_x (4H x m), w_h (4H x H),
+    b (4H) and their per-gate row slices w_ii ... w_io, w_hi ... w_ho,
+    b_i ... b_o (gates i, f, g, o)."""
 
-    def __init__(self, input_dim: int, hidden_dim: int):
+    def __init__(self, input_dim: int, hidden_dim: int, dtype=np.float64):
         four = 4 * hidden_dim
-        self.flat = np.zeros(four * (input_dim + hidden_dim + 1))
+        self.flat = np.zeros(four * (input_dim + hidden_dim + 1), dtype=dtype)
         self.w_x = self.flat[: four * input_dim].reshape(four, input_dim)
         self.w_h = self.flat[four * input_dim : -four].reshape(four, hidden_dim)
         self.b = self.flat[-four:]
@@ -69,16 +78,17 @@ class LstmParams:
         return self.w_x.shape[1]
 
     @classmethod
-    def zeros(cls, input_dim: int, hidden_dim: int) -> "LstmParams":
-        return cls(input_dim, hidden_dim)
+    def zeros(cls, input_dim: int, hidden_dim: int, dtype=np.float64) -> "LstmParams":
+        return cls(input_dim, hidden_dim, dtype)
 
 
 class HeadParams:
-    """Linear place-classification head in one flat float64 buffer laid out
-    in SPM1 order: [w (N x H) | b (N)]; w and b are views of flat."""
+    """Linear place-classification head in one flat buffer (float64 unless
+    dtype says otherwise) laid out in SPM1 order: [w (N x H) | b (N)]; w and
+    b are views of flat."""
 
-    def __init__(self, hidden_dim: int, places: int):
-        self.flat = np.zeros(places * (hidden_dim + 1))
+    def __init__(self, hidden_dim: int, places: int, dtype=np.float64):
+        self.flat = np.zeros(places * (hidden_dim + 1), dtype=dtype)
         self.w = self.flat[: places * hidden_dim].reshape(places, hidden_dim)
         self.b = self.flat[places * hidden_dim :]
 
@@ -87,8 +97,8 @@ class HeadParams:
         return self.w.shape[0]
 
     @classmethod
-    def zeros(cls, hidden_dim: int, places: int) -> "HeadParams":
-        return cls(hidden_dim, places)
+    def zeros(cls, hidden_dim: int, places: int, dtype=np.float64) -> "HeadParams":
+        return cls(hidden_dim, places, dtype)
 
 
 @dataclass
@@ -121,6 +131,17 @@ class SequenceModel:
     @property
     def places(self) -> int:
         return self.head.places
+
+
+def at_checkpoint_precision(model: SequenceModel) -> SequenceModel:
+    """A copy of model with the weights load_checkpoint would return after
+    save_checkpoint: each one rounded to float32."""
+    hidden = model.lstm.hidden_dim
+    lstm = LstmParams(model.input_dim, hidden, _CHECKPOINT_DTYPE)
+    head = HeadParams(hidden, model.places, _CHECKPOINT_DTYPE)
+    lstm.flat[...] = model.lstm.flat
+    head.flat[...] = model.head.flat
+    return replace(model, lstm=lstm, head=head)
 
 
 _LSTM_TENSORS = (
@@ -170,17 +191,24 @@ def _project(lstm: LstmParams, xs: np.ndarray) -> np.ndarray:
     return proj.reshape(xs.shape[:-1] + (proj.shape[1],))
 
 
-def _recur(lstm: LstmParams, steps, h: np.ndarray, c: np.ndarray, keep: bool = False):
-    """Run the recurrence from state (h, c) over steps, an iterable of B x 4H
-    projections; returns h_T and, if keep, the tape _backward needs."""
+def _recur(lstm: LstmParams, steps, h: np.ndarray | None = None, c: np.ndarray | None = None,
+           keep: bool = False):
+    """Run the recurrence over steps, an iterable of B x 4H projections, from
+    state (h, c), or from the zero state if h is None; returns h_T and, if
+    keep, the tape _backward needs. Arithmetic runs at the parameters' dtype."""
     # sigmoid(a) = tanh(a / 2) / 2 + 1 / 2, so one tanh activates all four
     # gates: scale is 1/2 on the sigmoid gates i, f, o and 1 on g
-    scale = np.repeat([0.5, 0.5, 1.0, 0.5], h.shape[1])
+    scale = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=lstm.flat.dtype), lstm.hidden_dim)
     shift = 1.0 - scale
     tape = []
     for proj in steps:
-        gates = h @ lstm.w_h.T
-        gates += proj
+        if h is None:
+            # h W_h^T vanishes at the zero state: start from the projection
+            h = c = np.zeros((proj.shape[0], lstm.hidden_dim), dtype=proj.dtype)
+            gates = proj.copy()
+        else:
+            gates = h @ lstm.w_h.T
+            gates += proj
         gates *= scale
         np.tanh(gates, out=gates)
         gates *= scale
@@ -303,8 +331,7 @@ def model_backward(model: SequenceModel, window: np.ndarray, label: int, cache) 
 def _batch_gradients(model: SequenceModel, xs: np.ndarray, labels: np.ndarray, grads: Gradients):
     """Write the gradients of the mean loss of windows xs (d_s, B, m) into
     grads unless a loss is non-finite; returns the losses and logits."""
-    h0 = np.zeros((xs.shape[1], model.lstm.hidden_dim))
-    h_last, tape = _recur(model.lstm, _project(model.lstm, xs), h0, h0, keep=True)
+    h_last, tape = _recur(model.lstm, _project(model.lstm, xs), keep=True)
     logits = h_last @ model.head.w.T + model.head.b
     losses, dlogits = _cross_entropy_batch(logits, labels)
     if np.isfinite(losses).all():
@@ -386,12 +413,13 @@ def _init_from_stream(rng: RandomStream, n: int, places: int, d_s: int, hidden: 
     return SequenceModel(lstm=lstm, head=head, d_s=d_s, n=n)
 
 
-def _window_inputs(traversal: Traversal) -> np.ndarray:
-    """Per-frame model inputs: descriptor then position, as float64."""
-    return np.concatenate(
-        [traversal.descriptors.data.astype(np.float64), traversal.positions.data],
-        axis=1,
-    )
+def _window_inputs(traversal: Traversal, dtype=np.float64) -> np.ndarray:
+    """Per-frame model inputs: descriptor then position, cast to dtype."""
+    n = traversal.descriptors.dim
+    out = np.empty((traversal.frame_count, n + 2), dtype=dtype)
+    out[:, :n] = traversal.descriptors.data
+    out[:, n:] = traversal.positions.data
+    return out
 
 
 def train(
@@ -456,6 +484,9 @@ def infer(model: SequenceModel, query: Traversal, d_s: int | None = None):
     Frame q's window covers frames [q - d_s + 1, q]; indices before the
     first frame repeat frame 0. Returns the Q x N activity matrix and a
     MatchReport whose score is the winning probability (higher is better).
+    Inputs, projections, recurrence and head run at the dtype of the model's
+    parameters (float32 for a loaded checkpoint); the logits are cast to
+    float64 for the softmax, so the activity is float64 either way.
     """
     if d_s is None:
         d_s = model.d_s
@@ -465,18 +496,20 @@ def infer(model: SequenceModel, query: Traversal, d_s: int | None = None):
         raise ValueError(
             f"query descriptor dim {query.descriptors.dim} != model dim {model.n}"
         )
-    frames = _window_inputs(query)
+    frames = _window_inputs(query, model.lstm.flat.dtype)
     n_query = frames.shape[0]
     # input-side gate projections depend only on the frame, so compute them
     # once and gather them per step
     proj = _project(model.lstm, frames)
+    del frames
     activity = np.empty((n_query, model.places))
     for lo in range(0, n_query, 1024):
         qs = np.arange(lo, min(lo + 1024, n_query))
         steps = (proj[np.maximum(qs - d_s + 1 + k, 0)] for k in range(d_s))
-        h0 = np.zeros((len(qs), model.lstm.hidden_dim))
-        h, _ = _recur(model.lstm, steps, h0, h0)
-        activity[qs] = np.exp(_log_softmax(h @ model.head.w.T + model.head.b))
+        h, _ = _recur(model.lstm, steps)
+        logits = h @ model.head.w.T
+        logits += model.head.b
+        activity[qs] = np.exp(_log_softmax(logits.astype(np.float64, copy=False)))
     best = np.argmax(activity, axis=1)
     report = MatchReport(
         query_indices=np.arange(n_query),
@@ -499,6 +532,7 @@ def save_checkpoint(model: SequenceModel, path) -> None:
 
 
 def load_checkpoint(path) -> SequenceModel:
+    """Read an SPM1 file; the weights stay float32, as stored."""
     with open(path, "rb") as fh:
         header = fh.read(20)
         if len(header) < 20 or header[:4] != SPM1_MAGIC:
@@ -506,8 +540,8 @@ def load_checkpoint(path) -> SequenceModel:
         m, hidden, places, d_s = (int(v) for v in np.frombuffer(header, dtype="<u4", offset=4))
         if m < 3 or hidden < 1 or places < 1 or d_s < 1:
             raise ValueError(f"{path}: implausible SPM1 header ({m}, {hidden}, {places}, {d_s})")
-        lstm = LstmParams.zeros(m, hidden)
-        head = HeadParams.zeros(hidden, places)
+        lstm = LstmParams.zeros(m, hidden, _CHECKPOINT_DTYPE)
+        head = HeadParams.zeros(hidden, places, _CHECKPOINT_DTYPE)
         for name, flat in (("LSTM", lstm.flat), ("head", head.flat)):
             data = fh.read(4 * flat.size)
             if len(data) < 4 * flat.size:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from seqplace import dataset
 from seqplace.dataset import DescriptorSequence
 from seqplace.descriptors import (
     DeltaConfig,
@@ -129,6 +130,35 @@ def test_l2_normalize():
     full = l2_normalize(DescriptorSequence(data=np.array([[3.0, 4.0]], dtype=np.float32)))
     assert full.normalized
     assert l2_normalize(full) is full
+
+
+def test_fresh_rows_are_cast_without_a_second_check(monkeypatch):
+    # delta_transform and l2_normalize hand their own unit rows over without
+    # DescriptorSequence recomputing the norms; the bits are those of the
+    # checked construction
+    rng = np.random.default_rng(12)
+    seq = DescriptorSequence(data=rng.standard_normal((15, 6)).astype(np.float32))
+    cfg = DeltaConfig(window=4)
+    expected_delta = DescriptorSequence(data=unit_rows(delta_raw(seq.data, 4)[0])[0], normalized=True)
+    expected_unit = DescriptorSequence(data=unit_rows(seq.data.astype(np.float64))[0], normalized=True)
+
+    def no_norms(data):
+        raise AssertionError("row norms recomputed")
+
+    monkeypatch.setattr(dataset, "_row_norms", no_norms)
+    for out, expected in ((delta_transform(seq, cfg)[0], expected_delta),
+                          (l2_normalize(seq), expected_unit)):
+        assert out.normalized and out.data.dtype == np.float32
+        assert out.data.tobytes() == expected.data.tobytes()
+        assert not out.data.flags.writeable
+    # a caller's array is still checked
+    with pytest.raises(AssertionError, match="row norms"):
+        DescriptorSequence(data=expected_unit.data, normalized=True)
+    for bad in (np.nan, np.inf):
+        data = np.ones((2, 3))
+        data[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DescriptorSequence(data=data)
 
 
 def test_thumbnail_patch_statistics():

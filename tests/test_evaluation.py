@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from seqplace import neural
+from seqplace.descriptors import l2_normalize
 from seqplace.evaluation import (
     BenchResult,
     Method,
@@ -22,6 +26,7 @@ from seqplace.evaluation import (
     seqslam_method,
     thread_cap,
     tolerance_for,
+    trained_method,
 )
 from seqplace.matching_classic import MatchReport
 from seqplace.synthetic import SynthConfig, generate
@@ -249,6 +254,24 @@ def test_deep_method_prepare_and_deploy():
     report = deploy(pair.query)
     assert len(report) == 30
     assert report.higher_is_better
+
+
+def test_trained_method_deploys_a_model_as_its_checkpoint(tmp_path):
+    # the in-process model has float64 weights; trained_method deploys them
+    # rounded to float32, as a saved and loaded checkpoint holds them
+    pair = generate(SynthConfig(frames=120, dim=16, smoothness=0.5, condition_noise=0.2, seed=4))
+    reference = replace(pair.reference, descriptors=l2_normalize(pair.reference.descriptors))
+    model, _ = neural.train(reference, d_s=3, epochs=5, rng_seed=0, hidden=32)
+    path = tmp_path / "model.spm1"
+    neural.save_checkpoint(model, path)
+    sunk = []
+    in_process = trained_method(model, sink=sunk.append).prepare(pair.reference, 3)(pair.query)
+    loaded = trained_method(neural.load_checkpoint(path), sink=sunk.append)
+    from_file = loaded.prepare(pair.reference, 3)(pair.query)
+    assert np.array_equal(in_process.best_ref, from_file.best_ref)
+    assert np.array_equal(in_process.scores, from_file.scores)
+    assert np.array_equal(sunk[0], sunk[1]) and sunk[0].shape == (120, 120)
+    assert model.lstm.flat.dtype == np.float64  # the caller's model is not touched
 
 
 def test_sweep_csv_roundtrip(tmp_path):

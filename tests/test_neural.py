@@ -410,6 +410,42 @@ def test_infer_activity_is_softmax_of_reference_forward():
         assert np.allclose(activity[q], probs, rtol=1e-9, atol=1e-12)
 
 
+def _loaded(model, tmp_path):
+    path = tmp_path / "model.spm1"
+    save_checkpoint(model, path)
+    return load_checkpoint(path)
+
+
+def test_infer_on_a_loaded_checkpoint_stays_float32(tmp_path):
+    # six 1024-row blocks: the float32 path peaks at 0.85x one float64 Q x 4H
+    # projection here, a float64 h0 at 1.24x and float64 inputs at 1.70x
+    frames, hidden = 6144, 64
+    rng = np.random.default_rng(31)
+    query = _tiny_traversal(rng, frames, 8)
+    model = _loaded(init_model(n=8, places=4, d_s=3, hidden=hidden, seed=2), tmp_path)
+    tracemalloc.start()
+    try:
+        activity, report = infer(model, query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 8 * frames * 4 * hidden
+    assert peak < bound, peak / bound
+    assert activity.dtype == np.float64 and report.scores.dtype == np.float64
+    assert np.all(np.abs(activity.sum(axis=1) - 1.0) <= 1e-9)
+
+
+def test_float32_infer_picks_the_float64_best_ref(tmp_path):
+    pair = generate(SynthConfig(frames=80, dim=16, smoothness=0.5, condition_noise=0.1, seed=6))
+    model, _ = train(pair.reference, d_s=3, epochs=30, rng_seed=0, hidden=32)
+    act64, rep64 = infer(model, pair.query)
+    act32, rep32 = infer(_loaded(model, tmp_path), pair.query)
+    assert np.all(np.abs(act32.sum(axis=1) - 1.0) <= 1e-9)
+    assert np.array_equal(rep32.best_ref, rep64.best_ref)
+    assert np.allclose(act32, act64, rtol=1e-3, atol=1e-6)
+    assert not np.array_equal(act32, act64)  # the float32 path really ran
+
+
 def test_infer_checks_dimensions_and_ds_override():
     pair = generate(SynthConfig(frames=10, dim=4, smoothness=0.2, seed=3))
     model, _ = train(pair.reference, d_s=2, epochs=1, rng_seed=0, hidden=6)
@@ -447,6 +483,24 @@ def test_checkpoint_roundtrip_exact(tmp_path):
         again = tmp_path / f"m{case}b.spm1"
         save_checkpoint(back, again)
         assert again.read_bytes() == path.read_bytes()
+
+
+def test_load_checkpoint_keeps_float32_weights(tmp_path):
+    model = init_model(n=5, places=7, d_s=2, hidden=4, seed=3)
+    back = _loaded(model, tmp_path)
+    rounded = neural.at_checkpoint_precision(model)
+    for loaded in (back, rounded):
+        for params in (loaded.lstm, loaded.head):
+            assert params.flat.dtype == np.float32
+        for (name, view), (_, ref) in zip(
+            param_items(loaded.lstm, loaded.head), param_items(model.lstm, model.head)
+        ):
+            assert view.dtype == np.float32 and view.shape == ref.shape, name
+            assert np.array_equal(view, ref.astype(np.float32)), name
+    assert model.lstm.flat.dtype == np.float64 and model.head.flat.dtype == np.float64
+    assert (rounded.d_s, rounded.n, rounded.rng_seed) == (model.d_s, model.n, model.rng_seed)
+    assert rounded.lstm.flat.tobytes() == back.lstm.flat.tobytes()
+    assert rounded.head.flat.tobytes() == back.head.flat.tobytes()
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
