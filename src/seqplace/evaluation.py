@@ -21,14 +21,7 @@ import numpy as np
 
 from .dataset import Traversal
 from .descriptors import DeltaConfig, l2_normalize
-from .matching_classic import (
-    MatchReport,
-    SeqSlamConfig,
-    contrast_enhance,
-    difference_matrix,
-    seqslam_search,
-    delta_match,
-)
+from .matching_classic import MatchReport, SeqSlamConfig, delta_match, seqslam_match
 from . import neural
 from .synthetic import SynthPair
 
@@ -188,12 +181,15 @@ class Method:
     """A matcher: prepare(reference, d_s) returns the deployment function.
 
     Preparation is the work done once per reference before any query: the
-    deep method trains there. The classic methods only fix their config.
-    Their reference-side work (the delta transform, the float64 unit rows
-    of the distance GEMM) is a small share of a deploy and runs inside it,
-    so a prepared matcher holds no float64 copy of the reference between
-    deploys. Only the returned deploy callable is benchmarked. Traversals
-    arrive as stored on disk; the LSTM normalizes rows itself.
+    deep method trains there. The classic methods only fix their config,
+    and each of their deploys is one call into matching_classic
+    (seqslam_match or delta_match) that streams the query in blocks and
+    holds no Q x R matrix. Their reference-side work (the delta transform,
+    the float64 unit rows of the distance GEMM) is a small share of a
+    deploy and runs inside it, so a prepared matcher holds no float64 copy
+    of the reference between deploys. Only the returned deploy callable is
+    benchmarked. Traversals arrive as stored on disk; the LSTM normalizes
+    rows itself.
     """
 
     name: str
@@ -204,17 +200,23 @@ def seqslam_method(
     v_min: float = 0.8, v_max: float = 1.2, v_step: float = 0.04, r_window: int = 10,
     metric: str = "cosine", sink: Sink | None = None,
 ) -> Method:
-    """Velocity-sweep SeqSLAM; sink, if given, receives each enhanced matrix."""
+    """Velocity-sweep SeqSLAM, one seqslam_match per deploy.
+
+    A deploy holds no Q x R matrix unless sink is given: the sink receives
+    each enhanced matrix, so only then is one built in full.
+    """
 
     def prepare(reference: Traversal, d_s: int) -> Deploy:
         cfg = SeqSlamConfig(d_s=d_s, v_min=v_min, v_max=v_max, v_step=v_step, r_window=r_window)
 
         def deploy(query: Traversal) -> MatchReport:
-            matrix = difference_matrix(query.descriptors, reference.descriptors, metric)
-            enhanced = contrast_enhance(matrix, cfg.r_window)
+            out = None
             if sink is not None:
-                sink(enhanced.data)
-            return seqslam_search(enhanced, cfg)
+                out = np.empty((query.frame_count, reference.frame_count))
+            report = seqslam_match(query.descriptors, reference.descriptors, cfg, metric, out)
+            if sink is not None:
+                sink(out)
+            return report
 
         return deploy
 

@@ -6,14 +6,17 @@ standardizes the Q x R difference matrix with a local contrast window, then
 sweeps constant-velocity lines through it; delta matching is
 nearest-neighbor retrieval in delta-descriptor space.
 
-Distances are computed in blocks of query rows, one GEMM per block. The
-difference matrix stores every block; nearest-neighbor and delta matching
-keep only each row's argmin and its distance, so they hold no Q x R array.
-The SeqSLAM stages walk the matrix in blocks of query rows too: contrast
-enhancement writes one Q x R float64 output and the velocity search keeps
-only per-query results, so a deploy holds about two Q x R float64 arrays
-(the difference matrix and its enhanced copy) plus a few block-sized
-scratch arrays.
+Distances are computed in blocks of query rows, one GEMM per block; only
+`difference_matrix` stores every block. Nearest-neighbor and delta matching
+keep each row's argmin and its distance. `seqslam_match` streams the blocks
+through both SeqSLAM stages: each arriving row goes into the running column
+sums of contrast enhancement, a row is enhanced once the rows its window
+reaches have arrived, and it is searched once the d_s - 1 rows before it are
+enhanced. It holds rings of rows (one distance block, the difference rows
+not yet enhanced, the prefix sums their windows reach, the last d_s - 1
+enhanced rows and their maxima) and no Q x R array. `contrast_enhance` and
+`seqslam_search` drive the same two stages over a whole matrix, so the
+stream gives their results bit for bit.
 """
 
 from __future__ import annotations
@@ -46,6 +49,11 @@ def _block_rows(n_ref: int) -> int:
 _DISTANCE_ROWS = 384
 
 
+def _check_finite(rows: np.ndarray) -> None:
+    if not np.isfinite(rows).all():
+        raise ValueError("difference matrix contains non-finite values")
+
+
 @dataclass(frozen=True)
 class _Fresh:
     """An array this module has just computed and holds no other reference
@@ -72,8 +80,7 @@ class DifferenceMatrix:
             data = np.array(self.data, dtype=np.float64, order="C")
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
             raise ValueError(f"difference matrix must be Q x R, got shape {data.shape}")
-        if not np.isfinite(data).all():
-            raise ValueError("difference matrix contains non-finite values")
+        _check_finite(data)
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
         data.flags.writeable = False
@@ -155,7 +162,9 @@ def _distance_blocks(query, reference, metric, out=None):
     Blocks are views of `out` (Q x R) when given, else of one scratch array
     that the next block overwrites. A block never has a single row unless
     the query does, since numpy hands a one-row product to GEMV, which sums
-    in another order than GEMM.
+    in another order than GEMM. The reference is cast to float64 once; the
+    query a block at a time (every step is row-wise, so the bits are those
+    of a whole-query cast).
     """
     if query.dim != reference.dim:
         raise ValueError(f"descriptor dims differ: {query.dim} vs {reference.dim}")
@@ -165,14 +174,10 @@ def _distance_blocks(query, reference, metric, out=None):
     step = _DISTANCE_ROWS
     most = min(step + 1, n_query)  # rows of the largest block
     if metric == "cosine":
-        a = _unit_rows64(query.data)
         b = _unit_rows64(reference.data)
-        a_zero = ~a.any(axis=1)
         b_zero = ~b.any(axis=1)
     else:
-        a = query.data.astype(np.float64)
         b = reference.data.astype(np.float64)
-        a_sq = (a * a).sum(axis=1)
         b_sq = (b * b).sum(axis=1)
         gram = np.empty((most, n_ref))
     if out is None:
@@ -183,14 +188,16 @@ def _distance_blocks(query, reference, metric, out=None):
         rows = slice(b0, b1)
         block = scratch[: b1 - b0] if out is None else out[rows]
         if metric == "cosine":
-            np.matmul(a[rows], b.T, out=block)
+            a, _ = unit_rows(query.data[rows].astype(np.float64))
+            np.matmul(a, b.T, out=block)
             np.subtract(1.0, block, out=block)
-            block[a_zero[rows], :] = 1.0
+            block[~a.any(axis=1), :] = 1.0
             block[:, b_zero] = 1.0
             np.clip(block, 0.0, 2.0, out=block)
         else:
-            np.add(a_sq[rows, None], b_sq[None, :], out=block)
-            g = np.matmul(a[rows], b.T, out=gram[: b1 - b0])
+            a = query.data[rows].astype(np.float64)
+            np.add((a * a).sum(axis=1)[:, None], b_sq[None, :], out=block)
+            g = np.matmul(a, b.T, out=gram[: b1 - b0])
             g *= 2.0
             block -= g
             np.clip(block, 0.0, None, out=block)
@@ -225,60 +232,96 @@ def difference_matrix(
     return DifferenceMatrix(data=_Fresh(out), metric=metric)
 
 
-def contrast_enhance(matrix: DifferenceMatrix, r_window: int = 10) -> DifferenceMatrix:
-    """Standardize each entry against its column over a local row window.
+class _Contrast:
+    """Contrast enhancement (see contrast_enhance) of a matrix whose rows
+    arrive in order, a block at a time.
 
-    Entry (q, r) becomes (M[q,r] - mu) / sigma where mu, sigma are the mean
-    and population std of column r over rows [q - r_window, q + r_window]
-    clamped to the matrix; windows with sigma < 1e-8 yield 0.
-
-    The output is written block by block of query rows from running column
-    sums of M and M*M, so besides the new Q x R matrix only block-sized
-    scratch is held. The running sums are carried across blocks in row
-    order, so every entry is bit-identical to one computed from whole-column
-    prefix sums.
+    Row q is complete once every row of its window, up to q + r_window, has
+    arrived. The stage holds the arrived rows not yet enhanced (at most
+    r_window besides the current block) and the column prefix sums of M and
+    M * M over the rows that one run's windows reach. The prefix sums are
+    carried across runs in row order, so every entry is bit-identical to one
+    computed from whole-column prefix sums.
     """
-    if r_window < 1:
-        raise ValueError("r_window must be >= 1")
-    data = matrix.data
-    rows, cols = data.shape
-    out = np.empty_like(data)
-    step = min(_block_rows(cols), rows)
-    # pre[j] and pre2[j] hold the column sums of data and data * data over
-    # rows [0, base + j), for base + j in [base, top]: the prefix rows that
-    # one block's windows reach
-    span = min(step + 2 * r_window, rows) + 1
-    pre = np.zeros((span, cols))
-    pre2 = np.zeros((span, cols))
-    base = top = 0
-    means = np.empty((step, cols))
-    stds = np.empty((step, cols))
-    tmp = np.empty((step, cols))
-    flat = np.empty((step, cols), dtype=bool)
-    for b0 in range(0, rows, step):
-        b1 = min(b0 + step, rows)
-        q = np.arange(b0, b1)
-        lo = np.maximum(q - r_window, 0)
-        hi = np.minimum(q + r_window, rows - 1)
-        first, last = int(lo[0]), int(hi[-1]) + 1
-        held = slice(first - base, top - base + 1)
-        pre[: held.stop - held.start] = pre[held]
-        pre2[: held.stop - held.start] = pre2[held]
-        base = first
-        if last > top:
-            new = slice(top - base + 1, last - base + 1)
-            pre[new] = data[top:last]
-            np.multiply(data[top:last], data[top:last], out=pre2[new])
-            if top > 0:  # continue the running sums from row top
-                pre[new.start] += pre[new.start - 1]
-                pre2[new.start] += pre2[new.start - 1]
-            for j in range(new.start + 1, new.stop):
+
+    def __init__(self, n_rows: int, n_cols: int, r_window: int):
+        if r_window < 1:
+            raise ValueError("r_window must be >= 1")
+        self.n_rows, self.r_window = n_rows, r_window
+        self.step = min(_block_rows(n_cols), n_rows)  # rows per run
+        # pre[j] and pre2[j] hold the column sums of M and M * M over rows
+        # [0, base + j), for base + j in [base, top]
+        span = min(self.step + 2 * r_window, n_rows) + 1
+        self.pre = np.zeros((span, n_cols))
+        self.pre2 = np.zeros((span, n_cols))
+        self.base = self.top = 0
+        # held[i] is row start + i, for the rows before the current block
+        # that are not yet enhanced
+        self.held = np.empty((min(r_window, n_rows), n_cols))
+        self.start = 0
+        self.block = self.held[:0]  # the rows from b0 on that arrived last
+        self.b0 = 0
+        self.done = 0  # rows [0, done) are enhanced
+        self.means = np.empty((self.step, n_cols))
+        self.stds = np.empty((self.step, n_cols))
+        self.tmp = np.empty((self.step, n_cols))
+        self.flat = np.empty((self.step, n_cols), dtype=bool)
+
+    def _rows(self, r0: int, r1: int) -> np.ndarray:
+        """Arrived rows [r0, r1), all held or all in the current block."""
+        if r0 >= self.b0:
+            return self.block[r0 - self.b0 : r1 - self.b0]
+        return self.held[r0 - self.start : r1 - self.start]
+
+    def push(self, block: np.ndarray):
+        """Take the next rows of M; yield each run (r0, r1) of at most step
+        rows that is now complete, to be passed to enhance before the next."""
+        b0 = self.b0 = self.b0 + len(self.block)
+        b1 = b0 + len(block)
+        self.block = block
+        end = self.n_rows if b1 == self.n_rows else max(self.done, b1 - self.r_window)
+        while self.done < end:
+            r0 = self.done
+            r1 = min(r0 + self.step, end, b0 if r0 < b0 else end)  # one source per run
+            yield r0, r1
+            self.done = r1
+        # hold rows [done, b1) for the next block
+        earlier = max(b0 - self.done, 0)
+        self.held[:earlier] = self.held[self.done - self.start : b0 - self.start]
+        self.held[earlier : b1 - self.done] = block[max(self.done - b0, 0) :]
+        self.start = self.done
+
+    def _extend(self, last: int) -> None:
+        """Carry the running sums on from row top to row last."""
+        pre, pre2, b0 = self.pre, self.pre2, self.b0
+        for r0, r1 in ((self.top, min(last, b0)), (max(self.top, b0), last)):
+            if r0 >= r1:
+                continue
+            rows = self._rows(r0, r1)
+            new = slice(r0 + 1 - self.base, r1 + 1 - self.base)
+            pre[new] = rows
+            np.multiply(rows, rows, out=pre2[new])
+            for j in range(new.start + (r0 == 0), new.stop):  # row 0 starts the sums
                 np.add(pre[j - 1], pre[j], out=pre[j])
                 np.add(pre2[j - 1], pre2[j], out=pre2[j])
-            top = last
-        n = b1 - b0
-        m, s, t, f = means[:n], stds[:n], tmp[:n], flat[:n]
-        upper, lower = hi + 1 - base, lo - base
+        self.top = last
+
+    def enhance(self, r0: int, r1: int, out: np.ndarray) -> None:
+        """Write the enhanced rows of a run (r0, r1) that push yielded into out."""
+        q = np.arange(r0, r1)
+        lo = np.maximum(q - self.r_window, 0)
+        hi = np.minimum(q + self.r_window, self.n_rows - 1)
+        first, last = int(lo[0]), int(hi[-1]) + 1
+        pre, pre2 = self.pre, self.pre2
+        kept = slice(first - self.base, self.top - self.base + 1)
+        pre[: kept.stop - kept.start] = pre[kept]
+        pre2[: kept.stop - kept.start] = pre2[kept]
+        self.base = first
+        if last > self.top:
+            self._extend(last)
+        n = r1 - r0
+        m, s, t, f = self.means[:n], self.stds[:n], self.tmp[:n], self.flat[:n]
+        upper, lower = hi + 1 - first, lo - first
         count = (hi - lo + 1).astype(np.float64)[:, None]
         np.take(pre, upper, axis=0, out=m, mode="clip")
         m -= np.take(pre, lower, axis=0, out=t, mode="clip")
@@ -290,11 +333,29 @@ def contrast_enhance(matrix: DifferenceMatrix, r_window: int = 10) -> Difference
         np.clip(s, 0.0, None, out=s)
         np.sqrt(s, out=s)
         np.less(s, 1e-8, out=f)
-        block = out[b0:b1]
-        np.subtract(data[b0:b1], m, out=block)
+        np.subtract(self._rows(r0, r1), m, out=out)
         np.copyto(s, 1.0, where=f)
-        block /= s
-        np.copyto(block, 0.0, where=f)
+        out /= s
+        np.copyto(out, 0.0, where=f)
+
+
+def contrast_enhance(matrix: DifferenceMatrix, r_window: int = 10) -> DifferenceMatrix:
+    """Standardize each entry against its column over a local row window.
+
+    Entry (q, r) becomes (M[q,r] - mu) / sigma where mu, sigma are the mean
+    and population std of column r over rows [q - r_window, q + r_window]
+    clamped to the matrix; windows with sigma < 1e-8 yield 0.
+
+    The whole matrix goes through the contrast stage of `seqslam_match` as
+    one block: the output is written run by run of query rows from running
+    column sums, so besides the new Q x R matrix only run-sized scratch is
+    held.
+    """
+    data = matrix.data
+    out = np.empty_like(data)
+    stage = _Contrast(*data.shape, r_window)
+    for r0, r1 in stage.push(data):
+        stage.enhance(r0, r1, out[r0:r1])
     return DifferenceMatrix(data=_Fresh(out), metric=matrix.metric)
 
 
@@ -306,23 +367,37 @@ def velocity_grid(cfg: SeqSlamConfig) -> np.ndarray:
 
 
 def _offset_plan(vels: np.ndarray, d_s: int, n_ref: int) -> list[list]:
-    """How to sample each (velocity, offset k >= 1) of the line search.
+    """How to sample each distinct line of the search: per velocity, one
+    entry for each offset k = 1 .. d_s - 1.
 
     The sample of reference r is column rint(r - v*k). That is almost always
     the shift r - s with s = rint(v*k): the entry is then a shift (clamped
     to n_ref). Where rounding half to even breaks the shift (v*k = 4.5, say)
     the entry is the gather (columns, out-of-range mask) instead.
+
+    Velocities that sample the same columns at every offset have equal line
+    costs, and the minimum over equal arrays is that array, so only the
+    first of them is planned: the default grid gives 1 plan at d_s = 2 and 9
+    at d_s = 10.
     """
     refs = np.arange(n_ref)
-    plan: list[list] = [[] for _ in vels]
-    for k in range(1, d_s):
-        raw = np.rint(refs[None, :] - vels[:, None] * k).astype(np.int64)
-        for terms, cols, shift in zip(plan, raw, np.rint(vels * k).astype(np.int64)):
-            if np.array_equal(cols, refs - shift):
+    ks = np.arange(1, d_s)
+    cols = np.rint(refs - vels[:, None, None] * ks[:, None]).astype(np.int64)
+    shifts = np.rint(vels[:, None] * ks).astype(np.int64)
+    kept: list[int] = []
+    plan: list[list] = []
+    for v in range(len(vels)):
+        if any(np.array_equal(cols[v], cols[u]) for u in kept):
+            continue
+        kept.append(v)
+        terms: list = []
+        for k_cols, shift in zip(cols[v], shifts[v]):
+            if np.array_equal(k_cols, refs - shift):
                 terms.append(min(int(shift), n_ref))
             else:
-                bad = (cols < 0) | (cols >= n_ref)
-                terms.append((np.where(bad, 0, cols), bad))
+                bad = (k_cols < 0) | (k_cols >= n_ref)
+                terms.append((np.where(bad, 0, k_cols), bad))
+        plan.append(terms)
     return plan
 
 
@@ -365,6 +440,47 @@ def _search_rows(data, row_max, plan, b0, b1, length, acc, best) -> None:
     best /= length
 
 
+class _Search:
+    """The velocity search (see seqslam_search) of queries whose enhanced
+    rows arrive in order; it keeps only per-query results and two
+    block-sized scratch arrays."""
+
+    def __init__(self, n_query: int, n_ref: int, cfg: SeqSlamConfig):
+        if n_query < cfg.d_s:
+            raise ValueError(f"need at least d_s={cfg.d_s} query frames, got {n_query}")
+        self.d_s = cfg.d_s
+        self.plan = _offset_plan(velocity_grid(cfg), cfg.d_s, n_ref)
+        self.step = _block_rows(n_ref)
+        self.acc = np.empty((self.step, n_ref))
+        self.best = np.empty((self.step, n_ref))
+        self.best_ref = np.empty(n_query, dtype=np.int64)
+        self.scores = np.empty(n_query, dtype=np.float64)
+
+    def search(self, data, row_max, origin: int, q0: int, q1: int) -> None:
+        """Search queries [q0, q1). data[i] is enhanced row origin + i, with
+        maximum row_max[i]; data holds every row their lines reach."""
+        d_s, step = self.d_s, self.step
+        # queries before d_s - 1 see a shorter prefix each; the rest see d_s frames
+        blocks = [(q, q + 1, q + 1) for q in range(q0, min(q1, d_s - 1))]
+        blocks += [(b0, min(b0 + step, q1), d_s) for b0 in range(max(q0, d_s - 1), q1, step)]
+        for b0, b1, length in blocks:
+            n = b1 - b0
+            best = self.best[:n]
+            _search_rows(data, row_max, self.plan, b0 - origin, b1 - origin, length,
+                         self.acc[:n], best)
+            winner = np.argmin(best, axis=1)
+            self.best_ref[b0:b1] = winner
+            self.scores[b0:b1] = best[np.arange(n), winner] + 0.0
+
+    def report(self) -> MatchReport:
+        return MatchReport(
+            query_indices=np.arange(len(self.best_ref)),
+            best_ref=self.best_ref,
+            scores=self.scores,
+            higher_is_better=False,
+        )
+
+
 def seqslam_search(matrix: DifferenceMatrix, cfg: SeqSlamConfig) -> MatchReport:
     """Constant-velocity line search through an (enhanced) difference matrix.
 
@@ -374,40 +490,63 @@ def seqslam_search(matrix: DifferenceMatrix, cfg: SeqSlamConfig) -> MatchReport:
     instead. Queries earlier than d_s - 1 use the longest available prefix.
     Ties pick the lowest reference index.
 
+    The whole matrix goes through the search stage of `seqslam_match`.
     Queries are searched in blocks of rows; each (v, k) sample is a shifted
     slice of the block's rows (a gather only where rounding breaks the
-    shift). Scratch is two block-sized arrays. The sums are taken in the
-    order of k, so scores are bit-identical to a scalar evaluation of the
-    definition.
+    shift), and velocities that sample the same columns at every offset are
+    searched once. Scratch is two block-sized arrays. The sums are taken in
+    the order of k, so scores are bit-identical to a scalar evaluation of
+    the definition.
     """
     data = matrix.data
-    n_query, n_ref = data.shape
-    if n_query < cfg.d_s:
-        raise ValueError(f"need at least d_s={cfg.d_s} query frames, got {n_query}")
-    plan = _offset_plan(velocity_grid(cfg), cfg.d_s, n_ref)
-    row_max = data.max(axis=1)
-    step = _block_rows(n_ref)
-    acc = np.empty((step, n_ref))
-    best = np.empty((step, n_ref))
-    best_ref = np.empty(n_query, dtype=np.int64)
-    scores = np.empty(n_query, dtype=np.float64)
-    # queries before d_s - 1 see a shorter prefix each; the rest see d_s frames
-    blocks = [(q, q + 1, q + 1) for q in range(cfg.d_s - 1)]
-    blocks += [
-        (b0, min(b0 + step, n_query), cfg.d_s) for b0 in range(cfg.d_s - 1, n_query, step)
-    ]
-    for b0, b1, length in blocks:
-        n = b1 - b0
-        _search_rows(data, row_max, plan, b0, b1, length, acc[:n], best[:n])
-        winner = np.argmin(best[:n], axis=1)
-        best_ref[b0:b1] = winner
-        scores[b0:b1] = best[np.arange(n), winner] + 0.0
-    return MatchReport(
-        query_indices=np.arange(n_query),
-        best_ref=best_ref,
-        scores=scores,
-        higher_is_better=False,
-    )
+    stage = _Search(*data.shape, cfg)
+    stage.search(data, data.max(axis=1), 0, 0, data.shape[0])
+    return stage.report()
+
+
+def seqslam_match(
+    query: DescriptorSequence,
+    reference: DescriptorSequence,
+    cfg: SeqSlamConfig,
+    metric: str = "cosine",
+    out: np.ndarray | None = None,
+) -> MatchReport:
+    """SeqSLAM of query against reference without a Q x R matrix.
+
+    The report is bit for bit that of
+    seqslam_search(contrast_enhance(difference_matrix(query, reference,
+    metric), cfg.r_window), cfg). The query is walked once in distance
+    blocks; each run of rows is enhanced as soon as the rows its windows
+    reach have arrived, and searched right after, from a ring that holds it
+    and the d_s - 1 enhanced rows before it. If out (Q x R float64) is
+    given, the enhanced rows are written into it as well.
+    """
+    n_query, n_ref = query.frame_count, reference.frame_count
+    if out is not None and out.shape != (n_query, n_ref):
+        raise ValueError(f"out must be {n_query} x {n_ref}, got shape {out.shape}")
+    search = _Search(n_query, n_ref, cfg)
+    contrast = _Contrast(n_query, n_ref, cfg.r_window)
+    keep = cfg.d_s - 1
+    # ring[i] is enhanced row origin + i and ring_max[i] its maximum: the
+    # keep rows before a run, then the run
+    ring = np.empty((keep + contrast.step, n_ref))
+    ring_max = np.empty(len(ring))
+    origin = 0
+    for _, block in _distance_blocks(query, reference, metric):
+        _check_finite(block)
+        for r0, r1 in contrast.push(block):
+            first = max(r0 - keep, 0)
+            ring[: r0 - first] = ring[first - origin : r0 - origin]
+            ring_max[: r0 - first] = ring_max[first - origin : r0 - origin]
+            origin = first
+            rows = ring[r0 - first : r1 - first]
+            contrast.enhance(r0, r1, rows)
+            _check_finite(rows)
+            np.max(rows, axis=1, out=ring_max[r0 - first : r1 - first])
+            if out is not None:
+                out[r0:r1] = rows
+            search.search(ring, ring_max, first, r0, r1)
+    return search.report()
 
 
 def nearest_neighbor_match(

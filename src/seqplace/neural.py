@@ -195,16 +195,18 @@ def _recur(lstm: LstmParams, steps, h: np.ndarray | None = None, c: np.ndarray |
            keep: bool = False):
     """Run the recurrence over steps, an iterable of B x 4H projections, from
     state (h, c), or from the zero state if h is None; returns h_T and, if
-    keep, the tape _backward needs. Arithmetic runs at the parameters' dtype."""
+    keep, the tape _backward needs. Arithmetic runs at the parameters' dtype.
+    A tape that starts from the zero state records its first h_prev as None."""
     # sigmoid(a) = tanh(a / 2) / 2 + 1 / 2, so one tanh activates all four
     # gates: scale is 1/2 on the sigmoid gates i, f, o and 1 on g
     scale = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=lstm.flat.dtype), lstm.hidden_dim)
     shift = 1.0 - scale
     tape = []
     for proj in steps:
+        h_prev = h
         if h is None:
             # h W_h^T vanishes at the zero state: start from the projection
-            h = c = np.zeros((proj.shape[0], lstm.hidden_dim), dtype=proj.dtype)
+            c = np.zeros((proj.shape[0], lstm.hidden_dim), dtype=proj.dtype)
             gates = proj.copy()
         else:
             gates = h @ lstm.w_h.T
@@ -217,7 +219,7 @@ def _recur(lstm: LstmParams, steps, h: np.ndarray | None = None, c: np.ndarray |
         c_next = f * c + i * g
         tc = np.tanh(c_next)
         if keep:
-            tape.append((h, c, gates, tc))
+            tape.append((h_prev, c, gates, tc))
         h = o * tc
         c = c_next
     return h, tape
@@ -243,9 +245,11 @@ def _backward(model: SequenceModel, xs: np.ndarray, tape, h_last: np.ndarray,
         da_f[...] = dc * c_prev * f * (1.0 - f)
         da_g[...] = dc * i * (1.0 - g * g)
         da_o[...] = dh * tc * o * (1.0 - o)
-        grads.lstm.w_h += da[t].T @ h_prev
-        dh = da[t] @ lstm.w_h
-        dc = dc * f
+        if h_prev is not None:  # the zero state adds nothing to dW_h
+            grads.lstm.w_h += da[t].T @ h_prev
+        if t > 0:  # the first step's dh and dc would never be read
+            dh = da[t] @ lstm.w_h
+            dc = dc * f
     da = da.reshape(-1, da.shape[-1])
     np.matmul(da.T, xs.reshape(-1, xs.shape[-1]), out=grads.lstm.w_x)
     np.sum(da, axis=0, out=grads.lstm.b)

@@ -1,9 +1,13 @@
+import ast
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from seqplace import neural
+from seqplace import evaluation, neural
+from seqplace.dataset import DescriptorSequence, PositionTrack, Traversal
 from seqplace.descriptors import l2_normalize
 from seqplace.evaluation import (
     BenchResult,
@@ -28,7 +32,14 @@ from seqplace.evaluation import (
     tolerance_for,
     trained_method,
 )
-from seqplace.matching_classic import MatchReport
+from seqplace.matching_classic import (
+    DifferenceMatrix,
+    MatchReport,
+    SeqSlamConfig,
+    contrast_enhance,
+    difference_matrix,
+    seqslam_search,
+)
 from seqplace.synthetic import SynthConfig, generate
 
 
@@ -310,3 +321,57 @@ def test_bench_result_validation_and_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "method,seconds,frames,device"
     assert lines[1].startswith("m,0.5,10,")
+
+
+def _traversal(rng, frames, dim):
+    descriptors = DescriptorSequence(data=rng.standard_normal((frames, dim)).astype(np.float32))
+    return Traversal(name=f"t{frames}", descriptors=descriptors,
+                     positions=PositionTrack(np.zeros((frames, 2))))
+
+
+def test_seqslam_sink_receives_the_enhanced_matrix():
+    rng = np.random.default_rng(21)
+    reference, query = _traversal(rng, 37, 6), _traversal(rng, 45, 6)
+    for metric in ("cosine", "euclidean"):
+        sunk = []
+        method = seqslam_method(v_step=0.1, r_window=4, metric=metric, sink=sunk.append)
+        report = method.prepare(reference, 5)(query)
+        matrix = difference_matrix(query.descriptors, reference.descriptors, metric)
+        enhanced = contrast_enhance(matrix, 4)
+        want = seqslam_search(enhanced, SeqSlamConfig(d_s=5, v_step=0.1, r_window=4))
+        [data] = sunk
+        assert np.array_equal(data, enhanced.data)
+        assert np.array_equal(np.signbit(data), np.signbit(enhanced.data))
+        assert np.array_equal(report.best_ref, want.best_ref)
+        assert np.array_equal(report.scores, want.scores)
+
+
+def test_seqslam_deploy_holds_no_query_by_reference_matrix():
+    rng = np.random.default_rng(22)
+    reference, query = _traversal(rng, 1000, 16), _traversal(rng, 1500, 16)
+    deploy = seqslam_method().prepare(reference, 10)
+    size = 8 * 1500 * 1000  # one Q x R float64 array
+    tracemalloc.start()
+    try:
+        deploy(query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 0.7: one 385-row distance block and run-sized rings and scratch
+    assert peak < 0.75 * size, peak / size
+
+
+def test_evaluation_has_one_seqslam_entry_point():
+    # seqslam_method deploys through matching_classic.seqslam_match; the
+    # registry must neither import nor call the whole-matrix stages
+    banned = {"difference_matrix", "contrast_enhance", "seqslam_search"}
+    tree = ast.parse(Path(evaluation.__file__).read_text(encoding="utf-8"))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            used.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    assert not used & banned, sorted(used & banned)

@@ -16,6 +16,7 @@ from seqplace.matching_classic import (
     delta_match,
     difference_matrix,
     nearest_neighbor_match,
+    seqslam_match,
     seqslam_search,
     velocity_grid,
 )
@@ -237,6 +238,81 @@ def test_seqslam_stages_hold_no_full_size_temporaries():
     # the enhanced output is one matrix; the rest is block scratch
     assert enhance_peak <= 2.5 * size, enhance_peak / size
     assert search_scratch <= 0.5 * size, search_scratch / size
+
+
+def test_default_grid_searches_each_distinct_line_once():
+    # at d_s = 2 every default velocity samples column r - 1
+    grid = velocity_grid(SeqSlamConfig())
+    assert [len(matching_classic._offset_plan(grid, d_s, 40)) for d_s in (2, 10)] == [1, 9]
+    rng = np.random.default_rng(19)
+    for d_s in (2, 10):
+        data = rng.uniform(-2.0, 2.0, size=(13, 40))
+        cfg = SeqSlamConfig(d_s=d_s)
+        report = seqslam_search(DifferenceMatrix(data=data, metric="cosine"), cfg)
+        want_ref, want_score = seqslam_oracle(data, cfg)
+        assert np.array_equal(report.best_ref, want_ref), d_s
+        assert np.array_equal(report.scores, want_score), d_s
+
+
+def _assert_same_bits(got, want, label):
+    assert np.array_equal(got, want), label
+    assert np.array_equal(np.signbit(got), np.signbit(want)), label
+
+
+def test_seqslam_match_equals_the_stages_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(18)
+    half_way = dict(v_min=0.5, v_max=1.5, v_step=0.25)
+    cases = [  # query frames, reference frames, d_s, r_window, velocity grid
+        (23, 17, 3, 4, {}),
+        (30, 12, 1, 2, {}),
+        (19, 26, 6, 3, half_way),
+        (9, 9, 9, 10, {}),
+        (40, 11, 10, 1, {}),
+    ]
+    plan = matching_classic._offset_plan(velocity_grid(SeqSlamConfig(d_s=6, **half_way)), 6, 26)
+    assert any(not isinstance(term, int) for terms in plan for term in terms)
+    for frames, refs, d_s, r_window, grid in cases:
+        # rounded values make tied distances; zero rows on both sides
+        query = np.round(rng.standard_normal((frames, 4)) * 2.0) / 2.0
+        reference = np.round(rng.standard_normal((refs, 4)) * 2.0) / 2.0
+        query[[0, frames // 2]] = 0.0
+        reference[[1, refs - 1]] = 0.0
+        q = DescriptorSequence(data=query.astype(np.float32))
+        r = DescriptorSequence(data=reference.astype(np.float32))
+        cfg = SeqSlamConfig(d_s=d_s, r_window=r_window, **grid)
+        # rows per contrast and search run, rows per distance block: the
+        # defaults, then blocks shorter than r_window and than d_s
+        for run_rows, block_rows in ((None, None), (1, 1), (2, 3), (5, 7)):
+            if run_rows is not None:
+                monkeypatch.setattr(matching_classic, "_BLOCK_BYTES", 8 * refs * run_rows)
+                monkeypatch.setattr(matching_classic, "_DISTANCE_ROWS", block_rows)
+            for metric in METRICS:
+                label = (frames, refs, d_s, run_rows, block_rows, metric)
+                enhanced = contrast_enhance(difference_matrix(q, r, metric), r_window).data
+                want = seqslam_search(DifferenceMatrix(data=enhanced, metric=metric), cfg)
+                out = np.empty((frames, refs))
+                got = seqslam_match(q, r, cfg, metric, out)
+                assert np.array_equal(got.best_ref, want.best_ref), label
+                _assert_same_bits(got.scores, want.scores, label)
+                _assert_same_bits(out, enhanced, label)
+                plain = seqslam_match(q, r, cfg, metric)
+                assert np.array_equal(plain.best_ref, got.best_ref), label
+                _assert_same_bits(plain.scores, got.scores, label)
+                assert np.array_equal(got.query_indices, np.arange(frames))
+                assert not got.higher_is_better
+
+
+def test_seqslam_match_needs_d_s_query_frames():
+    rng = np.random.default_rng(20)
+    q, r = _seq(rng, 3, 5), _seq(rng, 8, 5)
+    cfg = SeqSlamConfig(d_s=4)
+    with pytest.raises(ValueError) as staged:
+        seqslam_search(contrast_enhance(difference_matrix(q, r)), cfg)
+    with pytest.raises(ValueError) as streamed:
+        seqslam_match(q, r, cfg)
+    assert str(streamed.value) == str(staged.value) == "need at least d_s=4 query frames, got 3"
+    with pytest.raises(ValueError, match="out must be 3 x 8"):
+        seqslam_match(q, r, SeqSlamConfig(d_s=2), out=np.empty((8, 3)))
 
 
 def test_nearest_neighbor_match_is_row_argmin():
