@@ -144,10 +144,12 @@ class MatchReport:
         return len(self.query_indices)
 
 
-def _unit_rows64(data: np.ndarray) -> np.ndarray:
-    """unit_rows of data cast to float64, a block of rows at a time, so no
-    full-size temporary is held besides the result."""
-    out = np.empty(data.shape)
+def _unit_rows64(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """unit_rows of data cast to float64, written into out (a new array if
+    None) a cache-sized block of rows at a time, so no full-size temporary
+    is held besides the result."""
+    if out is None:
+        out = np.empty(data.shape)
     step = _block_rows(data.shape[1])
     for r0 in range(0, data.shape[0], step):
         rows = slice(r0, r0 + step)
@@ -163,8 +165,8 @@ def _distance_blocks(query, reference, metric, out=None):
     that the next block overwrites. A block never has a single row unless
     the query does, since numpy hands a one-row product to GEMV, which sums
     in another order than GEMM. The reference is cast to float64 once; the
-    query a block at a time (every step is row-wise, so the bits are those
-    of a whole-query cast).
+    query a block at a time, into one block-sized buffer (every step is
+    row-wise, so the bits are those of a whole-query cast).
     """
     if query.dim != reference.dim:
         raise ValueError(f"descriptor dims differ: {query.dim} vs {reference.dim}")
@@ -173,6 +175,7 @@ def _distance_blocks(query, reference, metric, out=None):
     n_query, n_ref = query.frame_count, reference.frame_count
     step = _DISTANCE_ROWS
     most = min(step + 1, n_query)  # rows of the largest block
+    rows64 = np.empty((most, query.dim))
     if metric == "cosine":
         b = _unit_rows64(reference.data)
         b_zero = ~b.any(axis=1)
@@ -188,14 +191,15 @@ def _distance_blocks(query, reference, metric, out=None):
         rows = slice(b0, b1)
         block = scratch[: b1 - b0] if out is None else out[rows]
         if metric == "cosine":
-            a, _ = unit_rows(query.data[rows].astype(np.float64))
+            a = _unit_rows64(query.data[rows], rows64[: b1 - b0])
             np.matmul(a, b.T, out=block)
             np.subtract(1.0, block, out=block)
             block[~a.any(axis=1), :] = 1.0
             block[:, b_zero] = 1.0
             np.clip(block, 0.0, 2.0, out=block)
         else:
-            a = query.data[rows].astype(np.float64)
+            a = rows64[: b1 - b0]
+            a[...] = query.data[rows]
             np.add((a * a).sum(axis=1)[:, None], b_sq[None, :], out=block)
             g = np.matmul(a, b.T, out=gram[: b1 - b0])
             g *= 2.0
