@@ -12,7 +12,6 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from statistics import median
 from typing import Callable
@@ -145,7 +144,10 @@ def load_pr_csv(path) -> PRCurve:
             parts = line.split(",")
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 fields")
-            rows.append([float(v) for v in parts])
+            try:
+                rows.append([float(v) for v in parts])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
     if not rows:
         raise ValueError(f"{path}: no curve points")
     arr = np.array(rows, dtype=np.float64)
@@ -284,7 +286,9 @@ def deep_method(
 
 
 def thread_cap(value: int | None = None) -> int:
-    """Worker budget: explicit value, else SEQPLACE_THREADS (0 = auto)."""
+    """Worker budget: explicit value, else SEQPLACE_THREADS (0 = auto).
+
+    No command reads it: ds_sweep runs its cells one after another."""
     if value is None:
         raw = os.environ.get("SEQPLACE_THREADS", "").strip()
         value = int(raw) if raw else 0
@@ -311,14 +315,11 @@ def ds_sweep(
     methods: list[Method],
     ds_values: list[int],
     pairs: list[SynthPair],
-    threads: int | None = None,
 ) -> list[SweepCell]:
     """AUC per (method, d_s, pair) at delta = d_s + 10, sorted by key.
 
     A cell failing with a domain error (those the CLI exits 3 on) gets auc
     None, its error and a stderr line; other exceptions abort the sweep.
-    Cells are independent, so they may run on a small thread pool; the
-    sorted output makes worker scheduling invisible.
     """
 
     def run(method: Method, d_s: int, pair: SynthPair) -> SweepCell:
@@ -330,13 +331,7 @@ def ds_sweep(
             error = f"{type(exc).__name__}: {exc}"
         return SweepCell(method.name, d_s, pair.query.name, auc, error)
 
-    cells = [(m, d, p) for m in methods for d in ds_values for p in pairs]
-    workers = thread_cap(threads)
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: run(*c), cells))
-    else:
-        results = [run(*c) for c in cells]
+    results = [run(m, d, p) for m in methods for d in ds_values for p in pairs]
     results.sort(key=lambda c: (c.method, c.d_s, c.query_name))
     for c in results:
         if c.error is not None:
@@ -366,8 +361,11 @@ def load_sweep_csv(path) -> list[SweepCell]:
             parts = line.split(",")
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 fields")
-            auc = None if parts[3] == "" else float(parts[3])
-            cells.append(SweepCell(parts[0], int(parts[1]), parts[2], auc))
+            try:
+                auc = None if parts[3] == "" else float(parts[3])
+                cells.append(SweepCell(parts[0], int(parts[1]), parts[2], auc))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
     return cells
 
 

@@ -9,12 +9,13 @@ nearest-neighbor retrieval in delta-descriptor space.
 Distances are computed in blocks of query rows, one GEMM per block; only
 `difference_matrix` stores every block. Nearest-neighbor and delta matching
 keep each row's argmin and its distance. `seqslam_match` streams the blocks
-through both SeqSLAM stages: each arriving row goes into the running column
-sums of contrast enhancement, a row is enhanced once the rows its window
-reaches have arrived, and it is searched once the d_s - 1 rows before it are
-enhanced. It holds rings of rows (one distance block, the difference rows
-not yet enhanced, the prefix sums their windows reach, the last d_s - 1
-enhanced rows and their maxima) and no Q x R array. `contrast_enhance` and
+through both SeqSLAM stages. Each stage reads a view (rows, origin) in which
+rows[i] is row origin + i: a distance block arrives after the last r_window
+rows before it, a run of rows is enhanced once every row its windows reach
+is in the view, and it is searched once the d_s - 1 rows before it are
+enhanced. The stream holds one distance block and the r_window rows before
+it, the prefix sums one run's windows reach, and the last d_s - 1 enhanced
+rows with their maxima, and no Q x R array. `contrast_enhance` and
 `seqslam_search` drive the same two stages over a whole matrix, so the
 stream gives their results bit for bit.
 """
@@ -157,16 +158,18 @@ def _unit_rows64(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _distance_blocks(query, reference, metric, out=None):
-    """Yield (rows, block): the distances of query rows `rows` (a slice) to
-    every reference row, block by block in row order.
+def _distance_blocks(query, reference, metric, out=None, keep=0):
+    """Yield (origin, rows): rows[i] holds the distances of query row
+    origin + i to every reference row. Each yield holds the next block of
+    query rows, in row order, after up to `keep` rows of the ones before it.
 
-    Blocks are views of `out` (Q x R) when given, else of one scratch array
-    that the next block overwrites. A block never has a single row unless
-    the query does, since numpy hands a one-row product to GEMV, which sums
-    in another order than GEMM. The reference is cast to float64 once; the
-    query a block at a time, into one block-sized buffer (every step is
-    row-wise, so the bits are those of a whole-query cast).
+    Rows are views of `out` (Q x R) when given, else of one scratch array,
+    to whose front the last `keep` rows move before the next block is
+    computed. A block never has a single row unless the query does, since
+    numpy hands a one-row product to GEMV, which sums in another order than
+    GEMM. The reference is cast to float64 once; the query a block at a
+    time, into one block-sized buffer (every step is row-wise, so the bits
+    are those of a whole-query cast).
     """
     if query.dim != reference.dim:
         raise ValueError(f"descriptor dims differ: {query.dim} vs {reference.dim}")
@@ -184,14 +187,21 @@ def _distance_blocks(query, reference, metric, out=None):
         b_sq = (b * b).sum(axis=1)
         gram = np.empty((most, n_ref))
     if out is None:
-        scratch = np.empty((most, n_ref))
-    b0 = 0
+        scratch = np.empty((min(keep + most, n_query), n_ref))
+    origin = b0 = 0
     while b0 < n_query:
         b1 = n_query if n_query - b0 <= step + 1 else b0 + step
-        rows = slice(b0, b1)
-        block = scratch[: b1 - b0] if out is None else out[rows]
+        start = max(b0 - keep, 0)
+        if out is None:
+            scratch[: b0 - start] = scratch[start - origin : b0 - origin]
+            rows = scratch[: b1 - start]
+        else:
+            rows = out[start:b1]
+        origin = start
+        block = rows[b0 - origin :]
+        new = slice(b0, b1)
         if metric == "cosine":
-            a = _unit_rows64(query.data[rows], rows64[: b1 - b0])
+            a = _unit_rows64(query.data[new], rows64[: b1 - b0])
             np.matmul(a, b.T, out=block)
             np.subtract(1.0, block, out=block)
             block[~a.any(axis=1), :] = 1.0
@@ -199,14 +209,14 @@ def _distance_blocks(query, reference, metric, out=None):
             np.clip(block, 0.0, 2.0, out=block)
         else:
             a = rows64[: b1 - b0]
-            a[...] = query.data[rows]
+            a[...] = query.data[new]
             np.add((a * a).sum(axis=1)[:, None], b_sq[None, :], out=block)
             g = np.matmul(a, b.T, out=gram[: b1 - b0])
             g *= 2.0
             block -= g
             np.clip(block, 0.0, None, out=block)
             np.sqrt(block, out=block)
-        yield rows, block
+        yield origin, rows
         b0 = b1
 
 
@@ -215,10 +225,10 @@ def _nearest(query, reference, metric) -> tuple[np.ndarray, np.ndarray]:
     that distance; the same as the argmin of the difference matrix."""
     best = np.empty(query.frame_count, dtype=np.int64)
     scores = np.empty(query.frame_count)
-    for rows, block in _distance_blocks(query, reference, metric):
-        winner = np.argmin(block, axis=1)
-        best[rows] = winner
-        scores[rows] = block[np.arange(len(winner)), winner]
+    for origin, rows in _distance_blocks(query, reference, metric):
+        winner = np.argmin(rows, axis=1)
+        best[origin : origin + len(rows)] = winner
+        scores[origin : origin + len(rows)] = rows[np.arange(len(winner)), winner]
     return best, scores
 
 
@@ -237,107 +247,60 @@ def difference_matrix(
 
 
 class _Contrast:
-    """Contrast enhancement (see contrast_enhance) of a matrix whose rows
-    arrive in order, a block at a time.
+    """Contrast enhancement (see contrast_enhance) of a matrix M, one run of
+    rows after another in row order.
 
-    Row q is complete once every row of its window, up to q + r_window, has
-    arrived. The stage holds the arrived rows not yet enhanced (at most
-    r_window besides the current block) and the column prefix sums of M and
-    M * M over the rows that one run's windows reach. The prefix sums are
-    carried across runs in row order, so every entry is bit-identical to one
-    computed from whole-column prefix sums.
+    The stage holds the column prefix sums of M and M * M over the rows that
+    one run's windows reach, carried on from run to run in row order, so
+    every entry is bit-identical to one computed from whole-column prefix
+    sums. The prefix is padded with zero rows before row 0 and with copies
+    of the whole-column sums after the last row, so the window of every row
+    q spans prefix rows q - r and q + r + 1, whether or not it is clamped.
     """
 
     def __init__(self, n_rows: int, n_cols: int, r_window: int):
         if r_window < 1:
             raise ValueError("r_window must be >= 1")
-        self.n_rows, self.r_window = n_rows, r_window
+        self.n_rows = n_rows
+        self.r = min(r_window, n_rows)  # a wider window covers every row too
         self.step = min(_block_rows(n_cols), n_rows)  # rows per run
-        # pre[j] and pre2[j] hold the column sums of M and M * M over rows
-        # [0, base + j), for base + j in [base, top]
-        span = min(self.step + 2 * r_window, n_rows) + 1
-        self.pre = np.zeros((span, n_cols))
-        self.pre2 = np.zeros((span, n_cols))
-        self.base = self.top = 0
-        # held[i] is row start + i, for the rows before the current block
-        # that are not yet enhanced
-        self.held = np.empty((min(r_window, n_rows), n_cols))
-        self.start = 0
-        self.block = self.held[:0]  # the rows from b0 on that arrived last
-        self.b0 = 0
-        self.done = 0  # rows [0, done) are enhanced
-        self.means = np.empty((self.step, n_cols))
-        self.stds = np.empty((self.step, n_cols))
-        self.tmp = np.empty((self.step, n_cols))
+        # pre[0, j] and pre[1, j] hold the sums of M and M * M over rows
+        # [0, base + j), clamped to the matrix, for base + j in [base, top]
+        self.pre = np.zeros((2, self.step + 2 * self.r + 1, n_cols))
+        self.base, self.top = -self.r, 0
+        self.stats = np.empty((2, self.step, n_cols))  # window means and stds
         self.flat = np.empty((self.step, n_cols), dtype=bool)
 
-    def _rows(self, r0: int, r1: int) -> np.ndarray:
-        """Arrived rows [r0, r1), all held or all in the current block."""
-        if r0 >= self.b0:
-            return self.block[r0 - self.b0 : r1 - self.b0]
-        return self.held[r0 - self.start : r1 - self.start]
-
-    def push(self, block: np.ndarray):
-        """Take the next rows of M; yield each run (r0, r1) of at most step
-        rows that is now complete, to be passed to enhance before the next."""
-        b0 = self.b0 = self.b0 + len(self.block)
-        b1 = b0 + len(block)
-        self.block = block
-        end = self.n_rows if b1 == self.n_rows else max(self.done, b1 - self.r_window)
-        while self.done < end:
-            r0 = self.done
-            r1 = min(r0 + self.step, end, b0 if r0 < b0 else end)  # one source per run
-            yield r0, r1
-            self.done = r1
-        # hold rows [done, b1) for the next block
-        earlier = max(b0 - self.done, 0)
-        self.held[:earlier] = self.held[self.done - self.start : b0 - self.start]
-        self.held[earlier : b1 - self.done] = block[max(self.done - b0, 0) :]
-        self.start = self.done
-
-    def _extend(self, last: int) -> None:
-        """Carry the running sums on from row top to row last."""
-        pre, pre2, b0 = self.pre, self.pre2, self.b0
-        for r0, r1 in ((self.top, min(last, b0)), (max(self.top, b0), last)):
-            if r0 >= r1:
-                continue
-            rows = self._rows(r0, r1)
-            new = slice(r0 + 1 - self.base, r1 + 1 - self.base)
-            pre[new] = rows
-            np.multiply(rows, rows, out=pre2[new])
-            for j in range(new.start + (r0 == 0), new.stop):  # row 0 starts the sums
-                np.add(pre[j - 1], pre[j], out=pre[j])
-                np.add(pre2[j - 1], pre2[j], out=pre2[j])
-        self.top = last
-
-    def enhance(self, r0: int, r1: int, out: np.ndarray) -> None:
-        """Write the enhanced rows of a run (r0, r1) that push yielded into out."""
+    def enhance(self, rows: np.ndarray, origin: int, r0: int, r1: int, out: np.ndarray) -> None:
+        """Write enhanced rows [r0, r1) into out (which also serves as
+        scratch). The run follows the one enhanced last (r0 = 0 first), and
+        rows[i] is row origin + i of M for every row from r0 up to the last
+        one the run's windows reach."""
+        r, n, n_rows, pre = self.r, r1 - r0, self.n_rows, self.pre
+        first, last = r0 - r, r1 + r  # the prefix rows the run's windows span
+        kept = pre[:, first - self.base : self.top - self.base + 1]
+        pre[:, : kept.shape[1]] = kept
+        # carry the running sums on over the rows of M that arrived, then pad
+        stop = min(last, n_rows)
+        new = slice(self.top + 1 - first, stop + 1 - first)
+        pre[0, new] = rows[self.top - origin : stop - origin]
+        np.multiply(pre[0, new], pre[0, new], out=pre[1, new])
+        for j in range(new.start + (self.top == 0), new.stop):  # row 0 starts the sums
+            np.add(pre[:, j - 1], pre[:, j], out=pre[:, j])
+        # stop is n_rows unless this slice is empty
+        pre[:, max(self.top, n_rows) + 1 - first : last + 1 - first] = pre[:, stop - first, None]
+        self.base, self.top = first, last
         q = np.arange(r0, r1)
-        lo = np.maximum(q - self.r_window, 0)
-        hi = np.minimum(q + self.r_window, self.n_rows - 1)
-        first, last = int(lo[0]), int(hi[-1]) + 1
-        pre, pre2 = self.pre, self.pre2
-        kept = slice(first - self.base, self.top - self.base + 1)
-        pre[: kept.stop - kept.start] = pre[kept]
-        pre2[: kept.stop - kept.start] = pre2[kept]
-        self.base = first
-        if last > self.top:
-            self._extend(last)
-        n = r1 - r0
-        m, s, t, f = self.means[:n], self.stds[:n], self.tmp[:n], self.flat[:n]
-        upper, lower = hi + 1 - first, lo - first
-        count = (hi - lo + 1).astype(np.float64)[:, None]
-        np.take(pre, upper, axis=0, out=m, mode="clip")
-        m -= np.take(pre, lower, axis=0, out=t, mode="clip")
-        m /= count
-        np.take(pre2, upper, axis=0, out=s, mode="clip")
-        s -= np.take(pre2, lower, axis=0, out=t, mode="clip")
-        s /= count
-        s -= np.multiply(m, m, out=t)
+        count = (np.minimum(q + r, n_rows - 1) - np.maximum(q - r, 0) + 1).astype(np.float64)
+        stats = np.subtract(pre[:, 2 * r + 1 : 2 * r + 1 + n], pre[:, :n], out=self.stats[:, :n])
+        stats /= count[:, None]
+        m, s = stats
+        f = self.flat[:n]
+        s -= np.multiply(m, m, out=out)
         np.clip(s, 0.0, None, out=s)
         np.sqrt(s, out=s)
         np.less(s, 1e-8, out=f)
-        np.subtract(self._rows(r0, r1), m, out=out)
+        np.subtract(rows[r0 - origin : r1 - origin], m, out=out)
         np.copyto(s, 1.0, where=f)
         out /= s
         np.copyto(out, 0.0, where=f)
@@ -351,15 +314,16 @@ def contrast_enhance(matrix: DifferenceMatrix, r_window: int = 10) -> Difference
     clamped to the matrix; windows with sigma < 1e-8 yield 0.
 
     The whole matrix goes through the contrast stage of `seqslam_match` as
-    one block: the output is written run by run of query rows from running
+    one view: the output is written run by run of query rows from running
     column sums, so besides the new Q x R matrix only run-sized scratch is
     held.
     """
     data = matrix.data
     out = np.empty_like(data)
     stage = _Contrast(*data.shape, r_window)
-    for r0, r1 in stage.push(data):
-        stage.enhance(r0, r1, out[r0:r1])
+    for r0 in range(0, len(data), stage.step):
+        r1 = min(r0 + stage.step, len(data))
+        stage.enhance(data, 0, r0, r1, out[r0:r1])
     return DifferenceMatrix(data=_Fresh(out), metric=matrix.metric)
 
 
@@ -531,25 +495,30 @@ def seqslam_match(
     search = _Search(n_query, n_ref, cfg)
     contrast = _Contrast(n_query, n_ref, cfg.r_window)
     keep = cfg.d_s - 1
-    # ring[i] is enhanced row origin + i and ring_max[i] its maximum: the
+    # ring[i] is enhanced row first + i and ring_max[i] its maximum: the
     # keep rows before a run, then the run
     ring = np.empty((keep + contrast.step, n_ref))
     ring_max = np.empty(len(ring))
-    origin = 0
-    for _, block in _distance_blocks(query, reference, metric):
-        _check_finite(block)
-        for r0, r1 in contrast.push(block):
-            first = max(r0 - keep, 0)
-            ring[: r0 - first] = ring[first - origin : r0 - origin]
-            ring_max[: r0 - first] = ring_max[first - origin : r0 - origin]
-            origin = first
-            rows = ring[r0 - first : r1 - first]
-            contrast.enhance(r0, r1, rows)
-            _check_finite(rows)
-            np.max(rows, axis=1, out=ring_max[r0 - first : r1 - first])
+    first = done = b0 = 0  # rows [0, done) are enhanced, [0, b0) checked
+    for origin, rows in _distance_blocks(query, reference, metric, keep=cfg.r_window):
+        b1 = origin + len(rows)
+        _check_finite(rows[b0 - origin :])
+        # a row is complete once the rows up to r_window after it are in
+        end = n_query if b1 == n_query else b1 - cfg.r_window
+        for r0 in range(done, end, contrast.step):
+            r1 = min(r0 + contrast.step, end)
+            start = max(r0 - keep, 0)
+            ring[: r0 - start] = ring[start - first : r0 - first]
+            ring_max[: r0 - start] = ring_max[start - first : r0 - first]
+            first = start
+            run = ring[r0 - first : r1 - first]
+            contrast.enhance(rows, origin, r0, r1, run)
+            _check_finite(run)
+            np.max(run, axis=1, out=ring_max[r0 - first : r1 - first])
             if out is not None:
-                out[r0:r1] = rows
+                out[r0:r1] = run
             search.search(ring, ring_max, first, r0, r1)
+        done, b0 = max(done, end), b1
     return search.report()
 
 

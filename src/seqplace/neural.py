@@ -579,7 +579,11 @@ def load_curves_csv(path) -> TrainingCurves:
             parts = line.split(",")
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 fields")
-            curves.losses.append(float(parts[1]))
-            curves.accuracies.append(float(parts[2]))
-            curves.seconds.append(float(parts[3]))
+            try:
+                loss, acc, sec = (float(v) for v in parts[1:])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
+            curves.losses.append(loss)
+            curves.accuracies.append(acc)
+            curves.seconds.append(sec)
     return curves

@@ -110,6 +110,43 @@ def test_contrast_enhance_matches_window_oracle():
         assert np.allclose(got, _enhance_oracle(data, win), atol=1e-9)
 
 
+def _enhance_cumsum(data: np.ndarray, r_window: int) -> np.ndarray:
+    """contrast_enhance from whole-column np.cumsum prefix sums."""
+    rows, cols = data.shape
+    pre = np.zeros((rows + 1, cols))
+    pre2 = np.zeros((rows + 1, cols))
+    np.cumsum(data, axis=0, out=pre[1:])
+    np.cumsum(data * data, axis=0, out=pre2[1:])
+    q = np.arange(rows)
+    lo = np.maximum(q - r_window, 0)
+    hi = np.minimum(q + r_window, rows - 1)
+    count = (hi - lo + 1).astype(np.float64)[:, None]
+    mean = (pre[hi + 1] - pre[lo]) / count
+    var = (pre2[hi + 1] - pre2[lo]) / count - mean * mean
+    std = np.sqrt(np.clip(var, 0.0, None))
+    flat = std < 1e-8
+    out = (data - mean) / np.where(flat, 1.0, std)
+    out[flat] = 0.0
+    return out
+
+
+def test_contrast_enhance_equals_whole_column_prefix_sums_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(21)
+    for rows, cols in ((1, 3), (5, 4), (29, 6), (64, 5)):
+        mixed = rng.uniform(0.0, 2.0, size=(rows, cols))
+        # few distinct values, signed zeros among them: flat and tied windows
+        coarse = rng.choice(np.array([-0.0, 0.0, 0.5, 1.0]), size=(rows, cols))
+        for block_rows in (None, 1, 3, 7, 16):
+            if block_rows is not None:
+                monkeypatch.setattr(matching_classic, "_BLOCK_BYTES", 8 * cols * block_rows)
+            for data in (mixed, coarse):
+                matrix = DifferenceMatrix(data=data, metric="cosine")
+                for win in (1, 2, 9, rows, rows + 5):
+                    label = (rows, cols, block_rows, win)
+                    got = contrast_enhance(matrix, win).data
+                    _assert_same_bits(got, _enhance_cumsum(data, win), label)
+
+
 def test_contrast_enhance_flat_column_is_zero():
     data = np.ones((6, 3))
     data[:, 2] = np.arange(6.0)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -537,6 +538,13 @@ def test_curves_csv_roundtrip(tmp_path):
     bad.write_text("wrong,header\n")
     with pytest.raises(ValueError, match="header"):
         load_curves_csv(bad)
+
+
+def test_curves_csv_names_the_line_of_a_non_numeric_field(tmp_path):
+    path = tmp_path / "curves.csv"
+    path.write_text("epoch,loss,accuracy,seconds\n0,2.5,0.1,0.01\n1,1.25,high,0.02\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: malformed row '1,1.25,high,0.02'")):
+        load_curves_csv(path)
 
 
 def test_training_error_carries_location():
