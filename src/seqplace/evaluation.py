@@ -362,10 +362,10 @@ def load_sweep_csv(path) -> list[SweepCell]:
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 fields")
             try:
-                auc = None if parts[3] == "" else float(parts[3])
-                cells.append(SweepCell(parts[0], int(parts[1]), parts[2], auc))
+                d_s, auc = int(parts[1]), None if parts[3] == "" else float(parts[3])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
+            cells.append(SweepCell(parts[0], d_s, parts[2], auc))
     return cells
 
 

@@ -256,6 +256,9 @@ class _Contrast:
     sums. The prefix is padded with zero rows before row 0 and with copies
     of the whole-column sums after the last row, so the window of every row
     q spans prefix rows q - r and q + r + 1, whether or not it is clamped.
+    The sums start by adding row 0 to the zero row, where np.cumsum starts
+    from row 0 itself; that can only turn a -0.0 sum of zero rows into 0.0,
+    which changes the mean of no window that is not flat (and so 0).
     """
 
     def __init__(self, n_rows: int, n_cols: int, r_window: int):
@@ -285,7 +288,7 @@ class _Contrast:
         new = slice(self.top + 1 - first, stop + 1 - first)
         pre[0, new] = rows[self.top - origin : stop - origin]
         np.multiply(pre[0, new], pre[0, new], out=pre[1, new])
-        for j in range(new.start + (self.top == 0), new.stop):  # row 0 starts the sums
+        for j in range(new.start, new.stop):
             np.add(pre[:, j - 1], pre[:, j], out=pre[:, j])
         # stop is n_rows unless this slice is empty
         pre[:, max(self.top, n_rows) + 1 - first : last + 1 - first] = pre[:, stop - first, None]
