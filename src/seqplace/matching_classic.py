@@ -258,7 +258,8 @@ class _Contrast:
     q spans prefix rows q - r and q + r + 1, whether or not it is clamped.
     The sums start by adding row 0 to the zero row, where np.cumsum starts
     from row 0 itself; that can only turn a -0.0 sum of zero rows into 0.0,
-    which changes the mean of no window that is not flat (and so 0).
+    which changes no window's sum unless all of the window's rows are zero,
+    and such a window is flat (its entries are 0).
     """
 
     def __init__(self, n_rows: int, n_cols: int, r_window: int):
