@@ -160,23 +160,16 @@ def cmd_extract(args) -> int:
         path = os.path.join(args.images, fname)
         try:
             image = read_pgm(path)
-            block_r = image.shape[0] // cfg.height
-            block_c = image.shape[1] // cfg.width
-            if block_r == 0 or block_c == 0:
-                raise ValueError(
-                    f"image {image.shape[0]}x{image.shape[1]} smaller than "
-                    f"thumbnail {cfg.height}x{cfg.width}"
-                )
-            if image.shape != (block_r * cfg.height, block_c * cfg.width):
-                print(
-                    f"warning: cropping {fname} from "
-                    f"{image.shape[0]}x{image.shape[1]} to "
-                    f"{block_r * cfg.height}x{block_c * cfg.width}",
-                    file=sys.stderr,
-                )
             rows.append(thumbnail_descriptor(image, cfg))
         except (ValueError, OSError) as exc:
             raise RuntimeError(f"{path}: {exc}") from None
+        used = (image.shape[0] // cfg.height * cfg.height, image.shape[1] // cfg.width * cfg.width)
+        if image.shape != used:
+            print(
+                f"warning: cropping {fname} from {image.shape[0]}x{image.shape[1]} "
+                f"to {used[0]}x{used[1]}",
+                file=sys.stderr,
+            )
     seq = DescriptorSequence(data=np.stack(rows), normalized=False)
     save_descriptor_file(seq, args.out)
     print(args.out)

@@ -38,7 +38,8 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-# Bytes of one block of _row_norms's float64 cast.
+# Bytes of one block of rows that _row_norms casts to float64 and that
+# descriptors.unit_rows normalizes.
 _NORM_BLOCK_BYTES = 1 << 20
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dataset
 from .dataset import DescriptorSequence, _Vetted
 
 
@@ -47,15 +48,33 @@ class DeltaConfig:
             raise ValueError(f"delta window must be even and >= 2, got {self.window}")
 
 
-def unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Nonzero rows scaled to unit norm, zero rows kept; and whether none was zero."""
-    norms = np.linalg.norm(matrix, axis=1)
-    nonzero = norms > 0.0
-    if nonzero.all():
-        return matrix / norms[:, None], True
-    out = np.zeros_like(matrix)
-    out[nonzero] = matrix[nonzero] / norms[nonzero, None]
-    return out, False
+def unit_rows(matrix: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+    """Rows of matrix scaled to unit norm, and whether none of them was zero.
+
+    The rows are cast into out (a new array of matrix's dtype if None; out
+    may be matrix itself) and normalized there, one block of
+    dataset._NORM_BLOCK_BYTES of out at a time. Each row is measured and
+    divided on its own in out's dtype, so the bits are those of dividing
+    the whole cast matrix by its row norms, whatever the block size. Zero
+    rows come out +0.0.
+    """
+    if out is None:
+        out = np.empty_like(matrix)
+    step = max(1, dataset._NORM_BLOCK_BYTES // (out.itemsize * out.shape[1]))
+    normalized = True
+    for r0 in range(0, len(out), step):
+        rows = slice(r0, r0 + step)
+        block = out[rows]
+        if out is not matrix:
+            block[...] = matrix[rows]
+        norms = np.linalg.norm(block, axis=1)
+        zero = norms == 0.0
+        if zero.any():
+            normalized = False
+            block[zero] = 0.0
+            norms[zero] = 1.0
+        block /= norms[:, None]
+    return out, normalized
 
 
 def l2_normalize(seq: DescriptorSequence) -> DescriptorSequence:
@@ -67,7 +86,7 @@ def l2_normalize(seq: DescriptorSequence) -> DescriptorSequence:
     """
     if seq.normalized:
         return seq
-    out, normalized = unit_rows(seq.data.astype(np.float64))
+    out, normalized = unit_rows(seq.data, np.empty(seq.data.shape))
     return DescriptorSequence(data=_Vetted(out, unit=True), normalized=normalized)
 
 
@@ -138,9 +157,9 @@ def delta_transform(seq: DescriptorSequence, cfg: DeltaConfig) -> tuple[Descript
     input stretches) are left zero and clear the normalized flag.
     """
     raw, centers = delta_raw(seq.data, cfg.window)
-    out, normalized = unit_rows(raw)
+    _, normalized = unit_rows(raw, raw)
     # finite rows of finite input, and unit_rows set the flag itself
-    return DescriptorSequence(data=_Vetted(out, unit=True), normalized=normalized), centers
+    return DescriptorSequence(data=_Vetted(raw, unit=True), normalized=normalized), centers
 
 
 def read_pgm(path) -> np.ndarray:

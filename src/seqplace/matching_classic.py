@@ -87,14 +87,6 @@ class DifferenceMatrix:
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
-    @property
-    def query_count(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def reference_count(self) -> int:
-        return self.data.shape[1]
-
 
 @dataclass(frozen=True)
 class SeqSlamConfig:
@@ -145,31 +137,18 @@ class MatchReport:
         return len(self.query_indices)
 
 
-def _unit_rows64(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """unit_rows of data cast to float64, written into out (a new array if
-    None) a cache-sized block of rows at a time, so no full-size temporary
-    is held besides the result."""
-    if out is None:
-        out = np.empty(data.shape)
-    step = _block_rows(data.shape[1])
-    for r0 in range(0, data.shape[0], step):
-        rows = slice(r0, r0 + step)
-        out[rows], _ = unit_rows(data[rows].astype(np.float64))
-    return out
-
-
-def _distance_blocks(query, reference, metric, out=None, keep=0):
+def _distance_blocks(query, reference, metric, keep=0):
     """Yield (origin, rows): rows[i] holds the distances of query row
     origin + i to every reference row. Each yield holds the next block of
     query rows, in row order, after up to `keep` rows of the ones before it.
 
-    Rows are views of `out` (Q x R) when given, else of one scratch array,
-    to whose front the last `keep` rows move before the next block is
-    computed. A block never has a single row unless the query does, since
-    numpy hands a one-row product to GEMV, which sums in another order than
-    GEMM. The reference is cast to float64 once; the query a block at a
-    time, into one block-sized buffer (every step is row-wise, so the bits
-    are those of a whole-query cast).
+    Rows are views of one scratch array, to whose front the last `keep`
+    rows move before the next block is computed. A block never has a single
+    row unless the query does, since numpy hands a one-row product to GEMV,
+    which sums in another order than GEMM. The reference is cast to float64
+    once; the query a block at a time, into one block-sized buffer. For the
+    cosine metric `unit_rows` normalizes both in those float64 buffers;
+    every step is row-wise, so the bits are those of a whole-query cast.
     """
     if query.dim != reference.dim:
         raise ValueError(f"descriptor dims differ: {query.dim} vs {reference.dim}")
@@ -180,28 +159,24 @@ def _distance_blocks(query, reference, metric, out=None, keep=0):
     most = min(step + 1, n_query)  # rows of the largest block
     rows64 = np.empty((most, query.dim))
     if metric == "cosine":
-        b = _unit_rows64(reference.data)
+        b, _ = unit_rows(reference.data, np.empty(reference.data.shape))
         b_zero = ~b.any(axis=1)
     else:
         b = reference.data.astype(np.float64)
         b_sq = (b * b).sum(axis=1)
         gram = np.empty((most, n_ref))
-    if out is None:
-        scratch = np.empty((min(keep + most, n_query), n_ref))
+    scratch = np.empty((min(keep + most, n_query), n_ref))
     origin = b0 = 0
     while b0 < n_query:
         b1 = n_query if n_query - b0 <= step + 1 else b0 + step
         start = max(b0 - keep, 0)
-        if out is None:
-            scratch[: b0 - start] = scratch[start - origin : b0 - origin]
-            rows = scratch[: b1 - start]
-        else:
-            rows = out[start:b1]
+        scratch[: b0 - start] = scratch[start - origin : b0 - origin]
+        rows = scratch[: b1 - start]
         origin = start
         block = rows[b0 - origin :]
         new = slice(b0, b1)
         if metric == "cosine":
-            a = _unit_rows64(query.data[new], rows64[: b1 - b0])
+            a, _ = unit_rows(query.data[new], rows64[: b1 - b0])
             np.matmul(a, b.T, out=block)
             np.subtract(1.0, block, out=block)
             block[~a.any(axis=1), :] = 1.0
@@ -241,8 +216,8 @@ def difference_matrix(
     vector gets distance 1. Euclidean is the plain L2 distance.
     """
     out = np.empty((query.frame_count, reference.frame_count))
-    for _ in _distance_blocks(query, reference, metric, out):
-        pass  # each block is written in place into out
+    for origin, rows in _distance_blocks(query, reference, metric):
+        out[origin : origin + len(rows)] = rows
     return DifferenceMatrix(data=_Fresh(out), metric=metric)
 
 

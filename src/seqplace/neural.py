@@ -25,12 +25,13 @@ head w, head b.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Traversal, make_windows
+from .dataset import _UNIT_NORM_TOL, Traversal, _row_norms, make_windows
 from .matching_classic import MatchReport
 from .rng import RandomStream
 
@@ -444,7 +445,10 @@ def train(
     """
     desc = reference.descriptors
     if not desc.normalized:
-        raise ValueError("reference descriptors must be L2-normalized before training")
+        # l2_normalize keeps a zero row (a flat frame) zero and clears the flag
+        norms = _row_norms(desc.data)
+        if np.any((np.abs(norms - 1.0) > _UNIT_NORM_TOL) & (norms != 0.0)):
+            raise ValueError("reference descriptors must be L2-normalized before training")
     windows = make_windows(reference, d_s)
     rng = RandomStream(rng_seed)
     model = _init_from_stream(rng, desc.dim, reference.frame_count, d_s, hidden)
@@ -544,16 +548,19 @@ def load_checkpoint(path) -> SequenceModel:
         m, hidden, places, d_s = (int(v) for v in np.frombuffer(header, dtype="<u4", offset=4))
         if m < 3 or hidden < 1 or places < 1 or d_s < 1:
             raise ValueError(f"{path}: implausible SPM1 header ({m}, {hidden}, {places}, {d_s})")
+        # check the file against the header's sizes before allocating them
+        size = os.fstat(fh.fileno()).st_size
+        lstm_end = 20 + 4 * (4 * hidden) * (m + hidden + 1)
+        head_end = lstm_end + 4 * places * (hidden + 1)
+        for name, end in (("LSTM", lstm_end), ("head", head_end)):
+            if size < end:
+                raise ValueError(f"{path}: checkpoint truncated in the {name} tensors")
+        if size > head_end:
+            raise ValueError(f"{path}: {size - head_end} trailing bytes")
         lstm = LstmParams.zeros(m, hidden, _CHECKPOINT_DTYPE)
         head = HeadParams.zeros(hidden, places, _CHECKPOINT_DTYPE)
-        for name, flat in (("LSTM", lstm.flat), ("head", head.flat)):
-            data = fh.read(4 * flat.size)
-            if len(data) < 4 * flat.size:
-                raise ValueError(f"{path}: checkpoint truncated in the {name} tensors")
-            flat[...] = np.frombuffer(data, dtype="<f4")
-        trailing = len(fh.read())
-    if trailing:
-        raise ValueError(f"{path}: {trailing} trailing bytes")
+        for flat in (lstm.flat, head.flat):
+            flat[...] = np.frombuffer(fh.read(4 * flat.size), dtype="<f4")
     return SequenceModel(lstm=lstm, head=head, d_s=d_s, n=m - 2, rng_seed=None)
 
 

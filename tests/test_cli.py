@@ -121,6 +121,32 @@ def test_extract(capsys, tmp_path):
     assert "bad.pgm" in err
 
 
+def test_train_accepts_a_flat_frame(capsys, tmp_path):
+    # a uniform image extracts to an all-zero row, which stays zero when
+    # the reference is normalized
+    rng = np.random.default_rng(2)
+    images = tmp_path / "imgs"
+    images.mkdir()
+    for i in range(6):
+        image = rng.integers(0, 256, size=(8, 12), dtype=np.uint8)
+        _write_pgm(images / f"{i}.pgm", np.full_like(image, 90) if i == 3 else image)
+    desc = tmp_path / "desc.spd1"
+    code, _, err = run(
+        capsys, "extract", "--images", str(images), "--out", str(desc),
+        "--width", "6", "--height", "4", "--patch", "2",
+    )
+    assert code == 0, err
+    assert not load_descriptor_file(desc).data[3].any()
+    positions = tmp_path / "positions.txt"
+    positions.write_text("".join(f"{i},0\n" for i in range(6)))
+    code, _, err = run(
+        capsys, "train", "--ref", str(desc), "--ref-positions", str(positions),
+        "--out-checkpoint", str(tmp_path / "m.spm1"), "--out-curves", str(tmp_path / "c.csv"),
+        "--ds", "2", "--epochs", "2", "--hidden", "4",
+    )
+    assert code == 0, err
+
+
 def train_args(ds_dir, ckpt, curves, **overrides):
     flags = {"ds": "2", "epochs": "60", "hidden": "24", "seed": "0"}
     flags.update({k: str(v) for k, v in overrides.items()})

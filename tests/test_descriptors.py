@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,20 +72,64 @@ def test_delta_raw_equals_cumsum_formulation_exactly():
         assert np.array_equal(np.signbit(got), np.signbit(want)), f"case {case}"
 
 
-def test_unit_rows_equals_masked_division_exactly():
+def _masked_division(matrix):
+    norms = np.linalg.norm(matrix, axis=1)
+    nonzero = norms > 0.0
+    want = np.zeros_like(matrix)
+    want[nonzero] = matrix[nonzero] / norms[nonzero, None]
+    return want
+
+
+def test_unit_rows_equals_masked_division_exactly(monkeypatch):
     rng = np.random.default_rng(22)
     for dtype in (np.float32, np.float64):
         for zero_rows in ([], [0, 3]):
             matrix = rng.standard_normal((6, 5)).astype(dtype)
             matrix[zero_rows] = 0.0
-            norms = np.linalg.norm(matrix, axis=1)
-            nonzero = norms > 0.0
-            want = np.zeros_like(matrix)
-            want[nonzero] = matrix[nonzero] / norms[nonzero, None]
+            want = _masked_division(matrix)
             got, normalized = unit_rows(matrix)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
             assert normalized == (not zero_rows)
+    # cast into a wider out, in place, and zero rows of -0.0, in blocks of
+    # 1 row, 3 rows and the whole matrix
+    matrix = rng.standard_normal((7, 5)).astype(np.float32)
+    matrix[[1, 4]] = -0.0
+    matrix[2, 3] = -0.0
+    wide = matrix.astype(np.float64)
+    for block_rows in (1, 3, 7):
+        in_place = wide.copy()
+        for source, out, want in (
+            (matrix, None, _masked_division(matrix)),
+            (matrix, np.empty(wide.shape), _masked_division(wide)),
+            (in_place, in_place, _masked_division(wide)),
+        ):
+            monkeypatch.setattr(dataset, "_NORM_BLOCK_BYTES", want.itemsize * 5 * block_rows)
+            got, normalized = unit_rows(source, out)
+            assert out is None or got is out
+            assert got.dtype == want.dtype and not normalized
+            assert np.array_equal(got, want), block_rows
+            assert np.array_equal(np.signbit(got), np.signbit(want)), block_rows
+
+
+def test_normalizers_hold_one_float64_copy():
+    # float64 rows are normalized where they are computed: l2_normalize
+    # holds its float64 result and the float32 copy, delta_transform its
+    # window means and deltas while they are computed
+    rng = np.random.default_rng(26)
+    seq = DescriptorSequence(data=rng.standard_normal((2000, 1024)).astype(np.float32))
+    size = 8 * seq.data.size
+    for label, normalize, bound in (
+        ("l2_normalize", l2_normalize, 1.75),
+        ("delta_transform", lambda s: delta_transform(s, DeltaConfig(window=4)), 2.25),
+    ):
+        tracemalloc.start()
+        try:
+            normalize(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * size, (label, peak / size)
 
 
 def test_delta_cancels_constant_shift():

@@ -521,6 +521,16 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_checkpoint(bad)
 
 
+def test_checkpoint_sizes_are_checked_before_allocating(tmp_path):
+    # a header whose tensors would fill petabytes: the file is too short for
+    # them, which must be found before any buffer is allocated
+    path = tmp_path / "huge.spm1"
+    header = np.array([6, 1 << 24, 1 << 24, 2], dtype="<u4").tobytes()
+    path.write_bytes(b"SPM1" + header + bytes(64))
+    with pytest.raises(ValueError, match="truncated in the LSTM tensors"):
+        load_checkpoint(path)
+
+
 def test_curves_csv_roundtrip(tmp_path):
     curves = TrainingCurves(
         losses=[2.5, 1.25, 0.7071067811865476],
