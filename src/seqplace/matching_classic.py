@@ -14,8 +14,10 @@ rows[i] is row origin + i: a distance block arrives after the last r_window
 rows before it, a run of rows is enhanced once every row its windows reach
 is in the view, and it is searched once the d_s - 1 rows before it are
 enhanced. The stream holds one distance block and the r_window rows before
-it, the prefix sums one run's windows reach, and the last d_s - 1 enhanced
-rows with their maxima, and no Q x R array. `contrast_enhance` and
+it, a buffer of prefix sums with room for one run's span plus 2 r_window
+more rows (the rows carried from run to run move to its front only when the
+next run's span would not fit), and the last d_s - 1 enhanced rows with
+their maxima, and no Q x R array. `contrast_enhance` and
 `seqslam_search` drive the same two stages over a whole matrix, so the
 stream gives their results bit for bit.
 """
@@ -225,16 +227,19 @@ class _Contrast:
     """Contrast enhancement (see contrast_enhance) of a matrix M, one run of
     rows after another in row order.
 
-    The stage holds the column prefix sums of M and M * M over the rows that
-    one run's windows reach, carried on from run to run in row order, so
-    every entry is bit-identical to one computed from whole-column prefix
-    sums. The prefix is padded with zero rows before row 0 and with copies
-    of the whole-column sums after the last row, so the window of every row
-    q spans prefix rows q - r and q + r + 1, whether or not it is clamped.
-    The sums start by adding row 0 to the zero row, where np.cumsum starts
-    from row 0 itself; that can only turn a -0.0 sum of zero rows into 0.0,
-    which changes no window's sum unless all of the window's rows are zero,
-    and such a window is flat (its entries are 0).
+    The stage holds column prefix sums of M and M * M, carried on from run
+    to run in row order, so every entry is bit-identical to one computed
+    from whole-column prefix sums. Their buffer holds a run's span of prefix
+    rows plus 2r more: runs append their rows after the ones before, and the
+    2r + 1 rows a run shares with the next move to the front only when the
+    next run's span would not fit (every third run at 6000 columns and the
+    default r_window). The prefix is padded with zero rows before row 0 and
+    with copies of the whole-column sums after the last row, so the window
+    of every row q spans prefix rows q - r and q + r + 1, whether or not it
+    is clamped. The sums start by adding row 0 to the zero row, where
+    np.cumsum starts from row 0 itself; that can only turn a -0.0 sum of
+    zero rows into 0.0, which changes no window's sum unless all of the
+    window's rows are zero, and such a window is flat (its entries are 0).
     """
 
     def __init__(self, n_rows: int, n_cols: int, r_window: int):
@@ -244,8 +249,9 @@ class _Contrast:
         self.r = min(r_window, n_rows)  # a wider window covers every row too
         self.step = min(_block_rows(n_cols), n_rows)  # rows per run
         # pre[0, j] and pre[1, j] hold the sums of M and M * M over rows
-        # [0, base + j), clamped to the matrix, for base + j in [base, top]
-        self.pre = np.zeros((2, self.step + 2 * self.r + 1, n_cols))
+        # [0, base + j), clamped to the matrix, for base + j in [base, top]:
+        # one run's span of step + 2r + 1 rows and room for 2r more
+        self.pre = np.zeros((2, self.step + 4 * self.r + 1, n_cols))
         self.base, self.top = -self.r, 0
         self.stats = np.empty((2, self.step, n_cols))  # window means and stds
         self.flat = np.empty((self.step, n_cols), dtype=bool)
@@ -257,21 +263,27 @@ class _Contrast:
         one the run's windows reach."""
         r, n, n_rows, pre = self.r, r1 - r0, self.n_rows, self.pre
         first, last = r0 - r, r1 + r  # the prefix rows the run's windows span
-        kept = pre[:, first - self.base : self.top - self.base + 1]
-        pre[:, : kept.shape[1]] = kept
+        if last - self.base >= pre.shape[1]:
+            # move the 2r + 1 carried rows [first, top] to the front; they
+            # start at least 2r + 1 rows in, so the copy never overlaps
+            kept = pre[:, first - self.base : self.top - self.base + 1]
+            pre[:, : kept.shape[1]] = kept
+            self.base = first
+        base, lo = self.base, first - self.base
         # carry the running sums on over the rows of M that arrived, then pad
         stop = min(last, n_rows)
-        new = slice(self.top + 1 - first, stop + 1 - first)
+        new = slice(self.top + 1 - base, stop + 1 - base)
         pre[0, new] = rows[self.top - origin : stop - origin]
         np.multiply(pre[0, new], pre[0, new], out=pre[1, new])
         for j in range(new.start, new.stop):
             np.add(pre[:, j - 1], pre[:, j], out=pre[:, j])
         # stop is n_rows unless this slice is empty
-        pre[:, max(self.top, n_rows) + 1 - first : last + 1 - first] = pre[:, stop - first, None]
-        self.base, self.top = first, last
+        pre[:, max(self.top, n_rows) + 1 - base : last + 1 - base] = pre[:, stop - base, None]
+        self.top = last
         q = np.arange(r0, r1)
         count = (np.minimum(q + r, n_rows - 1) - np.maximum(q - r, 0) + 1).astype(np.float64)
-        stats = np.subtract(pre[:, 2 * r + 1 : 2 * r + 1 + n], pre[:, :n], out=self.stats[:, :n])
+        stats = np.subtract(pre[:, lo + 2 * r + 1 : lo + 2 * r + 1 + n], pre[:, lo : lo + n],
+                            out=self.stats[:, :n])
         stats /= count[:, None]
         m, s = stats
         f = self.flat[:n]
@@ -280,9 +292,12 @@ class _Contrast:
         np.sqrt(s, out=s)
         np.less(s, 1e-8, out=f)
         np.subtract(rows[r0 - origin : r1 - origin], m, out=out)
-        np.copyto(s, 1.0, where=f)
+        flat = f.any()  # a flat window divides by 1 and yields 0
+        if flat:
+            np.copyto(s, 1.0, where=f)
         out /= s
-        np.copyto(out, 0.0, where=f)
+        if flat:
+            np.copyto(out, 0.0, where=f)
 
 
 def contrast_enhance(matrix: DifferenceMatrix, r_window: int = 10) -> DifferenceMatrix:

@@ -192,6 +192,12 @@ def _project(lstm: LstmParams, xs: np.ndarray) -> np.ndarray:
     return proj.reshape(xs.shape[:-1] + (proj.shape[1],))
 
 
+def _gate_blocks(a: np.ndarray):
+    """The i, f, g, o column blocks of a B x 4H array, as views."""
+    h = a.shape[1] // 4
+    return a[:, :h], a[:, h : 2 * h], a[:, 2 * h : 3 * h], a[:, 3 * h :]
+
+
 def _recur(lstm: LstmParams, steps, h: np.ndarray | None = None, c: np.ndarray | None = None,
            keep: bool = False):
     """Run the recurrence over steps, an iterable of B x 4H projections, from
@@ -216,7 +222,7 @@ def _recur(lstm: LstmParams, steps, h: np.ndarray | None = None, c: np.ndarray |
         np.tanh(gates, out=gates)
         gates *= scale
         gates += shift
-        i, f, g, o = np.split(gates, 4, axis=1)
+        i, f, g, o = _gate_blocks(gates)
         c_next = f * c + i * g
         tc = np.tanh(c_next)
         if keep:
@@ -239,8 +245,8 @@ def _backward(model: SequenceModel, xs: np.ndarray, tape, h_last: np.ndarray,
     grads.lstm.w_h[...] = 0.0
     for t in reversed(range(len(tape))):
         h_prev, c_prev, gates, tc = tape[t]
-        i, f, g, o = np.split(gates, 4, axis=1)
-        da_i, da_f, da_g, da_o = np.split(da[t], 4, axis=1)
+        i, f, g, o = _gate_blocks(gates)
+        da_i, da_f, da_g, da_o = _gate_blocks(da[t])
         dc = dc + dh * o * (1.0 - tc * tc)
         da_i[...] = dc * g * i * (1.0 - i)
         da_f[...] = dc * c_prev * f * (1.0 - f)
@@ -507,17 +513,22 @@ def infer(model: SequenceModel, query: Traversal, d_s: int | None = None):
     frames = _window_inputs(query, model.lstm.flat.dtype)
     n_query = frames.shape[0]
     # input-side gate projections depend only on the frame, so compute them
-    # once and gather them per step
+    # once; step k of a block reads them as a slice, or as a gather that
+    # repeats frame 0 in a block whose first window starts before it
     proj = _project(model.lstm, frames)
     del frames
     activity = np.empty((n_query, model.places))
     for lo in range(0, n_query, 1024):
-        qs = np.arange(lo, min(lo + 1024, n_query))
-        steps = (proj[np.maximum(qs - d_s + 1 + k, 0)] for k in range(d_s))
+        hi = min(lo + 1024, n_query)
+        if lo >= d_s - 1:
+            steps = (proj[lo - d_s + 1 + k : hi - d_s + 1 + k] for k in range(d_s))
+        else:
+            qs = np.arange(lo, hi)
+            steps = (proj[np.maximum(qs - d_s + 1 + k, 0)] for k in range(d_s))
         h, _ = _recur(model.lstm, steps)
         logits = h @ model.head.w.T
         logits += model.head.b
-        activity[qs] = np.exp(_log_softmax(logits.astype(np.float64, copy=False)))
+        activity[lo:hi] = np.exp(_log_softmax(logits.astype(np.float64, copy=False)))
     best = np.argmax(activity, axis=1)
     report = MatchReport(
         query_indices=np.arange(n_query),

@@ -70,11 +70,13 @@ class RandomStream:
         return int(self.raw(1)[0] % np.uint64(n))
 
     def shuffle(self, arr: np.ndarray) -> None:
-        """In-place Fisher-Yates shuffle."""
+        """In-place Fisher-Yates shuffle of m elements from the next m - 1
+        raw outputs: for i = m - 1 down to 1, element i swaps with element
+        j = raw[m - 1 - i] mod (i + 1)."""
         m = len(arr)
         if m < 2:
             return
-        draws = self.raw(m - 1)
+        draws = self.raw(m - 1).tolist()
         for i in range(m - 1, 0, -1):
-            j = int(draws[m - 1 - i] % np.uint64(i + 1))
+            j = draws[m - 1 - i] % (i + 1)
             arr[i], arr[j] = arr[j], arr[i]

@@ -339,6 +339,39 @@ def test_seqslam_match_equals_the_stages_bit_for_bit(monkeypatch):
                 assert not got.higher_is_better
 
 
+def test_contrast_prefix_moves_keep_every_bit_over_long_runs(monkeypatch):
+    # 300 rows in runs of 1, 2 and 5 rows against windows of 3, 10 and 40:
+    # the carried prefix rows move to the front of their buffer many times,
+    # at offsets that differ with each pair
+    rng = np.random.default_rng(23)
+    rows, cols = 300, 6
+    data = rng.uniform(0.0, 2.0, size=(rows, cols))
+    data[90:210, 1] = 0.5  # flat windows in some runs and not in others
+    data[120:260, 4] = rng.choice(np.array([-0.0, 0.0]), size=140)
+    matrix = DifferenceMatrix(data=data, metric="cosine")
+    query = np.round(rng.standard_normal((rows, 4)) * 2.0) / 2.0
+    query[100:180] = 0.0  # zero rows: flat windows in the streamed stage too
+    reference = np.round(rng.standard_normal((9, 4)) * 2.0) / 2.0
+    q = DescriptorSequence(data=query.astype(np.float32))
+    r = DescriptorSequence(data=reference.astype(np.float32))
+    monkeypatch.setattr(matching_classic, "_DISTANCE_ROWS", 7)
+    for run_rows in (1, 2, 5):
+        for r_window in (3, 10, 40):
+            label = (run_rows, r_window)
+            monkeypatch.setattr(matching_classic, "_BLOCK_BYTES", 8 * cols * run_rows)
+            _assert_same_bits(contrast_enhance(matrix, r_window).data,
+                              _enhance_cumsum(data, r_window), label)
+            monkeypatch.setattr(matching_classic, "_BLOCK_BYTES", 8 * len(r.data) * run_rows)
+            cfg = SeqSlamConfig(d_s=3, r_window=r_window)
+            enhanced = contrast_enhance(difference_matrix(q, r), r_window).data
+            want = seqslam_search(DifferenceMatrix(data=enhanced, metric="cosine"), cfg)
+            out = np.empty((rows, len(r.data)))
+            got = seqslam_match(q, r, cfg, "cosine", out)
+            assert np.array_equal(got.best_ref, want.best_ref), label
+            _assert_same_bits(got.scores, want.scores, label)
+            _assert_same_bits(out, enhanced, label)
+
+
 def test_seqslam_match_needs_d_s_query_frames():
     rng = np.random.default_rng(20)
     q, r = _seq(rng, 3, 5), _seq(rng, 8, 5)

@@ -411,6 +411,24 @@ def test_infer_activity_is_softmax_of_reference_forward():
         assert np.allclose(activity[q], probs, rtol=1e-9, atol=1e-12)
 
 
+def test_infer_windows_hold_across_query_blocks():
+    # queries past the first 1024-row block read their steps' projections as
+    # slices; each window must still be frames [q - d_s + 1, q]
+    rng = np.random.default_rng(33)
+    query = _tiny_traversal(rng, 2100, 5)
+    model = init_model(n=5, places=7, d_s=4, hidden=6, seed=3)
+    activity, _ = infer(model, query)
+    frames = np.concatenate(
+        [query.descriptors.data.astype(np.float64), query.positions.data], axis=1
+    )
+    for q in (0, 2, 3, 1023, 1024, 1025, 2047, 2048, 2099):
+        idx = [max(q - 4 + 1 + k, 0) for k in range(4)]
+        logits = model_forward(model, frames[idx])
+        probs = np.exp(logits - logits.max())
+        probs /= probs.sum()
+        assert np.allclose(activity[q], probs, rtol=1e-9, atol=1e-12), q
+
+
 def _loaded(model, tmp_path):
     path = tmp_path / "model.spm1"
     save_checkpoint(model, path)

@@ -92,3 +92,20 @@ def test_shuffle_is_seeded_permutation():
     other = base.copy()
     RandomStream(9).shuffle(other)
     assert not np.array_equal(first, other)
+
+
+def test_shuffle_follows_documented_swaps():
+    # an independent scalar reading of the contract: for i = m - 1 down to
+    # 1, swap elements i and raw[m - 1 - i] mod (i + 1)
+    for m in (1, 2, 3, 50, 591):
+        raws = _splitmix_oracle(17, m - 1)
+        want = list(range(m))
+        for i in range(m - 1, 0, -1):
+            j = raws[m - 1 - i] % (i + 1)
+            want[i], want[j] = want[j], want[i]
+        got = np.arange(m)
+        stream = RandomStream(17)
+        stream.shuffle(got)
+        assert got.tolist() == want, m
+        # the shuffle consumes exactly m - 1 raw outputs
+        assert int(stream.raw(1)[0]) == _splitmix_oracle(17, m)[-1], m
