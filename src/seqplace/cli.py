@@ -22,7 +22,9 @@ from .dataset import (
     load_descriptor_file,
     load_positions_file,
     normalize_positions,
+    read_table,
     save_descriptor_file,
+    write_table,
 )
 from .descriptors import ThumbnailConfig, l2_normalize, read_pgm, thumbnail_descriptor
 from .evaluation import (
@@ -44,6 +46,7 @@ from .synthetic import SynthConfig, SynthPair, generate, generate_revisit, write
 
 METHODS = ("seqslam", "delta", "deep")
 _SEQSLAM_FLAGS = ("v_min", "v_max", "v_step", "r_window", "metric")
+_MATCH_HEADER = "query_index,best_ref,score"
 
 
 class UsageError(Exception):
@@ -223,67 +226,36 @@ def cmd_match(args) -> int:
     [method] = _build_methods([args.method], args, model=model, sink=sink)
     report = method.prepare(reference, d_s)(query)
     polarity = "higher" if report.higher_is_better else "lower"
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(f"# method={args.method}\n")
-        fh.write(f"# polarity={polarity}\n")
-        fh.write(f"# ds={d_s}\n")
-        fh.write("query_index,best_ref,score\n")
-        for q, r, s in zip(report.query_indices, report.best_ref, report.scores):
-            fh.write(f"{q},{r},{float(s)!r}\n")
+    rows = zip(report.query_indices, report.best_ref, report.scores)
+    meta = (("method", args.method), ("polarity", polarity), ("ds", d_s))
+    write_table(args.out, _MATCH_HEADER, rows, meta)
     print(args.out)
     return 0
 
 
 def load_match_csv(path) -> tuple[MatchReport, dict[str, str]]:
     """Read a match CSV; raises ValueError with a line number on bad rows."""
-    meta: dict[str, str] = {}
-    rows: list[tuple[int, int, float]] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, sep, value = line[1:].strip().partition("=")
-                if sep:
-                    meta[key.strip()] = value.strip()
-                continue
-            if line == "query_index,best_ref,score":
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            try:
-                rows.append((int(parts[0]), int(parts[1]), float(parts[2])))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
-    if not rows:
+    (queries, best, scores), meta, lines = read_table(path, _MATCH_HEADER, (int, int, float))
+    if not lines:
         raise ValueError(f"{path}: no match rows")
     polarity = meta.get("polarity")
     if polarity not in ("higher", "lower"):
         raise ValueError(f"{path}: missing or invalid '# polarity=' comment")
-    arr = np.array(rows, dtype=np.float64)
-    report = MatchReport(
-        query_indices=arr[:, 0].astype(np.int64),
-        best_ref=arr[:, 1].astype(np.int64),
-        scores=arr[:, 2],
-        higher_is_better=(polarity == "higher"),
-    )
-    return report, meta
+    return MatchReport(queries, best, scores, higher_is_better=(polarity == "higher")), meta
 
 
 def cmd_eval(args) -> int:
     report, meta = load_match_csv(_require_file(args.matches, "match CSV"))
     if args.delta is not None:
         delta = args.delta
+    elif args.ds is not None:
+        delta = tolerance_for(args.ds)
+    elif "ds" not in meta:
+        raise UsageError("need --ds or --delta (match CSV lacks a '# ds=' comment)")
+    elif not meta["ds"].isdigit():
+        raise ValueError(f"{args.matches}: malformed '# ds={meta['ds']}' comment")
     else:
-        if args.ds is not None:
-            d_s = args.ds
-        elif "ds" in meta:
-            d_s = int(meta["ds"])
-        else:
-            raise UsageError("need --ds or --delta (match CSV lacks a '# ds=' comment)")
-        delta = tolerance_for(d_s)
+        delta = tolerance_for(int(meta["ds"]))
     truth = None
     if args.ground_truth is not None:
         truth = load_ground_truth(_require_file(args.ground_truth, "ground-truth file"))

@@ -10,8 +10,9 @@ descriptors (and, reusing the same layout, for exported Q x R matrices):
     bytes 13-15  zero padding
     then         T*n IEEE-754 float32 little-endian, row-major
 
-Positions travel as plain text: one line per frame, two comma-separated
-decimal fields.
+Positions, ground truth and every report travel as text tables, read by
+read_table and written by write_table: one comma-separated row per line,
+"# key=value" comments first, then an optional header line.
 """
 
 from __future__ import annotations
@@ -246,30 +247,85 @@ def make_windows(traversal: Traversal, d_s: int) -> list[SequenceWindow]:
     return [SequenceWindow(start=i, length=d_s) for i in range(frames - d_s + 1)]
 
 
-def load_positions_file(path) -> np.ndarray:
-    """Raw T x 2 positions from the one-line-per-frame text format."""
-    rows = []
+def read_table(path, header: str | None = None, fields=None) -> tuple[list, dict[str, str], list[int]]:
+    """Read a text table as (columns, meta, lines), lines being each row's line number.
+
+    "# key=value" lines fill meta; blank lines, other "#" lines and header
+    lines are skipped. Each other line has one comma-separated field per
+    header name (or per fields entry) and no quoting. fields gives each
+    column's type (float if None); int and float columns come back as numpy
+    arrays, others as lists.
+    """
+    width = header.count(",") + 1 if header else len(fields)
+    kinds = fields or (float,) * width
+    meta: dict[str, str] = {}
+    cells: list[str] = []
+    lines: list[int] = []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
+            if not line or line == header:
+                continue
+            if line[0] == "#":
+                key, sep, value = line[1:].partition("=")
+                if sep:
+                    meta[key.strip()] = value.strip()
                 continue
             parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two comma-separated fields")
+            if len(parts) != width:
+                named = f" under header {header!r}" if header else ""
+                raise ValueError(f"{path}:{lineno}: expected {width} fields{named}, got {len(parts)}")
+            cells += parts
+            lines.append(lineno)
+    try:
+        # one conversion per column; rows are scanned only to name a bad line
+        return _columns(cells, kinds), meta, lines
+    except (ValueError, OverflowError):  # numpy overflows on a too-large int64
+        for i, lineno in enumerate(lines):
+            row = cells[i * width : (i + 1) * width]
             try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric field") from None
-    if not rows:
+                _columns(row, kinds)
+            except (ValueError, OverflowError):
+                raise ValueError(f"{path}:{lineno}: malformed row {','.join(row)!r}") from None
+        raise
+
+
+def _columns(cells: list[str], kinds) -> list:
+    columns = []
+    for j, kind in enumerate(kinds):
+        column = cells[j :: len(kinds)]
+        columns.append(np.array(column, dtype=kind) if kind in (int, float) else list(map(kind, column)))
+    return columns
+
+
+def write_table(path, header: str | None, rows, meta=()) -> None:
+    """Write meta as "# key=value" lines, the header, then the rows; floats as
+    repr(float(v)), which reads back bit-exactly, and None as an empty field."""
+    with open(path, "w", encoding="ascii") as fh:
+        for key, value in meta:
+            fh.write(f"# {key}={_field(value)}\n")
+        if header is not None:
+            fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_field, row)) + "\n")
+
+
+def _field(value) -> str:
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
+
+
+def load_positions_file(path) -> np.ndarray:
+    """Raw T x 2 positions: a headerless table of two float fields."""
+    columns, _, lines = read_table(path, fields=(float, float))
+    if not lines:
         raise ValueError(f"{path}: no position rows")
-    return np.array(rows, dtype=np.float64)
+    return np.stack(columns, axis=1)
 
 
 def save_positions_file(raw: np.ndarray, path) -> None:
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 2 or raw.shape[1] != 2:
         raise ValueError(f"positions must be T x 2, got shape {raw.shape}")
-    with open(path, "w", encoding="ascii") as fh:
-        for x, y in raw:
-            fh.write(f"{float(x)!r},{float(y)!r}\n")
+    write_table(path, None, raw)

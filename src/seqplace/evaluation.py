@@ -18,11 +18,14 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import Traversal
+from .dataset import Traversal, read_table, write_table
 from .descriptors import DeltaConfig, l2_normalize
 from .matching_classic import MatchReport, SeqSlamConfig, delta_match, seqslam_match
 from . import neural
 from .synthetic import SynthPair
+
+_PR_HEADER = "threshold,precision,recall"
+_SWEEP_HEADER = "method,d_s,query_name,auc"
 
 
 def tolerance_for(d_s: int) -> int:
@@ -123,55 +126,26 @@ def pr_curve(report: MatchReport, delta: int, ground_truth: dict[int, int] | Non
 
 
 def save_pr_csv(curve: PRCurve, path, delta: int | None = None) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        if delta is not None:
-            fh.write(f"# delta={delta}\n")
-        fh.write(f"# auc={curve.auc!r}\n")
-        fh.write("threshold,precision,recall\n")
-        for th, pr, rc in zip(curve.thresholds, curve.precision, curve.recall):
-            fh.write(f"{float(th)!r},{float(pr)!r},{float(rc)!r}\n")
+    meta = ([] if delta is None else [("delta", delta)]) + [("auc", curve.auc)]
+    write_table(path, _PR_HEADER, zip(curve.thresholds, curve.precision, curve.recall), meta)
 
 
 def load_pr_csv(path) -> PRCurve:
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line == "threshold,precision,recall":
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 fields")
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
-    if not rows:
+    (thresholds, precision, recall), _, lines = read_table(path, _PR_HEADER)
+    if not lines:
         raise ValueError(f"{path}: no curve points")
-    arr = np.array(rows, dtype=np.float64)
-    auc = float(np.trapezoid(arr[:, 1], arr[:, 2]))
-    return PRCurve(thresholds=arr[:, 0], precision=arr[:, 1], recall=arr[:, 2], auc=auc)
+    auc = float(np.trapezoid(precision, recall))
+    return PRCurve(thresholds=thresholds, precision=precision, recall=recall, auc=auc)
 
 
 def load_ground_truth(path) -> dict[int, int]:
-    """Alignment override: one "query_index,reference_index" per line."""
-    table: dict[int, int] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected query_index,reference_index")
-            try:
-                q, r = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            table[q] = r
-    return table
+    """Alignment override: one "query_index,reference_index" row per query index."""
+    (queries, refs), _, lines = read_table(path, fields=(int, int))
+    first: dict[int, int] = {}
+    for q, lineno in zip(queries.tolist(), lines):
+        if first.setdefault(q, lineno) != lineno:
+            raise ValueError(f"{path}:{lineno}: query index {q} repeats line {first[q]}")
+    return dict(zip(queries.tolist(), refs.tolist()))
 
 
 Deploy = Callable[[Traversal], MatchReport]
@@ -341,36 +315,17 @@ def ds_sweep(
 
 
 def save_sweep_csv(cells: list[SweepCell], path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("method,d_s,query_name,auc\n")
-        for c in cells:
-            auc = "" if c.auc is None else repr(c.auc)
-            fh.write(f"{c.method},{c.d_s},{c.query_name},{auc}\n")
+    write_table(path, _SWEEP_HEADER, ((c.method, c.d_s, c.query_name, c.auc) for c in cells))
+
+
+def _optional_float(text: str) -> float | None:
+    return None if text == "" else float(text)
 
 
 def load_sweep_csv(path) -> list[SweepCell]:
-    cells = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "method,d_s,query_name,auc":
-            raise ValueError(f"{path}: unexpected sweep header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields")
-            try:
-                d_s, auc = int(parts[1]), None if parts[3] == "" else float(parts[3])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
-            cells.append(SweepCell(parts[0], d_s, parts[2], auc))
-    return cells
-
-
-def _device_label() -> str:
-    return f"{platform.machine() or 'cpu'}, {os.cpu_count() or 1} logical cores"
+    kinds = (str, int, str, _optional_float)
+    (methods, ds, names, aucs), _, _ = read_table(path, _SWEEP_HEADER, kinds)
+    return [SweepCell(*cell) for cell in zip(methods, ds.tolist(), names, aucs)]
 
 
 def benchmark(method: Method, pair: SynthPair, d_s: int, repetitions: int = 3) -> BenchResult:
@@ -387,12 +342,10 @@ def benchmark(method: Method, pair: SynthPair, d_s: int, repetitions: int = 3) -
         method=method.name,
         seconds=float(median(times)),
         frames=pair.query.frame_count,
-        device=_device_label(),
+        device=f"{platform.machine() or 'cpu'} ({os.cpu_count() or 1} logical cores)",
     )
 
 
 def save_bench_csv(results: list[BenchResult], path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("method,seconds,frames,device\n")
-        for r in results:
-            fh.write(f"{r.method},{r.seconds!r},{r.frames},{r.device}\n")
+    write_table(path, "method,seconds,frames,device",
+                ((r.method, r.seconds, r.frames, r.device) for r in results))

@@ -31,11 +31,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import _UNIT_NORM_TOL, Traversal, _row_norms, make_windows
+from .dataset import _UNIT_NORM_TOL, Traversal, _row_norms, make_windows, read_table, write_table
 from .matching_classic import MatchReport
 from .rng import RandomStream
 
 SPM1_MAGIC = b"SPM1"
+_CURVES_HEADER = "epoch,loss,accuracy,seconds"
 # the dtype SPM1 stores weights in, and so the one loaded models compute in
 _CHECKPOINT_DTYPE = np.dtype(np.float32)
 
@@ -576,32 +577,11 @@ def load_checkpoint(path) -> SequenceModel:
 
 
 def save_curves_csv(curves: TrainingCurves, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("epoch,loss,accuracy,seconds\n")
-        for i, (loss, acc, sec) in enumerate(
-            zip(curves.losses, curves.accuracies, curves.seconds)
-        ):
-            fh.write(f"{i},{loss!r},{acc!r},{sec!r}\n")
+    rows = zip(range(len(curves)), curves.losses, curves.accuracies, curves.seconds)
+    write_table(path, _CURVES_HEADER, rows)
 
 
 def load_curves_csv(path) -> TrainingCurves:
-    curves = TrainingCurves(losses=[], accuracies=[], seconds=[])
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "epoch,loss,accuracy,seconds":
-            raise ValueError(f"{path}: unexpected curves header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields")
-            try:
-                loss, acc, sec = (float(v) for v in parts[1:])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
-            curves.losses.append(loss)
-            curves.accuracies.append(acc)
-            curves.seconds.append(sec)
-    return curves
+    columns, _, _ = read_table(path, _CURVES_HEADER, (int, float, float, float))
+    _, losses, accuracies, seconds = (column.tolist() for column in columns)
+    return TrainingCurves(losses=losses, accuracies=accuracies, seconds=seconds)

@@ -427,6 +427,19 @@ def test_load_match_csv_errors(tmp_path):
         load_match_csv(path)
 
 
+def test_eval_names_the_file_of_a_bad_ds_comment_or_repeated_query(capsys, tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("# polarity=higher\n# ds=abc\nquery_index,best_ref,score\n0,0,1.0\n")
+    code, _, err = run(capsys, "eval", "--matches", str(path))
+    assert code == 3
+    assert f"{path}: malformed '# ds=abc' comment" in err
+    gt = tmp_path / "gt.csv"
+    gt.write_text("0,0\n0,1\n")
+    code, _, err = run(capsys, "eval", "--matches", str(path), "--delta", "0", "--ground-truth", str(gt))
+    assert code == 3
+    assert f"{gt}:2: query index 0 repeats line 1" in err
+
+
 def test_sweep(capsys, tmp_path):
     ds = synth_dataset(capsys, tmp_path, noise="0.2")
     out = tmp_path / "sweep.csv"
@@ -557,3 +570,17 @@ def test_bench(capsys, tmp_path):
         capsys, "bench", "--method", "seqslam", "--ds", "2", "--reps", "0",
         "--ref", str(ds / "reference.spd1"), "--query", str(ds / "query.spd1"),
     )[0] == 2
+
+
+def test_bench_out_rows_have_four_fields(capsys, tmp_path):
+    ds = synth_dataset(capsys, tmp_path)
+    out = tmp_path / "bench.csv"
+    code, _, err = run(
+        capsys, "bench", "--method", "delta", "--ds", "2", "--reps", "1",
+        "--ref", str(ds / "reference.spd1"), "--query", str(ds / "query.spd1"),
+        "--out", str(out),
+    )
+    assert code == 0, err
+    rows = out.read_text().splitlines()
+    assert len(rows) == 2
+    assert [len(row.split(",")) for row in rows] == [4, 4]

@@ -195,6 +195,13 @@ def test_load_ground_truth(tmp_path):
         load_ground_truth(path)
 
 
+def test_load_ground_truth_rejects_a_repeated_query_index(tmp_path):
+    path = tmp_path / "gt.csv"
+    path.write_text("0,5\n1,6\n0,9\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: query index 0 repeats line 1")):
+        load_ground_truth(path)
+
+
 def test_delta_window_for():
     assert delta_window_for(1) == 2
     assert delta_window_for(2) == 2

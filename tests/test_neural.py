@@ -575,6 +575,13 @@ def test_curves_csv_names_the_line_of_a_non_numeric_field(tmp_path):
         load_curves_csv(path)
 
 
+def test_curves_csv_parses_the_epoch(tmp_path):
+    path = tmp_path / "curves.csv"
+    path.write_text("epoch,loss,accuracy,seconds\nx,2.5,0.1,0.01\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: malformed row 'x,2.5,0.1,0.01'")):
+        load_curves_csv(path)
+
+
 def test_training_error_carries_location():
     err = TrainingError(epoch=4, batch=7)
     assert err.epoch == 4 and err.batch == 7
