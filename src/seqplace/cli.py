@@ -19,6 +19,7 @@ from .dataset import (
     DescriptorSequence,
     PositionTrack,
     Traversal,
+    ascii_lines,
     load_descriptor_file,
     load_positions_file,
     normalize_positions,
@@ -42,7 +43,7 @@ from .evaluation import (
     trained_method,
 )
 from .matching_classic import MatchReport
-from .synthetic import SynthConfig, SynthPair, generate, generate_revisit, write_dataset
+from .synthetic import SynthConfig, generate, generate_revisit, write_dataset
 
 METHODS = ("seqslam", "delta", "deep")
 _SEQSLAM_FLAGS = ("v_min", "v_max", "v_step", "r_window", "metric")
@@ -63,17 +64,16 @@ def _read_config_flags(path) -> list[str]:
     if not os.path.isfile(path):
         raise UsageError(f"config file not found: {path}")
     flags: list[str] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not sep or not key:
-                raise UsageError(f"{path}:{lineno}: expected key = value")
-            flags.extend([f"--{key.replace('_', '-')}", value])
+    for lineno, raw in ascii_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not sep or not key:
+            raise UsageError(f"{path}:{lineno}: expected key = value")
+        flags.extend([f"--{key.replace('_', '-')}", value])
     return flags
 
 
@@ -105,9 +105,7 @@ def _parse_drift(text: str | None) -> tuple[float, ...] | None:
         raise UsageError(f"--drift expects comma-separated numbers, got {text!r}") from None
 
 
-def _load_traversal(
-    desc_path, pos_path=None, name: str | None = None, normalize: bool = False
-) -> Traversal:
+def _load_traversal(desc_path, pos_path=None, normalize: bool = False) -> Traversal:
     seq = load_descriptor_file(_require_file(desc_path, "descriptor file"))
     if normalize:
         seq = l2_normalize(seq)
@@ -121,8 +119,7 @@ def _load_traversal(
         track = normalize_positions(raw)
     else:
         track = PositionTrack(np.zeros((seq.frame_count, 2)))
-    if name is None:
-        name = os.path.splitext(os.path.basename(desc_path))[0]
+    name = os.path.splitext(os.path.basename(desc_path))[0]
     return Traversal(name=name, descriptors=seq, positions=track)
 
 
@@ -309,7 +306,7 @@ def cmd_sweep(args) -> int:
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:
             raise UsageError(f"{flag} repeats {', '.join(map(str, repeated))}")
-    pair = SynthPair(*_load_pair(args, need_positions="deep" in names))
+    pair = _load_pair(args, need_positions="deep" in names)
     cells = ds_sweep(_build_methods(names, args), ds_values, [pair])
     save_sweep_csv(cells, args.out)
     print(args.out)
@@ -321,7 +318,7 @@ def cmd_bench(args) -> int:
         raise UsageError(f"--ds must be >= 1, got {args.ds}")
     if args.reps < 1:
         raise UsageError(f"--reps must be >= 1, got {args.reps}")
-    pair = SynthPair(*_load_pair(args, need_positions=(args.method == "deep")))
+    pair = _load_pair(args, need_positions=(args.method == "deep"))
     method = _build_methods([args.method], args)[0]
     result = benchmark(method, pair, args.ds, repetitions=args.reps)
     print(f"{result.method},{result.seconds!r},{result.frames}")
@@ -433,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _inject_config(argv)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:  # ValueError: a config byte outside ASCII
         print(f"error: {exc}", file=sys.stderr)
         return 2
     parser = build_parser()
@@ -446,9 +443,6 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except neural.TrainingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -247,6 +247,18 @@ def make_windows(traversal: Traversal, d_s: int) -> list[SequenceWindow]:
     return [SequenceWindow(start=i, length=d_s) for i in range(frames - d_s + 1)]
 
 
+def ascii_lines(path):
+    """Yield (line number, line) of an ASCII text file. A byte outside ASCII
+    raises ValueError naming path:line, looked for once decoding has failed."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            lineno = next(i for i, raw in enumerate(fh, start=1) if not raw.isascii())
+        raise ValueError(f"{path}:{lineno}: a byte is not ASCII") from None
+
+
 def read_table(path, header: str | None = None, fields=None) -> tuple[list, dict[str, str], list[int]]:
     """Read a text table as (columns, meta, lines), lines being each row's line number.
 
@@ -261,22 +273,21 @@ def read_table(path, header: str | None = None, fields=None) -> tuple[list, dict
     meta: dict[str, str] = {}
     cells: list[str] = []
     lines: list[int] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line == header:
-                continue
-            if line[0] == "#":
-                key, sep, value = line[1:].partition("=")
-                if sep:
-                    meta[key.strip()] = value.strip()
-                continue
-            parts = line.split(",")
-            if len(parts) != width:
-                named = f" under header {header!r}" if header else ""
-                raise ValueError(f"{path}:{lineno}: expected {width} fields{named}, got {len(parts)}")
-            cells += parts
-            lines.append(lineno)
+    for lineno, line in ascii_lines(path):
+        line = line.strip()
+        if not line or line == header:
+            continue
+        if line[0] == "#":
+            key, sep, value = line[1:].partition("=")
+            if sep:
+                meta[key.strip()] = value.strip()
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            named = f" under header {header!r}" if header else ""
+            raise ValueError(f"{path}:{lineno}: expected {width} fields{named}, got {len(parts)}")
+        cells += parts
+        lines.append(lineno)
     try:
         # one conversion per column; rows are scanned only to name a bad line
         return _columns(cells, kinds), meta, lines

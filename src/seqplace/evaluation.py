@@ -22,7 +22,6 @@ from .dataset import Traversal, read_table, write_table
 from .descriptors import DeltaConfig, l2_normalize
 from .matching_classic import MatchReport, SeqSlamConfig, delta_match, seqslam_match
 from . import neural
-from .synthetic import SynthPair
 
 _PR_HEADER = "threshold,precision,recall"
 _SWEEP_HEADER = "method,d_s,query_name,auc"
@@ -150,6 +149,7 @@ def load_ground_truth(path) -> dict[int, int]:
 
 Deploy = Callable[[Traversal], MatchReport]
 Sink = Callable[[np.ndarray], None]
+Pair = tuple[Traversal, Traversal]  # (reference, query); a SynthPair unpacks into one
 
 
 @dataclass(frozen=True)
@@ -288,7 +288,7 @@ class SweepCell:
 def ds_sweep(
     methods: list[Method],
     ds_values: list[int],
-    pairs: list[SynthPair],
+    pairs: list[Pair],
 ) -> list[SweepCell]:
     """AUC per (method, d_s, pair) at delta = d_s + 10, sorted by key.
 
@@ -296,16 +296,16 @@ def ds_sweep(
     None, its error and a stderr line; other exceptions abort the sweep.
     """
 
-    def run(method: Method, d_s: int, pair: SynthPair) -> SweepCell:
+    def run(method: Method, d_s: int, reference: Traversal, query: Traversal) -> SweepCell:
         auc = error = None
         try:
-            report = method.prepare(pair.reference, d_s)(pair.query)
+            report = method.prepare(reference, d_s)(query)
             auc = pr_curve(report, tolerance_for(d_s)).auc
         except (ValueError, OSError, RuntimeError) as exc:
             error = f"{type(exc).__name__}: {exc}"
-        return SweepCell(method.name, d_s, pair.query.name, auc, error)
+        return SweepCell(method.name, d_s, query.name, auc, error)
 
-    results = [run(m, d, p) for m in methods for d in ds_values for p in pairs]
+    results = [run(m, d, *p) for m in methods for d in ds_values for p in pairs]
     results.sort(key=lambda c: (c.method, c.d_s, c.query_name))
     for c in results:
         if c.error is not None:
@@ -328,20 +328,21 @@ def load_sweep_csv(path) -> list[SweepCell]:
     return [SweepCell(*cell) for cell in zip(methods, ds.tolist(), names, aucs)]
 
 
-def benchmark(method: Method, pair: SynthPair, d_s: int, repetitions: int = 3) -> BenchResult:
+def benchmark(method: Method, pair: Pair, d_s: int, repetitions: int = 3) -> BenchResult:
     """Median deployment wall time; preparation stays outside the clock."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    deploy = method.prepare(pair.reference, d_s)
+    reference, query = pair
+    deploy = method.prepare(reference, d_s)
     times = []
     for _ in range(repetitions):
         tick = time.perf_counter()
-        deploy(pair.query)
+        deploy(query)
         times.append(time.perf_counter() - tick)
     return BenchResult(
         method=method.name,
         seconds=float(median(times)),
-        frames=pair.query.frame_count,
+        frames=query.frame_count,
         device=f"{platform.machine() or 'cpu'} ({os.cpu_count() or 1} logical cores)",
     )
 

@@ -9,17 +9,16 @@ nearest-neighbor retrieval in delta-descriptor space.
 Distances are computed in blocks of query rows, one GEMM per block; only
 `difference_matrix` stores every block. Nearest-neighbor and delta matching
 keep each row's argmin and its distance. `seqslam_match` streams the blocks
-through both SeqSLAM stages. Each stage reads a view (rows, origin) in which
-rows[i] is row origin + i: a distance block arrives after the last r_window
-rows before it, a run of rows is enhanced once every row its windows reach
-is in the view, and it is searched once the d_s - 1 rows before it are
-enhanced. The stream holds one distance block and the r_window rows before
-it, a buffer of prefix sums with room for one run's span plus 2 r_window
-more rows (the rows carried from run to run move to its front only when the
-next run's span would not fit), and the last d_s - 1 enhanced rows with
-their maxima, and no Q x R array. `contrast_enhance` and
-`seqslam_search` drive the same two stages over a whole matrix, so the
-stream gives their results bit for bit.
+through both SeqSLAM stages, which share one view (rows, origin) in which
+rows[i] is row origin + i: a distance block after the r_window + d_s - 1
+rows before it. A run of rows is enhanced in place once every row its
+windows reach is in the view, then searched in the view, which still holds
+the d_s - 1 enhanced rows before the run. Besides the view the stream holds
+a buffer of prefix sums with room for one run's span plus 2 r_window more
+rows (the rows carried from run to run move to its front only when the next
+run's span would not fit) and the Q row maxima, and no Q x R array.
+`contrast_enhance` and `seqslam_search` drive the same two stages over a
+whole matrix, so the stream gives their results bit for bit.
 """
 
 from __future__ import annotations
@@ -145,12 +144,14 @@ def _distance_blocks(query, reference, metric, keep=0):
     query rows, in row order, after up to `keep` rows of the ones before it.
 
     Rows are views of one scratch array, to whose front the last `keep`
-    rows move before the next block is computed. A block never has a single
-    row unless the query does, since numpy hands a one-row product to GEMV,
-    which sums in another order than GEMM. The reference is cast to float64
-    once; the query a block at a time, into one block-sized buffer. For the
-    cosine metric `unit_rows` normalizes both in those float64 buffers;
-    every step is row-wise, so the bits are those of a whole-query cast.
+    rows move before the next block is computed; a consumer may overwrite
+    rows of the view, and the carried rows keep what it wrote. A block never
+    has a single row unless the query does, since numpy hands a one-row
+    product to GEMV, which sums in another order than GEMM. The reference is
+    cast to float64 once; the query a block at a time, into one block-sized
+    buffer. For the cosine metric `unit_rows` normalizes both in those
+    float64 buffers; every step is row-wise, so the bits are those of a
+    whole-query cast.
     """
     if query.dim != reference.dim:
         raise ValueError(f"descriptor dims differ: {query.dim} vs {reference.dim}")
@@ -256,11 +257,12 @@ class _Contrast:
         self.stats = np.empty((2, self.step, n_cols))  # window means and stds
         self.flat = np.empty((self.step, n_cols), dtype=bool)
 
-    def enhance(self, rows: np.ndarray, origin: int, r0: int, r1: int, out: np.ndarray) -> None:
-        """Write enhanced rows [r0, r1) into out (which also serves as
-        scratch). The run follows the one enhanced last (r0 = 0 first), and
-        rows[i] is row origin + i of M for every row from r0 up to the last
-        one the run's windows reach."""
+    def enhance(self, rows: np.ndarray, origin: int, r0: int, r1: int) -> np.ndarray:
+        """Enhance rows [r0, r1) in place and return them as a view of rows.
+        The run follows the one enhanced last (r0 = 0 first), and rows[i] is
+        row origin + i of M for every row from r0 up to the last one the
+        run's windows reach. The prefix sums read no row before r0 again and
+        read the run's rows before they are overwritten."""
         r, n, n_rows, pre = self.r, r1 - r0, self.n_rows, self.pre
         first, last = r0 - r, r1 + r  # the prefix rows the run's windows span
         if last - self.base >= pre.shape[1]:
@@ -287,17 +289,19 @@ class _Contrast:
         stats /= count[:, None]
         m, s = stats
         f = self.flat[:n]
-        s -= np.multiply(m, m, out=out)
+        out = rows[r0 - origin : r1 - origin]
+        out -= m
+        s -= np.multiply(m, m, out=m)
         np.clip(s, 0.0, None, out=s)
         np.sqrt(s, out=s)
         np.less(s, 1e-8, out=f)
-        np.subtract(rows[r0 - origin : r1 - origin], m, out=out)
         flat = f.any()  # a flat window divides by 1 and yields 0
         if flat:
             np.copyto(s, 1.0, where=f)
         out /= s
         if flat:
             np.copyto(out, 0.0, where=f)
+        return out
 
 
 def contrast_enhance(matrix: DifferenceMatrix, r_window: int = 10) -> DifferenceMatrix:
@@ -308,17 +312,15 @@ def contrast_enhance(matrix: DifferenceMatrix, r_window: int = 10) -> Difference
     clamped to the matrix; windows with sigma < 1e-8 yield 0.
 
     The whole matrix goes through the contrast stage of `seqslam_match` as
-    one view: the output is written run by run of query rows from running
-    column sums, so besides the new Q x R matrix only run-sized scratch is
-    held.
+    one view: a copy of it is enhanced in place, run by run of query rows,
+    from running column sums, so besides that Q x R copy only run-sized
+    scratch is held.
     """
-    data = matrix.data
-    out = np.empty_like(data)
+    data = matrix.data.copy()
     stage = _Contrast(*data.shape, r_window)
     for r0 in range(0, len(data), stage.step):
-        r1 = min(r0 + stage.step, len(data))
-        stage.enhance(data, 0, r0, r1, out[r0:r1])
-    return DifferenceMatrix(data=_Fresh(out), metric=matrix.metric)
+        stage.enhance(data, 0, r0, min(r0 + stage.step, len(data)))
+    return DifferenceMatrix(data=_Fresh(data), metric=matrix.metric)
 
 
 def velocity_grid(cfg: SeqSlamConfig) -> np.ndarray:
@@ -478,40 +480,32 @@ def seqslam_match(
     The report is bit for bit that of
     seqslam_search(contrast_enhance(difference_matrix(query, reference,
     metric), cfg.r_window), cfg). The query is walked once in distance
-    blocks; each run of rows is enhanced as soon as the rows its windows
-    reach have arrived, and searched right after, from a ring that holds it
-    and the d_s - 1 enhanced rows before it. If out (Q x R float64) is
-    given, the enhanced rows are written into it as well.
+    blocks; each run of rows is enhanced in place in the blocks' view as
+    soon as the rows its windows reach have arrived, and searched right
+    after in that view. If out (Q x R float64) is given, the enhanced rows
+    are written into it as well.
     """
     n_query, n_ref = query.frame_count, reference.frame_count
     if out is not None and out.shape != (n_query, n_ref):
         raise ValueError(f"out must be {n_query} x {n_ref}, got shape {out.shape}")
     search = _Search(n_query, n_ref, cfg)
     contrast = _Contrast(n_query, n_ref, cfg.r_window)
-    keep = cfg.d_s - 1
-    # ring[i] is enhanced row first + i and ring_max[i] its maximum: the
-    # keep rows before a run, then the run
-    ring = np.empty((keep + contrast.step, n_ref))
-    ring_max = np.empty(len(ring))
-    first = done = b0 = 0  # rows [0, done) are enhanced, [0, b0) checked
-    for origin, rows in _distance_blocks(query, reference, metric, keep=cfg.r_window):
+    row_max = np.empty(n_query)
+    done = b0 = 0  # rows [0, done) are enhanced, [0, b0) checked
+    keep = cfg.r_window + cfg.d_s - 1
+    for origin, rows in _distance_blocks(query, reference, metric, keep=keep):
         b1 = origin + len(rows)
         _check_finite(rows[b0 - origin :])
         # a row is complete once the rows up to r_window after it are in
         end = n_query if b1 == n_query else b1 - cfg.r_window
         for r0 in range(done, end, contrast.step):
             r1 = min(r0 + contrast.step, end)
-            start = max(r0 - keep, 0)
-            ring[: r0 - start] = ring[start - first : r0 - first]
-            ring_max[: r0 - start] = ring_max[start - first : r0 - first]
-            first = start
-            run = ring[r0 - first : r1 - first]
-            contrast.enhance(rows, origin, r0, r1, run)
+            run = contrast.enhance(rows, origin, r0, r1)
             _check_finite(run)
-            np.max(run, axis=1, out=ring_max[r0 - first : r1 - first])
+            np.max(run, axis=1, out=row_max[r0:r1])
             if out is not None:
                 out[r0:r1] = run
-            search.search(ring, ring_max, first, r0, r1)
+            search.search(rows, row_max[origin:], origin, r0, r1)
         done, b0 = max(done, end), b1
     return search.report()
 

@@ -186,9 +186,10 @@ class TrainingCurves:
         return len(self.losses)
 
 
-def _project(lstm: LstmParams, xs: np.ndarray) -> np.ndarray:
-    """Input-side gate pre-activations x W_x^T + b of all rows of xs, one GEMM."""
-    proj = xs.reshape(-1, xs.shape[-1]) @ lstm.w_x.T
+def _project(lstm: LstmParams, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Input-side gate pre-activations x W_x^T + b of all rows of xs, one GEMM
+    (into out, rows x 4H, if given)."""
+    proj = np.matmul(xs.reshape(-1, xs.shape[-1]), lstm.w_x.T, out=out)
     proj += lstm.b
     return proj.reshape(xs.shape[:-1] + (proj.shape[1],))
 
@@ -511,25 +512,21 @@ def infer(model: SequenceModel, query: Traversal, d_s: int | None = None):
         raise ValueError(
             f"query descriptor dim {query.descriptors.dim} != model dim {model.n}"
         )
-    frames = _window_inputs(query, model.lstm.flat.dtype)
-    n_query = frames.shape[0]
+    n_query, dtype = query.frame_count, model.lstm.flat.dtype
     # input-side gate projections depend only on the frame, so compute them
-    # once; step k of a block reads them as a slice, or as a gather that
-    # repeats frame 0 in a block whose first window starts before it
-    proj = _project(model.lstm, frames)
-    del frames
+    # once, after d_s - 1 rows that repeat frame 0's: proj[q + k] is step k
+    # of query q's window, so step k of a block is one slice
+    proj = np.empty((d_s - 1 + n_query, 4 * model.lstm.hidden_dim), dtype=dtype)
+    _project(model.lstm, _window_inputs(query, dtype), out=proj[d_s - 1 :])
+    proj[: d_s - 1] = proj[d_s - 1]
     activity = np.empty((n_query, model.places))
     for lo in range(0, n_query, 1024):
         hi = min(lo + 1024, n_query)
-        if lo >= d_s - 1:
-            steps = (proj[lo - d_s + 1 + k : hi - d_s + 1 + k] for k in range(d_s))
-        else:
-            qs = np.arange(lo, hi)
-            steps = (proj[np.maximum(qs - d_s + 1 + k, 0)] for k in range(d_s))
-        h, _ = _recur(model.lstm, steps)
+        h, _ = _recur(model.lstm, (proj[lo + k : hi + k] for k in range(d_s)))
         logits = h @ model.head.w.T
         logits += model.head.b
-        activity[lo:hi] = np.exp(_log_softmax(logits.astype(np.float64, copy=False)))
+        activity[lo:hi] = logits  # the softmax runs in float64, in the activity rows
+        np.exp(_log_softmax(activity[lo:hi]), out=activity[lo:hi])
     best = np.argmax(activity, axis=1)
     report = MatchReport(
         query_indices=np.arange(n_query),

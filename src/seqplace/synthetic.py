@@ -69,6 +69,9 @@ class SynthPair:
         if self.reference.frame_count != self.query.frame_count:
             raise ValueError("reference and query must have equal frame counts")
 
+    def __iter__(self):  # unpacks as the (reference, query) pair ds_sweep and benchmark take
+        return iter((self.reference, self.query))
+
 
 def _walk(rng: RandomStream, cfg: SynthConfig) -> np.ndarray:
     """AR(1) descriptor walk, rows L2-normalized, float64."""
@@ -171,14 +174,9 @@ def write_dataset(pair: SynthPair, directory, cfg: SynthConfig) -> str:
     the PRNG algorithm identifier.
     """
     os.makedirs(directory, exist_ok=True)
-    save_descriptor_file(pair.reference.descriptors, os.path.join(directory, "reference.spd1"))
-    save_descriptor_file(pair.query.descriptors, os.path.join(directory, "query.spd1"))
-    save_positions_file(
-        pair.reference.positions.data, os.path.join(directory, "reference_positions.txt")
-    )
-    save_positions_file(
-        pair.query.positions.data, os.path.join(directory, "query_positions.txt")
-    )
+    for side, traversal in zip(("reference", "query"), pair):
+        save_descriptor_file(traversal.descriptors, os.path.join(directory, f"{side}.spd1"))
+        save_positions_file(traversal.positions.data, os.path.join(directory, f"{side}_positions.txt"))
     manifest = os.path.join(directory, "manifest.txt")
     entries = [
         ("frames", cfg.frames),

@@ -6,7 +6,13 @@ import pytest
 
 from seqplace import cli, neural
 from seqplace.cli import load_match_csv, main
-from seqplace.dataset import DescriptorSequence, load_descriptor_file, save_descriptor_file
+from seqplace.dataset import (
+    DescriptorSequence,
+    load_descriptor_file,
+    load_positions_file,
+    save_descriptor_file,
+    save_positions_file,
+)
 from seqplace.evaluation import load_pr_csv, load_sweep_csv
 
 
@@ -61,6 +67,14 @@ def test_synth_usage_errors(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "synth", "--drift", "1,zap", "--out", str(tmp_path / "z"))
     assert code == 2
+
+
+def test_a_config_byte_outside_ascii_is_a_usage_error(capsys, tmp_path):
+    config = tmp_path / "cfg.txt"
+    config.write_bytes(b"# synth\nframes = 4\xc3\xa9\n")
+    code, _, err = run(capsys, "synth", "--config", str(config), "--out", str(tmp_path / "ds"))
+    assert code == 2
+    assert f"{config}:2: a byte is not ASCII" in err
 
 
 def test_synth_revisit(capsys, tmp_path):
@@ -537,6 +551,37 @@ def test_match_eval_and_sweep_agree_on_a_row_scaled_reference(capsys, tmp_path, 
     scale_reference_rows(ds)
     auc = match_eval_auc(capsys, tmp_path, ds, method, 2)
     assert sweep_auc(capsys, tmp_path, ds, method, 2) == auc
+
+
+def shorten_query(ds, frames):
+    """Keep the first frames of the query: query frame q still shows reference frame q."""
+    query = load_descriptor_file(ds / "query.spd1")
+    save_descriptor_file(DescriptorSequence(data=query.data[:frames]), ds / "query.spd1")
+    positions = ds / "query_positions.txt"
+    save_positions_file(load_positions_file(positions)[:frames], positions)
+
+
+@pytest.mark.parametrize("method", ["seqslam", "delta", "deep"])
+def test_match_eval_and_sweep_agree_on_a_shorter_query(capsys, tmp_path, method):
+    ds = parity_dataset(capsys, tmp_path)
+    shorten_query(ds, 100)
+    auc = match_eval_auc(capsys, tmp_path, ds, method, 2)
+    assert sweep_auc(capsys, tmp_path, ds, method, 2) == auc
+
+
+def test_bench_deploys_a_shorter_query(capsys, tmp_path):
+    ds = synth_dataset(capsys, tmp_path)
+    shorten_query(ds, 30)
+    for method in ("seqslam", "delta", "deep"):
+        code, stdout, err = run(
+            capsys, "bench", "--method", method, "--ds", "2", "--reps", "1",
+            "--ref", str(ds / "reference.spd1"), "--query", str(ds / "query.spd1"),
+            "--ref-positions", str(ds / "reference_positions.txt"),
+            "--query-positions", str(ds / "query_positions.txt"),
+            "--epochs", "2", "--hidden", "8",
+        )
+        assert code == 0, err
+        assert stdout.strip().split(",")[::2] == [method, "30"]
 
 
 def test_sweep_rejects_repeated_methods_and_ds_values(capsys, tmp_path):

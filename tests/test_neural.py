@@ -429,6 +429,25 @@ def test_infer_windows_hold_across_query_blocks():
         assert np.allclose(activity[q], probs, rtol=1e-9, atol=1e-12), q
 
 
+@pytest.mark.parametrize("d_s", [1, 8])
+def test_infer_pads_windows_that_start_before_frame_0(d_s):
+    # at d_s = 8 every window of the 5 queries starts before frame 0, so its
+    # first steps read the rows that repeat frame 0's projection
+    rng = np.random.default_rng(35)
+    query = _tiny_traversal(rng, 5, 5)
+    model = init_model(n=5, places=7, d_s=3, hidden=6, seed=4)
+    activity, _ = infer(model, query, d_s)
+    frames = np.concatenate(
+        [query.descriptors.data.astype(np.float64), query.positions.data], axis=1
+    )
+    for q in range(5):
+        idx = [max(q - d_s + 1 + k, 0) for k in range(d_s)]
+        logits = model_forward(model, frames[idx])
+        probs = np.exp(logits - logits.max())
+        probs /= probs.sum()
+        assert np.allclose(activity[q], probs, rtol=1e-9, atol=1e-12), q
+
+
 def _loaded(model, tmp_path):
     path = tmp_path / "model.spm1"
     save_checkpoint(model, path)

@@ -85,3 +85,16 @@ def test_every_table_follows_the_one_reader_and_writer(tmp_path, kind):
     path.write_text(text + bad_row + "\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: malformed row {bad_row!r}")):
         load(path)
+
+
+@pytest.mark.parametrize("kind", sorted(TABLES))
+def test_a_byte_outside_ascii_names_its_line(tmp_path, kind):
+    load, _, text = TABLES[kind]
+    lines = text.splitlines()
+    path = tmp_path / f"{kind}.csv"
+    # past the first chunk the text decoder reads, so the line is counted on
+    rows = 2000
+    path.write_bytes((text + (lines[-1] + "\n") * rows).encode("ascii") + b"0.7,\xc3\xa9\n")
+    lineno = len(lines) + rows + 1
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: a byte is not ASCII")):
+        load(path)
