@@ -23,6 +23,7 @@ from .dataset import (
     load_descriptor_file,
     load_positions_file,
     normalize_positions,
+    read_descriptor_header,
     read_table,
     save_descriptor_file,
     write_table,
@@ -40,7 +41,7 @@ from .evaluation import (
     seqslam_method,
     benchmark,
     tolerance_for,
-    trained_method,
+    trained_deploy,
 )
 from .matching_classic import MatchReport
 from .synthetic import SynthConfig, generate, generate_revisit, write_dataset
@@ -176,6 +177,11 @@ def cmd_extract(args) -> int:
     return 0
 
 
+def _print_epoch(epoch: int, epochs: int, loss: float, accuracy: float, seconds: float) -> None:
+    print(f"train: epoch {epoch + 1}/{epochs} loss {loss:.6f} accuracy {accuracy:.4f} "
+          f"seconds {seconds:.2f}", file=sys.stderr, flush=True)
+
+
 def cmd_train(args) -> int:
     if args.ds < 1:
         raise UsageError(f"--ds must be >= 1, got {args.ds}")
@@ -191,6 +197,7 @@ def cmd_train(args) -> int:
         hidden=args.hidden,
         batch_size=args.batch,
         clip_norm=args.clip,
+        progress=_print_epoch if args.progress else None,
     )
     neural.save_checkpoint(model, args.out_checkpoint)
     neural.save_curves_csv(curves, args.out_curves)
@@ -217,11 +224,18 @@ def cmd_match(args) -> int:
     def export(matrix):
         save_descriptor_file(DescriptorSequence(data=matrix, normalized=False), args.export_matrix)
 
-    reference, query = _load_pair(args)
     d_s = args.ds if args.ds is not None else model.d_s
     sink = export if args.export_matrix is not None else None
-    [method] = _build_methods([args.method], args, model=model, sink=sink)
-    report = method.prepare(reference, d_s)(query)
+    if args.method == "deep":
+        # the LSTM needs only the reference's frame count and dim: its header
+        frames, dim = read_descriptor_header(_require_file(args.ref, "descriptor file"))
+        query = _load_traversal(args.query, args.query_positions)
+        deploy = trained_deploy(model, frames, dim, d_s, sink)
+    else:
+        reference, query = _load_pair(args)
+        [method] = _build_methods([args.method], args, sink=sink)
+        deploy = method.prepare(reference, d_s)
+    report = deploy(query)
     polarity = "higher" if report.higher_is_better else "lower"
     rows = zip(report.query_indices, report.best_ref, report.scores)
     meta = (("method", args.method), ("polarity", polarity), ("ds", d_s))
@@ -264,8 +278,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _build_methods(names: list[str], args, model=None, sink=None):
-    """The named methods; match adds its checkpoint model, export sink and seqslam flags."""
+def _build_methods(names: list[str], args, sink=None):
+    """The named methods; match adds its export sink and seqslam flags."""
     built = []
     for name in names:
         if name == "seqslam":
@@ -273,8 +287,6 @@ def _build_methods(names: list[str], args, model=None, sink=None):
             built.append(seqslam_method(**flags, sink=sink))
         elif name == "delta":
             built.append(delta_method())
-        elif name == "deep" and model is not None:
-            built.append(trained_method(model, sink=sink))
         elif name == "deep":
             built.append(
                 deep_method(epochs=args.epochs, lr=args.lr, hidden=args.hidden, seed=args.seed)
@@ -372,6 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clip", type=float, default=None)
+    p.add_argument("--progress", action="store_true",
+                   help="print each epoch's loss, accuracy and seconds to stderr")
     p.add_argument("--out-checkpoint", required=True)
     p.add_argument("--out-curves", required=True)
     p.set_defaults(func=cmd_train)

@@ -17,6 +17,7 @@ read_table and written by write_table: one comma-separated row per line,
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,27 +162,45 @@ class SequenceWindow:
         object.__setattr__(self, "label", self.start + self.length - 1)
 
 
-def load_descriptor_file(path) -> DescriptorSequence:
-    """Read an SPD1 file; raises DescriptorFileError naming the bad offset."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER_SIZE:
-        raise DescriptorFileError("truncated header", len(blob))
-    if blob[:4] != SPD1_MAGIC:
-        raise DescriptorFileError(f"bad magic {blob[:4]!r}", 0)
-    frames = int(np.frombuffer(blob, dtype="<u4", count=1, offset=4)[0])
-    dim = int(np.frombuffer(blob, dtype="<u4", count=1, offset=8)[0])
+def _spd1_header(head: bytes, size: int) -> tuple[int, int, int]:
+    """(frames, dim, flags) from the first 16 bytes of an SPD1 file of size
+    bytes; raises DescriptorFileError unless the size is the header's."""
+    if len(head) < _HEADER_SIZE:
+        raise DescriptorFileError("truncated header", len(head))
+    if head[:4] != SPD1_MAGIC:
+        raise DescriptorFileError(f"bad magic {head[:4]!r}", 0)
+    frames = int(np.frombuffer(head, dtype="<u4", count=1, offset=4)[0])
+    dim = int(np.frombuffer(head, dtype="<u4", count=1, offset=8)[0])
     if frames < 1:
         raise DescriptorFileError("frame count must be >= 1", 4)
     if dim < 1:
         raise DescriptorFileError("descriptor dim must be >= 1", 8)
-    flags = blob[12]
     expected = _HEADER_SIZE + 4 * frames * dim
-    if len(blob) != expected:
+    if size != expected:
         raise DescriptorFileError(
-            f"payload size {len(blob) - _HEADER_SIZE} != {4 * frames * dim}",
-            min(len(blob), expected),
+            f"payload size {size - _HEADER_SIZE} != {4 * frames * dim}", min(size, expected)
         )
+    return frames, dim, head[12]
+
+
+def read_descriptor_header(path) -> tuple[int, int]:
+    """Frame count and dim of an SPD1 file, read from its header alone.
+
+    The file's size is checked against them, as load_descriptor_file does;
+    the payload is not read, so its values are not checked.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER_SIZE)
+        size = os.fstat(fh.fileno()).st_size
+    frames, dim, _ = _spd1_header(head, size)
+    return frames, dim
+
+
+def load_descriptor_file(path) -> DescriptorSequence:
+    """Read an SPD1 file; raises DescriptorFileError naming the bad offset."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    frames, dim, flags = _spd1_header(blob[:_HEADER_SIZE], len(blob))
     data = np.frombuffer(blob, dtype="<f4", count=frames * dim, offset=_HEADER_SIZE)
     finite = np.isfinite(data)
     if not finite.all():

@@ -124,30 +124,60 @@ def thumbnail_descriptor(image: np.ndarray, cfg: ThumbnailConfig = ThumbnailConf
     return out.transpose(0, 2, 1, 3).reshape(cfg.height * cfg.width).astype(np.float32)
 
 
+def _delta_blocks(data: np.ndarray, window: int, bounds):
+    """Yield the unnormalized delta rows [b0, b1) of data (see delta_raw) for
+    each (b0, b1) of bounds, which tile [0, T - window + 1) in order.
+
+    The float64 prefix sums of the rows are carried on from block to block,
+    so every block's rows are delta_raw's bit for bit whatever the bounds.
+    Each block is a view of scratch sized by the largest block, valid until
+    the next one is asked for; the consumer may overwrite it.
+    """
+    half = window // 2
+    most = max(b1 - b0 for b0, b1 in bounds)
+    # pre[k] = csum[base + k], where csum[t] is the float64 sum of rows
+    # [0, t), added row after row in the order np.cumsum uses, so every
+    # prefix sum is the same to the bit
+    pre = np.empty((most + window, data.shape[1]))
+    means = np.empty((most + half, data.shape[1]))
+    out = np.empty((most, data.shape[1]))
+    pre[0] = 0.0
+    pre[1] = data[0]
+    base, top = 0, 1  # csum rows [base, top] are in pre
+    for b0, b1 in bounds:
+        n = b1 - b0
+        # the block reads csum rows [b0, b1 + window - 1]; the ones it shares
+        # with the block before move to the front
+        pre[: top - b0 + 1] = pre[b0 - base : top - base + 1]
+        base = b0
+        for t in range(top, b1 + window - 1):
+            np.add(pre[t - base], data[t], out=pre[t + 1 - base])
+        top = b1 + window - 1
+        # means[j] is the mean of rows j .. j+half-1; a frame's leading mean
+        # is the trailing mean of the frame half rows later
+        m = np.subtract(pre[half : n + window], pre[: n + half], out=means[: n + half])
+        m /= half
+        yield np.subtract(m[half:], m[:n], out=out[:n])
+
+
 def delta_raw(data: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized delta rows and their source frame indices.
 
     Row for frame t (l/2 <= t <= T - l/2) is
     mean(rows t .. t+l/2-1) - mean(rows t-l/2 .. t-1); there are T - l + 1
-    such frames.
+    such frames. They are computed a block of rows at a time.
     """
     half = window // 2
     frames = data.shape[0]
     if frames < window:
         raise ValueError(f"need at least {window} frames, got {frames}")
-    # csum[t] = float64 sum of rows [0, t), added row after row in the order
-    # np.cumsum uses, so every prefix sum is the same to the bit
-    csum = np.empty((frames + 1, data.shape[1]))
-    csum[0] = 0.0
-    csum[1] = data[0]
-    for t in range(1, frames):
-        np.add(csum[t], data[t], out=csum[t + 1])
-    # means[j] is the mean of rows j .. j+half-1; a frame's leading mean is
-    # the trailing mean of the frame half rows later
-    means = csum[half:] - csum[:-half]
-    del csum
-    means /= half
-    return means[half:] - means[:-half], np.arange(half, frames - half + 1)
+    n = frames - window + 1
+    raw = np.empty((n, data.shape[1]))
+    step = max(1, dataset._NORM_BLOCK_BYTES // (8 * data.shape[1]))
+    bounds = [(b0, min(b0 + step, n)) for b0 in range(0, n, step)]
+    for (b0, b1), rows in zip(bounds, _delta_blocks(data, window, bounds)):
+        raw[b0:b1] = rows
+    return raw, np.arange(half, frames - half + 1)
 
 
 def delta_transform(seq: DescriptorSequence, cfg: DeltaConfig) -> tuple[DescriptorSequence, np.ndarray]:

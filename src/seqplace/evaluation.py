@@ -160,12 +160,15 @@ class Method:
     deep method trains there. The classic methods only fix their config,
     and each of their deploys is one call into matching_classic
     (seqslam_match or delta_match) that streams the query in blocks and
-    holds no Q x R matrix. Their reference-side work (the delta transform,
-    the float64 unit rows of the distance GEMM) is a small share of a
-    deploy and runs inside it, so a prepared matcher holds no float64 copy
-    of the reference between deploys. Only the returned deploy callable is
-    benchmarked. Traversals arrive as stored on disk; the LSTM normalizes
-    rows itself.
+    holds no Q x R matrix; delta_match computes the query's delta rows a
+    block at a time as well, so it holds no whole-query array either.
+    Their reference-side work (the delta rows, the float64 unit rows of
+    the distance GEMM) is a small share of a deploy and runs inside it, so
+    a prepared matcher holds no float64 copy of the reference between
+    deploys. The deep deploy (neural.infer) holds the Q x N activity and
+    block-sized scratch, and takes each block's softmax in place. Only
+    the returned deploy callable is benchmarked. Traversals arrive as
+    stored on disk; the LSTM normalizes rows itself.
     """
 
     name: str
@@ -219,8 +222,7 @@ def delta_method() -> Method:
 
 
 def trained_method(model: neural.SequenceModel, sink: Sink | None = None) -> Method:
-    """The LSTM of a trained model; sink, if given, receives each activity matrix.
-    prepare rejects a reference whose frame count or dim is not the model's.
+    """The LSTM of a trained model, deployed as trained_deploy deploys it.
 
     It deploys the model at checkpoint precision (float32 weights), so a model
     trained in this process deploys bit for bit like its saved checkpoint.
@@ -228,22 +230,31 @@ def trained_method(model: neural.SequenceModel, sink: Sink | None = None) -> Met
     model = neural.at_checkpoint_precision(model)
 
     def prepare(reference: Traversal, d_s: int) -> Deploy:
-        frames, dim = reference.frame_count, reference.descriptors.dim
-        if (model.places, model.n) != (frames, dim):
-            raise ValueError(f"checkpoint has {model.places} places of descriptor dim {model.n}, "
-                             f"but the reference has {frames} frames of dim {dim}")
-
-        def deploy(query: Traversal) -> MatchReport:
-            # the model was trained on unit rows, so it is fed unit rows
-            query = replace(query, descriptors=l2_normalize(query.descriptors))
-            activity, report = neural.infer(model, query, d_s)
-            if sink is not None:
-                sink(activity)
-            return report
-
-        return deploy
+        return trained_deploy(model, reference.frame_count, reference.descriptors.dim, d_s, sink)
 
     return Method(name="deep", prepare=prepare)
+
+
+def trained_deploy(
+    model: neural.SequenceModel, frames: int, dim: int, d_s: int, sink: Sink | None = None
+) -> Deploy:
+    """The deploy of a model against a reference of `frames` frames of
+    descriptor dim `dim`, which is all the LSTM needs of the reference; a
+    ValueError if they are not the model's. sink, if given, receives each
+    activity matrix."""
+    if (model.places, model.n) != (frames, dim):
+        raise ValueError(f"checkpoint has {model.places} places of descriptor dim {model.n}, "
+                         f"but the reference has {frames} frames of dim {dim}")
+
+    def deploy(query: Traversal) -> MatchReport:
+        # the model was trained on unit rows, so it is fed unit rows
+        query = replace(query, descriptors=l2_normalize(query.descriptors))
+        activity, report = neural.infer(model, query, d_s)
+        if sink is not None:
+            sink(activity)
+        return report
+
+    return deploy
 
 
 def deep_method(

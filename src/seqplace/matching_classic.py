@@ -6,9 +6,13 @@ standardizes the Q x R difference matrix with a local contrast window, then
 sweeps constant-velocity lines through it; delta matching is
 nearest-neighbor retrieval in delta-descriptor space.
 
-Distances are computed in blocks of query rows, one GEMM per block; only
-`difference_matrix` stores every block. Nearest-neighbor and delta matching
-keep each row's argmin and its distance. `seqslam_match` streams the blocks
+Distances are computed in blocks of query rows, one GEMM per block against
+a float64 operand of the reference; only `difference_matrix` stores every
+block. Nearest-neighbor and delta matching keep each row's argmin and its
+distance. Delta matching also computes the query's delta rows a block at a
+time, from running row sums carried from block to block, and fills the
+reference operand the same way, so it holds no whole-query array and no
+delta-transformed copy of either side. `seqslam_match` streams the blocks
 through both SeqSLAM stages, which share one view (rows, origin) in which
 rows[i] is row origin + i: a distance block after the r_window + d_s - 1
 rows before it. A run of rows is enhanced in place once every row its
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DescriptorSequence
-from .descriptors import DeltaConfig, delta_transform, unit_rows
+from .descriptors import DeltaConfig, _delta_blocks, unit_rows
 
 METRICS = ("cosine", "euclidean")
 
@@ -138,48 +142,70 @@ class MatchReport:
         return len(self.query_indices)
 
 
-def _distance_blocks(query, reference, metric, keep=0):
-    """Yield (origin, rows): rows[i] holds the distances of query row
-    origin + i to every reference row. Each yield holds the next block of
-    query rows, in row order, after up to `keep` rows of the ones before it.
+def _row_blocks(n_rows: int, step: int):
+    """(b0, b1) of the blocks of step rows that cover [0, n_rows) in order. A
+    block never has a single row unless n_rows is 1: a last block of one row
+    joins the one before, since numpy hands a one-row product to GEMV, which
+    sums in another order than GEMM."""
+    b0 = 0
+    while b0 < n_rows:
+        b1 = n_rows if n_rows - b0 <= step + 1 else b0 + step
+        yield b0, b1
+        b0 = b1
 
-    Rows are views of one scratch array, to whose front the last `keep`
-    rows move before the next block is computed; a consumer may overwrite
-    rows of the view, and the carried rows keep what it wrote. A block never
-    has a single row unless the query does, since numpy hands a one-row
-    product to GEMV, which sums in another order than GEMM. The reference is
-    cast to float64 once; the query a block at a time, into one block-sized
-    buffer. For the cosine metric `unit_rows` normalizes both in those
-    float64 buffers; every step is row-wise, so the bits are those of a
-    whole-query cast.
-    """
+
+def _distance_blocks(query, reference, metric, keep=0):
+    """_distances of query's rows, in blocks of _DISTANCE_ROWS, against
+    reference's rows cast to float64 (and scaled to unit norm by unit_rows
+    for the cosine metric)."""
     if query.dim != reference.dim:
         raise ValueError(f"descriptor dims differ: {query.dim} vs {reference.dim}")
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
-    n_query, n_ref = query.frame_count, reference.frame_count
-    step = _DISTANCE_ROWS
-    most = min(step + 1, n_query)  # rows of the largest block
-    rows64 = np.empty((most, query.dim))
     if metric == "cosine":
         b, _ = unit_rows(reference.data, np.empty(reference.data.shape))
-        b_zero = ~b.any(axis=1)
     else:
         b = reference.data.astype(np.float64)
+    n_query = query.frame_count
+    blocks = (query.data[b0:b1] for b0, b1 in _row_blocks(n_query, _DISTANCE_ROWS))
+    return _distances(blocks, n_query, b, metric, keep)
+
+
+def _distances(blocks, n_query, b, metric, keep=0):
+    """Yield (origin, rows): rows[i] holds the distances of query row
+    origin + i to every row of the float64 reference operand b, whose rows
+    have unit norm (or are zero) for the cosine metric. Each yield holds
+    the next block of query rows, in row order, after up to `keep` rows of
+    the ones before it.
+
+    blocks yields the query's rows (float32, or any dtype the float64 cast
+    is exact for) of each block of _row_blocks(n_query, _DISTANCE_ROWS), in
+    order, so a source may compute them one block at a time. Rows are views
+    of one scratch array, to whose front the last `keep` rows move before
+    the next block is computed; a consumer may overwrite rows of the view,
+    and the carried rows keep what it wrote. The query is cast a block at a
+    time into one block-sized float64 buffer, where for the cosine metric
+    `unit_rows` normalizes it; every step is row-wise, so the bits are those
+    of a whole-query cast.
+    """
+    n_ref = b.shape[0]
+    most = min(_DISTANCE_ROWS + 1, n_query)  # rows of the largest block
+    rows64 = np.empty((most, b.shape[1]))
+    if metric == "cosine":
+        b_zero = ~b.any(axis=1)
+    else:
         b_sq = (b * b).sum(axis=1)
         gram = np.empty((most, n_ref))
     scratch = np.empty((min(keep + most, n_query), n_ref))
-    origin = b0 = 0
-    while b0 < n_query:
-        b1 = n_query if n_query - b0 <= step + 1 else b0 + step
+    origin = 0
+    for (b0, b1), new in zip(_row_blocks(n_query, _DISTANCE_ROWS), blocks):
         start = max(b0 - keep, 0)
         scratch[: b0 - start] = scratch[start - origin : b0 - origin]
         rows = scratch[: b1 - start]
         origin = start
         block = rows[b0 - origin :]
-        new = slice(b0, b1)
         if metric == "cosine":
-            a, _ = unit_rows(query.data[new], rows64[: b1 - b0])
+            a, _ = unit_rows(new, rows64[: b1 - b0])
             np.matmul(a, b.T, out=block)
             np.subtract(1.0, block, out=block)
             block[~a.any(axis=1), :] = 1.0
@@ -187,7 +213,7 @@ def _distance_blocks(query, reference, metric, keep=0):
             np.clip(block, 0.0, 2.0, out=block)
         else:
             a = rows64[: b1 - b0]
-            a[...] = query.data[new]
+            a[...] = new
             np.add((a * a).sum(axis=1)[:, None], b_sq[None, :], out=block)
             g = np.matmul(a, b.T, out=gram[: b1 - b0])
             g *= 2.0
@@ -195,15 +221,15 @@ def _distance_blocks(query, reference, metric, keep=0):
             np.clip(block, 0.0, None, out=block)
             np.sqrt(block, out=block)
         yield origin, rows
-        b0 = b1
 
 
-def _nearest(query, reference, metric) -> tuple[np.ndarray, np.ndarray]:
-    """Per query row, the first reference row at the least distance and
-    that distance; the same as the argmin of the difference matrix."""
-    best = np.empty(query.frame_count, dtype=np.int64)
-    scores = np.empty(query.frame_count)
-    for origin, rows in _distance_blocks(query, reference, metric):
+def _nearest(blocks, n_query) -> tuple[np.ndarray, np.ndarray]:
+    """Per query row of the (origin, rows) distance blocks, the first
+    reference row at the least distance and that distance; the same as the
+    argmin of the difference matrix."""
+    best = np.empty(n_query, dtype=np.int64)
+    scores = np.empty(n_query)
+    for origin, rows in blocks:
         winner = np.argmin(rows, axis=1)
         best[origin : origin + len(rows)] = winner
         scores[origin : origin + len(rows)] = rows[np.arange(len(winner)), winner]
@@ -514,13 +540,34 @@ def nearest_neighbor_match(
     query: DescriptorSequence, reference: DescriptorSequence, metric: str = "cosine"
 ) -> MatchReport:
     """Single-frame retrieval: per-query argmin of the difference matrix."""
-    best, scores = _nearest(query, reference, metric)
+    best, scores = _nearest(_distance_blocks(query, reference, metric), query.frame_count)
     return MatchReport(
         query_indices=np.arange(query.frame_count),
         best_ref=best,
         scores=scores,
         higher_is_better=False,
     )
+
+
+def _delta_rows(data: np.ndarray, window: int, bounds):
+    """Yield the rows of delta_transform(data) for each (b0, b1) of bounds
+    (see _delta_blocks), rounded to float32 as a DescriptorSequence rounds
+    them, in a float64 block."""
+    for raw in _delta_blocks(data, window, bounds):
+        unit_rows(raw, raw)
+        raw[...] = raw.astype(np.float32)
+        yield raw
+
+
+def _delta_operand(data: np.ndarray, window: int) -> np.ndarray:
+    """The cosine operand of _distances for delta_transform(data)'s rows,
+    filled a block of rows at a time."""
+    n = data.shape[0] - window + 1
+    b = np.empty((n, data.shape[1]))
+    bounds = list(_row_blocks(n, _DISTANCE_ROWS))
+    for (b0, b1), rows in zip(bounds, _delta_rows(data, window, bounds)):
+        b[b0:b1] = rows
+    return unit_rows(b, b)[0]
 
 
 def delta_match(
@@ -530,18 +577,30 @@ def delta_match(
 
     Only query frames with a full delta window are evaluated; retrieved
     indices are mapped back through the reference's frame-index map.
+
+    The result is bit for bit that of delta_transform on both sides, then
+    nearest_neighbor_match, without either transform's whole arrays. Both
+    sides are delta rows computed a block at a time, each of which takes
+    delta_transform's steps and then the distance GEMM's: unit_rows,
+    rounding to float32, unit_rows again. The reference's rows fill its
+    float64 operand; the query's stream into the distance blocks, so the
+    query side holds only block-sized scratch.
     """
     if query.frame_count < cfg.window or reference.frame_count < cfg.window:
         raise ValueError(
             f"both sequences need >= {cfg.window} frames "
             f"(got {query.frame_count} and {reference.frame_count})"
         )
-    dq, q_frames = delta_transform(query, cfg)
-    dr, r_frames = delta_transform(reference, cfg)
-    best, scores = _nearest(dq, dr, "cosine")
+    if query.dim != reference.dim:
+        raise ValueError(f"descriptor dims differ: {query.dim} vs {reference.dim}")
+    b = _delta_operand(reference.data, cfg.window)
+    n_query = query.frame_count - cfg.window + 1
+    query_rows = _delta_rows(query.data, cfg.window, list(_row_blocks(n_query, _DISTANCE_ROWS)))
+    best, scores = _nearest(_distances(query_rows, n_query, b, "cosine"), n_query)
+    half = cfg.window // 2
     return MatchReport(
-        query_indices=q_frames,
-        best_ref=r_frames[best],
+        query_indices=np.arange(half, query.frame_count - half + 1),
+        best_ref=best + half,
         scores=scores,
         higher_is_better=False,
     )

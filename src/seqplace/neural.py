@@ -7,7 +7,8 @@ softmax cross-entropy with hand-derived backpropagation through time and
 Adam; inference emits a softmax activity profile over reference places for
 every query frame. Training, inference and the single-window functions of
 the gradient check share one core: _recur over the gates fused in the order
-i, f, g, o, and its BPTT, _backward.
+i, f, g, o, and its BPTT, _backward. The loss and the activity profile
+share one in-place log softmax, _log_softmax_rows.
 
 Precision follows the parameters. A model trained in this process keeps
 float64 weights, so training, Adam and the reference functions the gradient
@@ -28,11 +29,12 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .dataset import _UNIT_NORM_TOL, Traversal, _row_norms, make_windows, read_table, write_table
-from .matching_classic import MatchReport
+from .matching_classic import MatchReport, _block_rows, _row_blocks
 from .rng import RandomStream
 
 SPM1_MAGIC = b"SPM1"
@@ -44,6 +46,9 @@ _CHECKPOINT_DTYPE = np.dtype(np.float32)
 # the two scratch arrays, 768 KiB in all, so a chunk stays in L2 between its
 # operations (fastest of 2^12-2^18 at H=512 on a Xeon with 2 MiB L2 per core)
 _ADAM_CHUNK = 1 << 14
+
+# Bytes of float64 activity rows per block of queries in infer (8 MiB)
+_ACTIVITY_BYTES = 1 << 23
 
 
 class TrainingError(RuntimeError):
@@ -304,15 +309,26 @@ def model_forward(model: SequenceModel, window: np.ndarray, with_cache: bool = F
     return logits
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log softmax, shifted by the row maximum so exp cannot overflow."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def _log_softmax_rows(rows: np.ndarray) -> np.ndarray:
+    """Replace each row of the float64 logits rows by its log softmax, in
+    place, and return rows: subtract the row maximum, so exp cannot
+    overflow, then the log of the row's sum of exp. The exps that are summed
+    are taken a few rows at a time into one small scratch array; each row is
+    summed on its own, so the bits do not depend on how many."""
+    rows -= rows.max(axis=1, keepdims=True)
+    step = _block_rows(rows.shape[1])
+    scratch = np.empty((min(step, len(rows)), rows.shape[1]))
+    sums = np.empty(len(rows))
+    for r0 in range(0, len(rows), step):
+        part = rows[r0 : r0 + step]
+        np.sum(np.exp(part, out=scratch[: len(part)]), axis=1, out=sums[r0 : r0 + len(part)])
+    rows -= np.log(sums)[:, None]
+    return rows
 
 
 def _cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
     """Per-row -log softmax(logits)[label] and its gradient w.r.t. logits."""
-    log_probs = _log_softmax(logits)
+    log_probs = _log_softmax_rows(logits.copy())
     rows = np.arange(logits.shape[0])
     losses = -log_probs[rows, labels]
     dlogits = np.exp(log_probs)
@@ -444,12 +460,15 @@ def train(
     hidden: int = 512,
     batch_size: int = 32,
     clip_norm: float | None = None,
+    progress: Callable[[int, int, float, float, float], None] | None = None,
 ) -> tuple[SequenceModel, TrainingCurves]:
     """Train the matcher on one traversal's overlapping windows.
 
     Deterministic given (data, rng_seed, config): initialization and epoch
     shuffles all come from one seeded stream. Loss/accuracy fields of the
-    curves are bitwise reproducible; wall seconds are not.
+    curves are bitwise reproducible; wall seconds are not. progress, if
+    given, is called after each epoch with (epoch, epochs, loss, accuracy,
+    seconds), the epoch counted from 0 as in the curves.
     """
     desc = reference.descriptors
     if not desc.normalized:
@@ -491,7 +510,18 @@ def train(
         curves.losses.append(loss_sum / len(order))
         curves.accuracies.append(hits / len(order))
         curves.seconds.append(time.perf_counter() - tick)
+        if progress is not None:
+            progress(epoch, epochs, curves.losses[-1], curves.accuracies[-1], curves.seconds[-1])
     return model, curves
+
+
+def _activity_rows(places: int) -> int:
+    """Queries per block of infer: the largest power of two up to 1024 whose
+    float64 activity rows fit in _ACTIVITY_BYTES, or 1. Blocks start on
+    multiples of it, and so on the row tiles of the float32 GEMM kernels;
+    the cap bounds the recurrence's block scratch when N is small."""
+    rows = min(1024, max(1, _ACTIVITY_BYTES // (8 * places)))
+    return 1 << (rows.bit_length() - 1)
 
 
 def infer(model: SequenceModel, query: Traversal, d_s: int | None = None):
@@ -503,6 +533,14 @@ def infer(model: SequenceModel, query: Traversal, d_s: int | None = None):
     Inputs, projections, recurrence and head run at the dtype of the model's
     parameters (float32 for a loaded checkpoint); the logits are cast to
     float64 for the softmax, so the activity is float64 either way.
+
+    Besides the activity and the (d_s - 1 + Q) x 4H projection of every
+    frame, only scratch the size of one block of queries is held: blocks
+    of _activity_rows(N) queries (256 at N = 3577) run the recurrence and
+    the head, and each block's softmax is taken in place in its activity
+    rows. With float32 weights the block size leaves every bit as it is;
+    with float64 weights OpenBLAS may round the head GEMM of a small block
+    otherwise.
     """
     if d_s is None:
         d_s = model.d_s
@@ -520,13 +558,15 @@ def infer(model: SequenceModel, query: Traversal, d_s: int | None = None):
     _project(model.lstm, _window_inputs(query, dtype), out=proj[d_s - 1 :])
     proj[: d_s - 1] = proj[d_s - 1]
     activity = np.empty((n_query, model.places))
-    for lo in range(0, n_query, 1024):
-        hi = min(lo + 1024, n_query)
+    step = _activity_rows(model.places)
+    logits = np.empty((min(step + 1, n_query), model.places), dtype=dtype)
+    for lo, hi in _row_blocks(n_query, step):
         h, _ = _recur(model.lstm, (proj[lo + k : hi + k] for k in range(d_s)))
-        logits = h @ model.head.w.T
-        logits += model.head.b
-        activity[lo:hi] = logits  # the softmax runs in float64, in the activity rows
-        np.exp(_log_softmax(activity[lo:hi]), out=activity[lo:hi])
+        block = np.matmul(h, model.head.w.T, out=logits[: hi - lo])
+        block += model.head.b
+        rows = activity[lo:hi]
+        rows[...] = block  # the softmax runs in float64, in the activity rows
+        np.exp(_log_softmax_rows(rows), out=rows)
     best = np.argmax(activity, axis=1)
     report = MatchReport(
         query_indices=np.arange(n_query),

@@ -190,6 +190,32 @@ def test_train_epochs_zero_writes_initial_checkpoint(capsys, tmp_path):
     assert (tmp_path / "curves.csv").read_text().startswith("epoch,loss,accuracy,seconds")
 
 
+def test_train_progress_prints_each_epoch_to_stderr_only(capsys, tmp_path):
+    ds = synth_dataset(capsys, tmp_path)
+    ckpt, curves = tmp_path / "m.spm1", tmp_path / "c.csv"
+    argv = train_args(ds, ckpt, curves, epochs=3, hidden=8)
+    code, quiet_out, quiet_err = run(capsys, *argv)
+    assert code == 0 and quiet_err == ""
+    quiet_ckpt, quiet_curves = ckpt.read_bytes(), neural.load_curves_csv(curves)
+    code, out, err = run(capsys, *argv, "--progress")
+    assert code == 0
+    assert out == quiet_out
+    assert ckpt.read_bytes() == quiet_ckpt
+    loud = neural.load_curves_csv(curves)
+    assert (loud.losses, loud.accuracies) == (quiet_curves.losses, quiet_curves.accuracies)
+    lines = err.splitlines()
+    assert len(lines) == 3
+    for epoch, line in enumerate(lines):
+        assert line.startswith(f"train: epoch {epoch + 1}/3 loss ")
+        fields = line.split()
+        assert fields[3:8:2] == ["loss", "accuracy", "seconds"]
+        assert float(fields[4]) == pytest.approx(loud.losses[epoch], abs=1e-6)
+        assert float(fields[6]) == pytest.approx(loud.accuracies[epoch], abs=1e-4)
+        assert float(fields[8]) == pytest.approx(loud.seconds[epoch], abs=0.01)
+    bad = train_args(ds, ckpt, curves, epochs=-1)
+    assert run(capsys, *bad, "--progress")[0] == 2
+
+
 def test_train_usage_errors(capsys, tmp_path):
     ds = synth_dataset(capsys, tmp_path)
     assert run(capsys, *train_args(ds, tmp_path / "c", tmp_path / "v", ds=0))[0] == 2
@@ -324,6 +350,27 @@ def test_match_deep_checks_the_reference_against_the_checkpoint(capsys, tmp_path
         frames, dim = flags.get("frames", "40"), flags.get("dim", "8")
         assert f"reference has {frames} frames of dim {dim}" in err
     assert not out.exists()
+
+
+def test_match_deep_reads_only_the_reference_header(capsys, tmp_path):
+    ds = synth_dataset(capsys, tmp_path)
+    ckpt = tmp_path / "model.spm1"
+    assert run(capsys, *train_args(ds, ckpt, tmp_path / "curves.csv", epochs=0, hidden=8))[0] == 0
+    out, again = tmp_path / "m.csv", tmp_path / "again.csv"
+    assert run(capsys, *deep_match_argv(ds, ckpt, out))[0] == 0
+    whole = (ds / "reference.spd1").read_bytes()
+    ref = tmp_path / "ref.spd1"
+    # payload values are not read: a NaN in it leaves the matches as they were
+    ref.write_bytes(whole[:16] + np.array([np.nan], dtype="<f4").tobytes() + whole[20:])
+    code, _, err = run(capsys, *deep_match_argv(ds, ckpt, again, ref=ref))
+    assert code == 0, err
+    assert again.read_bytes() == out.read_bytes()
+    # the file's size is still checked against its header
+    for blob in (whole[:-4], whole + b"\0"):
+        ref.write_bytes(blob)
+        code, _, err = run(capsys, *deep_match_argv(ds, ckpt, again, ref=ref))
+        assert code == 3
+        assert f"payload size {len(blob) - 16} != {len(whole) - 16}" in err
 
 
 @pytest.mark.parametrize("method", ["seqslam", "delta", "deep"])

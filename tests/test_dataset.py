@@ -15,6 +15,7 @@ from seqplace.dataset import (
     make_windows,
     normalize_positions,
     position_bounds,
+    read_descriptor_header,
     save_descriptor_file,
     save_positions_file,
 )
@@ -89,6 +90,28 @@ def test_load_rejects_nonfinite_payload(tmp_path):
     with pytest.raises(DescriptorFileError) as err:
         load_descriptor_file(path)
     assert err.value.offset == 16 + 4 * 3
+
+
+def test_header_reader_checks_what_the_loader_checks_but_the_payload(tmp_path):
+    seq = DescriptorSequence(data=np.ones((3, 4), dtype=np.float32))
+    path = tmp_path / "d.spd1"
+    save_descriptor_file(seq, path)
+    whole = path.read_bytes()
+    assert read_descriptor_header(path) == (3, 4)
+    nan = bytearray(whole)
+    nan[16:20] = np.array([np.nan], dtype="<f4").tobytes()
+    for blob in (whole[:-5], whole + b"\0", whole[:9], b"XXD1" + whole[4:], bytes(nan)):
+        path.write_bytes(blob)
+        try:
+            load_descriptor_file(path)
+        except DescriptorFileError as exc:
+            loaded = (str(exc), exc.offset)
+        if blob == bytes(nan):  # the payload's values are not read
+            assert read_descriptor_header(path) == (3, 4)
+            continue
+        with pytest.raises(DescriptorFileError) as err:
+            read_descriptor_header(path)
+        assert (str(err.value), err.value.offset) == loaded
 
 
 def test_normalized_flag_is_validated():

@@ -523,3 +523,49 @@ def test_match_report_validation():
     assert len(report) == 2
     with pytest.raises(ValueError):
         report.scores[0] = 1.0
+
+
+def test_delta_match_equals_the_transforms_then_the_argmin_bit_for_bit(monkeypatch):
+    # windows of 6 and 10 rows carry a prefix longer than a 3-row block
+    rng = np.random.default_rng(23)
+    for frames in (31, 33):  # with window 10 and 7-row blocks, 31 ends on a block plus one row
+        query = np.round(rng.standard_normal((frames, 5)) * 2.0) / 2.0
+        reference = np.round(rng.standard_normal((27, 5)) * 2.0) / 2.0
+        query[14:25] = query[14]  # constant stretches: zero delta rows
+        reference[3:15] = reference[3]
+        q = DescriptorSequence(data=query.astype(np.float32))
+        r = DescriptorSequence(data=reference.astype(np.float32))
+        for block_rows in (3, 7):
+            monkeypatch.setattr(matching_classic, "_DISTANCE_ROWS", block_rows)
+            for window in (6, 10):
+                cfg = DeltaConfig(window=window)
+                dq, q_frames = delta_transform(q, cfg)
+                dr, r_frames = delta_transform(r, cfg)
+                dist = difference_matrix(dq, dr, "cosine").data
+                want = np.argmin(dist, axis=1)
+                report = delta_match(q, r, cfg)
+                assert np.array_equal(report.query_indices, q_frames)
+                assert np.array_equal(report.best_ref, r_frames[want]), (frames, block_rows, window)
+                scores = dist[np.arange(len(want)), want]
+                assert np.array_equal(report.scores, scores)
+                assert np.array_equal(np.signbit(report.scores), np.signbit(scores))
+
+
+def test_delta_match_peak_does_not_grow_with_the_query():
+    rng = np.random.default_rng(24)
+    dim = 128
+    reference = _seq(rng, 600, dim)
+    cfg = DeltaConfig(window=10)
+    peaks = []
+    for frames in (2000, 8000):
+        query = _seq(rng, frames, dim)
+        tracemalloc.start()
+        try:
+            delta_match(query, reference, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # per query row the deploy keeps its report; a whole-query float64 delta
+    # array alone would add 8 * dim bytes a row
+    growth = (peaks[1] - peaks[0]) / (6000 * 8 * dim)
+    assert growth < 0.25, growth

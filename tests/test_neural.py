@@ -605,3 +605,36 @@ def test_training_error_carries_location():
     err = TrainingError(epoch=4, batch=7)
     assert err.epoch == 4 and err.batch == 7
     assert "epoch 4" in str(err) and "batch 7" in str(err)
+
+
+def test_infer_holds_only_block_sized_scratch_beyond_its_outputs(tmp_path):
+    # at N = 8192 a block is 128 queries; the parent's single 300-query
+    # softmax took three Q x N float64 temporaries
+    frames, places, d_s, hidden = 300, 8192, 3, 8
+    rng = np.random.default_rng(32)
+    query = _tiny_traversal(rng, frames, 6)
+    model = _loaded(init_model(n=6, places=places, d_s=d_s, hidden=hidden, seed=3), tmp_path)
+    tracemalloc.start()
+    try:
+        activity, _ = infer(model, query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = activity.nbytes + 4 * (d_s - 1 + frames) * 4 * hidden  # activity and projection
+    block = 8 * 128 * places  # one block's float64 activity rows
+    assert peak - held < block, (peak - held) / block  # about 0.57 here
+
+
+def test_infer_bits_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    # 289 queries: a last block of one row joins the one before it
+    frames, places = 289, 1500
+    rng = np.random.default_rng(33)
+    query = _tiny_traversal(rng, frames, 40)
+    model = _loaded(init_model(n=40, places=places, d_s=5, hidden=32, seed=4), tmp_path)
+    runs = []
+    for rows in (32, 128):
+        monkeypatch.setattr(neural, "_ACTIVITY_BYTES", 8 * places * rows)
+        assert neural._activity_rows(places) == rows
+        activity, report = infer(model, query)
+        runs.append((activity.tobytes(), report.best_ref.tobytes(), report.scores.tobytes()))
+    assert runs[0] == runs[1]
