@@ -187,6 +187,9 @@ def cmd_train(args) -> int:
         raise UsageError(f"--ds must be >= 1, got {args.ds}")
     if args.epochs < 0:
         raise UsageError(f"--epochs must be >= 0, got {args.epochs}")
+    for flag, value in (("--lr", args.lr), ("--clip", args.clip)):
+        if value is not None and not (np.isfinite(value) and value > 0.0):
+            raise UsageError(f"{flag} must be a finite number > 0, got {value}")
     reference = _load_traversal(args.ref, args.ref_positions, normalize=True)
     model, curves = neural.train(
         reference,
@@ -218,6 +221,9 @@ def cmd_match(args) -> int:
         if args.query_positions is None:
             raise UsageError("deep matching needs --query-positions")
         model = neural.load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
+        if model.d_s > model.places:  # training never writes one; deploying would pad by d_s
+            raise ValueError(f"{args.checkpoint}: window of d_s={model.d_s} frames is longer "
+                             f"than the route's {model.places} places")
     elif args.ds is None:
         raise UsageError(f"--ds is required for method {args.method}")
 
@@ -249,6 +255,9 @@ def load_match_csv(path) -> tuple[MatchReport, dict[str, str]]:
     (queries, best, scores), meta, lines = read_table(path, _MATCH_HEADER, (int, int, float))
     if not lines:
         raise ValueError(f"{path}: no match rows")
+    bad = ~np.isfinite(scores)
+    if bad.any():
+        raise ValueError(f"{path}:{lines[int(np.argmax(bad))]}: non-finite score")
     polarity = meta.get("polarity")
     if polarity not in ("higher", "lower"):
         raise ValueError(f"{path}: missing or invalid '# polarity=' comment")

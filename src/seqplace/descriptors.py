@@ -124,37 +124,63 @@ def thumbnail_descriptor(image: np.ndarray, cfg: ThumbnailConfig = ThumbnailConf
     return out.transpose(0, 2, 1, 3).reshape(cfg.height * cfg.width).astype(np.float32)
 
 
+class _RunningSums:
+    """Float64 sums P[t] of the rows [0, t) of an n_rows-row array, one span
+    of t at a time. The first span starts at `first` <= 0; each later one
+    starts no earlier than the one before, and at or before the last t so
+    far. P[t] has np.cumsum's bits (row 0 is copied, each later row added to
+    the sum before it), is 0 for t <= 0 and P[n_rows] past the last row. One
+    buffer of `capacity` rows holds the sums; the rows a span shares with the
+    ones before move to its front only when the span would not fit.
+    """
+
+    def __init__(self, n_rows: int, row_shape, capacity: int, first: int):
+        self.n_rows = n_rows
+        self.buf = np.empty((capacity, *row_shape))
+        self.base, self.top = first, first - 1  # buf[t - base] is P[t] for t in [base, top]
+
+    def span(self, first: int, last: int, fill) -> np.ndarray:
+        """P[first .. last] as a view of the buffer, valid until the next
+        span. fill(dst, t0, t1) writes rows [t0, t1) of the array into dst,
+        once for the rows no span has reached before."""
+        buf, n_rows = self.buf, self.n_rows
+        if last - self.base >= len(buf):
+            kept = buf[first - self.base : self.top - self.base + 1]
+            buf[: len(kept)] = kept
+            self.base = first
+        base, top = self.base, self.top
+        buf[top + 1 - base : max(top, min(last, 0)) + 1 - base] = 0.0
+        t0, t1 = max(top, 0), min(last, n_rows)
+        if t0 < t1:
+            fill(buf[t0 + 1 - base : t1 + 1 - base], t0, t1)
+            for t in range(max(t0, 1), t1):
+                np.add(buf[t - base], buf[t + 1 - base], out=buf[t + 1 - base])
+        if last > n_rows:
+            end = max(top, n_rows)
+            buf[end + 1 - base : last + 1 - base] = buf[end - base]
+        self.top = max(top, last)
+        return buf[first - base : last + 1 - base]
+
+
 def _delta_blocks(data: np.ndarray, window: int, bounds):
     """Yield the unnormalized delta rows [b0, b1) of data (see delta_raw) for
     each (b0, b1) of bounds, which tile [0, T - window + 1) in order.
 
-    The float64 prefix sums of the rows are carried on from block to block,
-    so every block's rows are delta_raw's bit for bit whatever the bounds.
-    Each block is a view of scratch sized by the largest block, valid until
-    the next one is asked for; the consumer may overwrite it.
+    The prefix sums come from one _RunningSums, so every block's rows are
+    delta_raw's bit for bit whatever the bounds. Each block is a view of
+    scratch sized by the largest block, valid until the next one is asked
+    for; the consumer may overwrite it.
     """
     half = window // 2
     most = max(b1 - b0 for b0, b1 in bounds)
-    # pre[k] = csum[base + k], where csum[t] is the float64 sum of rows
-    # [0, t), added row after row in the order np.cumsum uses, so every
-    # prefix sum is the same to the bit
-    pre = np.empty((most + window, data.shape[1]))
+    sums = _RunningSums(data.shape[0], data.shape[1:], most + window, 0)
     means = np.empty((most + half, data.shape[1]))
     out = np.empty((most, data.shape[1]))
-    pre[0] = 0.0
-    pre[1] = data[0]
-    base, top = 0, 1  # csum rows [base, top] are in pre
     for b0, b1 in bounds:
         n = b1 - b0
-        # the block reads csum rows [b0, b1 + window - 1]; the ones it shares
-        # with the block before move to the front
-        pre[: top - b0 + 1] = pre[b0 - base : top - base + 1]
-        base = b0
-        for t in range(top, b1 + window - 1):
-            np.add(pre[t - base], data[t], out=pre[t + 1 - base])
-        top = b1 + window - 1
-        # means[j] is the mean of rows j .. j+half-1; a frame's leading mean
-        # is the trailing mean of the frame half rows later
+        # pre[k] = P[b0 + k]; means[j] is the mean of rows j .. j+half-1, and a
+        # frame's leading mean is the trailing mean of the frame half rows later
+        pre = sums.span(b0, b1 + window - 1, lambda dst, t0, t1: np.copyto(dst, data[t0:t1]))
         m = np.subtract(pre[half : n + window], pre[: n + half], out=means[: n + half])
         m /= half
         yield np.subtract(m[half:], m[:n], out=out[:n])

@@ -9,18 +9,17 @@ nearest-neighbor retrieval in delta-descriptor space.
 Distances are computed in blocks of query rows, one GEMM per block against
 a float64 operand of the reference; only `difference_matrix` stores every
 block. Nearest-neighbor and delta matching keep each row's argmin and its
-distance. Delta matching also computes the query's delta rows a block at a
-time, from running row sums carried from block to block, and fills the
-reference operand the same way, so it holds no whole-query array and no
-delta-transformed copy of either side. `seqslam_match` streams the blocks
-through both SeqSLAM stages, which share one view (rows, origin) in which
-rows[i] is row origin + i: a distance block after the r_window + d_s - 1
-rows before it. A run of rows is enhanced in place once every row its
-windows reach is in the view, then searched in the view, which still holds
-the d_s - 1 enhanced rows before the run. Besides the view the stream holds
-a buffer of prefix sums with room for one run's span plus 2 r_window more
-rows (the rows carried from run to run move to its front only when the next
-run's span would not fit) and the Q row maxima, and no Q x R array.
+distance. Both baselines sum windows of consecutive rows through one
+running-sum kernel, `descriptors._RunningSums`: delta matching computes the
+query's delta rows a block at a time and fills the reference operand the
+same way, so it holds no whole-query array and no delta-transformed copy of
+either side. `seqslam_match` streams the blocks through both SeqSLAM
+stages, which share one view (rows, origin) in which rows[i] is row
+origin + i: a distance block after the r_window + d_s - 1 rows before it.
+A run of rows is enhanced in place once every row its windows reach is in
+the view, then searched in the view, which still holds the d_s - 1
+enhanced rows before the run. Besides the view the stream holds the
+contrast window's running sums and the Q row maxima, and no Q x R array.
 `contrast_enhance` and `seqslam_search` drive the same two stages over a
 whole matrix, so the stream gives their results bit for bit.
 """
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DescriptorSequence
-from .descriptors import DeltaConfig, _delta_blocks, unit_rows
+from .descriptors import DeltaConfig, _delta_blocks, _RunningSums, unit_rows
 
 METRICS = ("cosine", "euclidean")
 
@@ -254,66 +253,41 @@ class _Contrast:
     """Contrast enhancement (see contrast_enhance) of a matrix M, one run of
     rows after another in row order.
 
-    The stage holds column prefix sums of M and M * M, carried on from run
-    to run in row order, so every entry is bit-identical to one computed
-    from whole-column prefix sums. Their buffer holds a run's span of prefix
-    rows plus 2r more: runs append their rows after the ones before, and the
-    2r + 1 rows a run shares with the next move to the front only when the
-    next run's span would not fit (every third run at 6000 columns and the
-    default r_window). The prefix is padded with zero rows before row 0 and
-    with copies of the whole-column sums after the last row, so the window
-    of every row q spans prefix rows q - r and q + r + 1, whether or not it
-    is clamped. The sums start by adding row 0 to the zero row, where
-    np.cumsum starts from row 0 itself; that can only turn a -0.0 sum of
-    zero rows into 0.0, which changes no window's sum unless all of the
-    window's rows are zero, and such a window is flat (its entries are 0).
+    Its window sums are differences of one _RunningSums of M's rows and
+    their squares, both channels of a row side by side, so every entry is
+    the same to the bit as one from np.cumsum of the whole columns. The
+    window of row q is prefix rows q - r to q + r + 1, clamped or not. The
+    buffer holds a run's span and 2r more rows: the carried rows move every
+    third run at 6000 columns and the default r_window.
     """
 
     def __init__(self, n_rows: int, n_cols: int, r_window: int):
         if r_window < 1:
             raise ValueError("r_window must be >= 1")
-        self.n_rows = n_rows
         self.r = min(r_window, n_rows)  # a wider window covers every row too
         self.step = min(_block_rows(n_cols), n_rows)  # rows per run
-        # pre[0, j] and pre[1, j] hold the sums of M and M * M over rows
-        # [0, base + j), clamped to the matrix, for base + j in [base, top]:
-        # one run's span of step + 2r + 1 rows and room for 2r more
-        self.pre = np.zeros((2, self.step + 4 * self.r + 1, n_cols))
-        self.base, self.top = -self.r, 0
-        self.stats = np.empty((2, self.step, n_cols))  # window means and stds
+        self.sums = _RunningSums(n_rows, (2, n_cols), self.step + 4 * self.r + 1, -self.r)
+        self.stats = np.empty((self.step, 2, n_cols))  # window means and stds
         self.flat = np.empty((self.step, n_cols), dtype=bool)
 
     def enhance(self, rows: np.ndarray, origin: int, r0: int, r1: int) -> np.ndarray:
         """Enhance rows [r0, r1) in place and return them as a view of rows.
         The run follows the one enhanced last (r0 = 0 first), and rows[i] is
         row origin + i of M for every row from r0 up to the last one the
-        run's windows reach. The prefix sums read no row before r0 again and
-        read the run's rows before they are overwritten."""
-        r, n, n_rows, pre = self.r, r1 - r0, self.n_rows, self.pre
-        first, last = r0 - r, r1 + r  # the prefix rows the run's windows span
-        if last - self.base >= pre.shape[1]:
-            # move the 2r + 1 carried rows [first, top] to the front; they
-            # start at least 2r + 1 rows in, so the copy never overlaps
-            kept = pre[:, first - self.base : self.top - self.base + 1]
-            pre[:, : kept.shape[1]] = kept
-            self.base = first
-        base, lo = self.base, first - self.base
-        # carry the running sums on over the rows of M that arrived, then pad
-        stop = min(last, n_rows)
-        new = slice(self.top + 1 - base, stop + 1 - base)
-        pre[0, new] = rows[self.top - origin : stop - origin]
-        np.multiply(pre[0, new], pre[0, new], out=pre[1, new])
-        for j in range(new.start, new.stop):
-            np.add(pre[:, j - 1], pre[:, j], out=pre[:, j])
-        # stop is n_rows unless this slice is empty
-        pre[:, max(self.top, n_rows) + 1 - base : last + 1 - base] = pre[:, stop - base, None]
-        self.top = last
+        run's windows reach. The sums read no row before r0 again and read
+        the run's rows before they are overwritten."""
+        r, n, n_rows = self.r, r1 - r0, self.sums.n_rows
+
+        def fill(dst, t0, t1):
+            dst[:, 0] = rows[t0 - origin : t1 - origin]
+            np.multiply(dst[:, 0], dst[:, 0], out=dst[:, 1])
+
+        pre = self.sums.span(r0 - r, r1 + r, fill)  # pre[k] = P[r0 - r + k]
         q = np.arange(r0, r1)
         count = (np.minimum(q + r, n_rows - 1) - np.maximum(q - r, 0) + 1).astype(np.float64)
-        stats = np.subtract(pre[:, lo + 2 * r + 1 : lo + 2 * r + 1 + n], pre[:, lo : lo + n],
-                            out=self.stats[:, :n])
-        stats /= count[:, None]
-        m, s = stats
+        stats = np.subtract(pre[2 * r + 1 : 2 * r + 1 + n], pre[:n], out=self.stats[:n])
+        stats /= count[:, None, None]
+        m, s = stats[:, 0], stats[:, 1]
         f = self.flat[:n]
         out = rows[r0 - origin : r1 - origin]
         out -= m

@@ -99,6 +99,17 @@ def test_config_file_with_flag_precedence(capsys, tmp_path):
     assert run(capsys, "synth", "--config", str(cfg), "--out", str(out))[0] == 2
 
 
+def test_config_flag_with_an_equals_sign_or_without_a_file(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("frames = 12\ndim = 6\n")
+    out = tmp_path / "ds"
+    code, _, err = run(capsys, "synth", f"--config={cfg}", "--out", str(out))
+    assert code == 0, err
+    assert load_descriptor_file(out / "reference.spd1").data.shape == (12, 6)
+    code, _, err = run(capsys, "synth", "--out", str(out), "--config")
+    assert code == 2 and "--config needs a file argument" in err
+
+
 def _write_pgm(path, image):
     path.write_bytes(
         b"P5\n" + f"{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii") + image.tobytes()
@@ -237,6 +248,37 @@ def test_training_divergence_exits_three(capsys, tmp_path, monkeypatch):
     assert "non-finite loss at epoch 3" in err
 
 
+def test_train_exits_three_on_a_non_finite_loss(capsys, tmp_path, monkeypatch):
+    # train's own check: the second batch of epoch 1 turns NaN (40 windows
+    # less one, in batches of 32)
+    ds = synth_dataset(capsys, tmp_path)
+    calls = []
+    real = neural._batch_gradients
+
+    def gradients(*args):
+        losses, logits = real(*args)
+        calls.append(len(losses))
+        return (np.full_like(losses, np.nan) if len(calls) == 4 else losses), logits
+
+    monkeypatch.setattr(neural, "_batch_gradients", gradients)
+    ckpt = tmp_path / "c.spm1"
+    code, out, err = run(capsys, *train_args(ds, ckpt, tmp_path / "v.csv", epochs=3))
+    assert code == 3
+    assert "non-finite loss at epoch 1, batch 1" in err
+    assert calls == [32, 7, 32, 7] and out == "" and not ckpt.exists()
+
+
+def test_train_refuses_a_non_finite_or_non_positive_lr_or_clip(capsys, tmp_path):
+    ds = synth_dataset(capsys, tmp_path)
+    ckpt = tmp_path / "c.spm1"
+    for flag, value in (("lr", "inf"), ("lr", "nan"), ("lr", "0"), ("lr", "-0.01"),
+                        ("clip", "inf"), ("clip", "0")):
+        code, _, err = run(capsys, *train_args(ds, ckpt, tmp_path / "v.csv", **{flag: value}))
+        assert code == 2, (flag, value)
+        assert f"--{flag} must be a finite number > 0" in err
+    assert not ckpt.exists()
+
+
 def test_train_match_deep_pipeline(capsys, tmp_path):
     ds = synth_dataset(capsys, tmp_path)
     ckpt = tmp_path / "model.spm1"
@@ -322,6 +364,35 @@ def test_match_delta_and_flag_errors(capsys, tmp_path):
     )[0] == 2
 
 
+def test_a_positions_file_of_another_length_names_both_files(capsys, tmp_path):
+    ds = synth_dataset(capsys, tmp_path)
+    short = tmp_path / "short.txt"
+    save_positions_file(np.zeros((5, 2)), short)
+    code, _, err = run(
+        capsys, "match", "--method", "seqslam", "--ds", "2",
+        "--ref", str(ds / "reference.spd1"), "--query", str(ds / "query.spd1"),
+        "--query-positions", str(short), "--out", str(tmp_path / "m.csv"),
+    )
+    assert code == 2
+    assert f"{short} has 5 rows but {ds / 'query.spd1'} has 40 frames" in err
+
+
+@pytest.mark.parametrize("offset, what", [(4, "frame count"), (8, "descriptor dim")])
+def test_an_empty_descriptor_header_names_its_offset(capsys, tmp_path, offset, what):
+    ds = synth_dataset(capsys, tmp_path)
+    query = tmp_path / "empty.spd1"
+    blob = bytearray((ds / "query.spd1").read_bytes()[:16])
+    blob[offset : offset + 4] = bytes(4)
+    query.write_bytes(bytes(blob))
+    code, _, err = run(
+        capsys, "match", "--method", "seqslam", "--ds", "2",
+        "--ref", str(ds / "reference.spd1"), "--query", str(query),
+        "--out", str(tmp_path / "m.csv"),
+    )
+    assert code == 3
+    assert f"{what} must be >= 1 (byte offset {offset})" in err
+
+
 def deep_match_argv(ds, ckpt, out, ref=None):
     return [
         "match", "--method", "deep",
@@ -349,6 +420,21 @@ def test_match_deep_checks_the_reference_against_the_checkpoint(capsys, tmp_path
         assert "checkpoint has 40 places of descriptor dim 8" in err
         frames, dim = flags.get("frames", "40"), flags.get("dim", "8")
         assert f"reference has {frames} frames of dim {dim}" in err
+    assert not out.exists()
+
+
+def test_match_deep_refuses_a_bad_checkpoint_header(capsys, tmp_path):
+    ds = synth_dataset(capsys, tmp_path)
+    ckpt = tmp_path / "model.spm1"
+    assert run(capsys, *train_args(ds, ckpt, tmp_path / "curves.csv", epochs=0, hidden=8))[0] == 0
+    blob = ckpt.read_bytes()
+    out = tmp_path / "m.csv"
+    for d_s, message in ((5000, "window of d_s=5000 frames is longer than the route's 40 places"),
+                         (0, "implausible SPM1 header (10, 8, 40, 0)")):
+        ckpt.write_bytes(blob[:16] + np.array([d_s], dtype="<u4").tobytes() + blob[20:])
+        code, _, err = run(capsys, *deep_match_argv(ds, ckpt, out))
+        assert code == 3
+        assert f"{ckpt}: {message}" in err
     assert not out.exists()
 
 
@@ -486,6 +572,15 @@ def test_load_match_csv_errors(tmp_path):
     path.write_text("0,1,2.0\n")
     with pytest.raises(ValueError, match="polarity"):
         load_match_csv(path)
+
+
+def test_eval_refuses_a_non_finite_score(capsys, tmp_path):
+    path = tmp_path / "m.csv"
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        write_match_csv(path, range(6), [0.5, 0.4, bad, 0.2, bad, 0.1])
+        code, out, err = run(capsys, "eval", "--matches", str(path))
+        assert code == 3 and out == ""
+        assert f"{path}:7: non-finite score" in err  # three comments and a header first
 
 
 def test_eval_names_the_file_of_a_bad_ds_comment_or_repeated_query(capsys, tmp_path):
@@ -641,6 +736,17 @@ def test_sweep_rejects_repeated_methods_and_ds_values(capsys, tmp_path):
     assert code == 2 and "--methods repeats delta" in err
     code, _, err = run(capsys, *base, "--methods", "delta", "--ds-values", "2,4,2")
     assert code == 2 and "--ds-values repeats 2" in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_and_bench_refuse_a_ds_below_one(capsys, tmp_path):
+    ds = synth_dataset(capsys, tmp_path)
+    pair = ["--ref", str(ds / "reference.spd1"), "--query", str(ds / "query.spd1")]
+    code, _, err = run(capsys, "sweep", *pair, "--methods", "seqslam", "--ds-values", "0",
+                       "--out", str(tmp_path / "sweep.csv"))
+    assert code == 2 and "--ds-values needs integers >= 1" in err
+    code, _, err = run(capsys, "bench", *pair, "--method", "seqslam", "--ds", "0")
+    assert code == 2 and "--ds must be >= 1, got 0" in err
     assert not (tmp_path / "sweep.csv").exists()
 
 

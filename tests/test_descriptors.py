@@ -1,13 +1,16 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from seqplace import dataset
+from seqplace import dataset, descriptors
 from seqplace.dataset import DescriptorSequence
 from seqplace.descriptors import (
     DeltaConfig,
     ThumbnailConfig,
+    _RunningSums,
     delta_raw,
     delta_transform,
     l2_normalize,
@@ -70,6 +73,70 @@ def test_delta_raw_equals_cumsum_formulation_exactly():
         assert np.array_equal(centers, want_centers)
         assert np.array_equal(got, want), f"case {case}"
         assert np.array_equal(np.signbit(got), np.signbit(want)), f"case {case}"
+
+
+def test_running_sums_equal_a_padded_cumsum_bit_for_bit():
+    # spans that overlap, repeat and reach past both ends, in buffers
+    # barely larger than a span, so the carried rows move often (and onto
+    # themselves); each row is handed to fill once, in order
+    rng = np.random.default_rng(5)
+    values = np.array([-0.0, 0.0, 0.1, 1.0, -3.3])  # signed zeros, inexact sums
+    for case in range(60):
+        n_rows, width = int(rng.integers(1, 30)), int(rng.integers(1, 5))
+        data = rng.choice(values, size=(n_rows, 2, width))
+        if case % 3 == 0:
+            data = rng.standard_normal(data.shape)
+        want = np.zeros((n_rows + 1, 2, width))
+        np.cumsum(data, axis=0, out=want[1:])
+        most = int(rng.integers(2, 8))  # rows of the longest span
+        first = -int(rng.integers(0, 4))
+        sums = _RunningSums(n_rows, (2, width), most + int(rng.integers(0, 3)), first)
+        filled = []
+
+        def fill(dst, t0, t1):
+            filled.extend(range(t0, t1))
+            dst[...] = data[t0:t1]
+
+        top = first - 1
+        while top < n_rows + 3:
+            last = first + int(rng.integers(0, most))
+            got = sums.span(first, last, fill)
+            t = np.clip(np.arange(first, last + 1), 0, n_rows)
+            assert np.array_equal(got, want[t]), f"case {case}"
+            assert np.array_equal(np.signbit(got), np.signbit(want[t])), f"case {case}"
+            top = max(top, last)
+            first = int(rng.integers(max(first, top + 2 - most), top + 1))
+        assert filled == list(range(n_rows)), f"case {case}"
+
+
+def _carry_functions(tree) -> set[str]:
+    """Names of the functions with a for loop that calls
+    np.add(x[...], ..., out=x[...]) on one array x."""
+    owner = {}
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for loop in (node for node in ast.walk(func) if isinstance(node, ast.For)):
+            for call in ast.walk(loop):
+                if not (isinstance(call, ast.Call) and ast.unparse(call.func) == "np.add"):
+                    continue
+                outs = [kw.value for kw in call.keywords if kw.arg == "out"]
+                if (call.args and isinstance(call.args[0], ast.Subscript) and outs
+                        and isinstance(outs[0], ast.Subscript)
+                        and ast.dump(outs[0].value) == ast.dump(call.args[0].value)):
+                    owner[call] = func.name  # ast.walk reaches nested functions later
+    return set(owner.values())
+
+
+def test_one_running_sum_kernel_carries_every_window_sum():
+    # the delta transform and the contrast window take their running sums
+    # from one kernel: no other function of the package carries a sum row
+    # after row in place
+    found = set()
+    for path in sorted(Path(descriptors.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {f"{path.name}:{name}" for name in _carry_functions(tree)}
+    assert len(found) == 1, sorted(found)
 
 
 def _masked_division(matrix):

@@ -147,6 +147,12 @@ def test_contrast_enhance_equals_whole_column_prefix_sums_bit_for_bit(monkeypatc
                     _assert_same_bits(got, _enhance_cumsum(data, win), label)
 
 
+def test_contrast_enhance_needs_a_window_of_one_row_or_more():
+    matrix = DifferenceMatrix(data=np.ones((4, 3)), metric="cosine")
+    with pytest.raises(ValueError, match="r_window must be >= 1"):
+        contrast_enhance(matrix, 0)
+
+
 def test_contrast_enhance_flat_column_is_zero():
     data = np.ones((6, 3))
     data[:, 2] = np.arange(6.0)
@@ -497,6 +503,12 @@ def test_delta_match_ignores_constant_query_drift():
     plain = nearest_neighbor_match(query, ref)
     plain_drifted = nearest_neighbor_match(drifted, ref)
     assert not np.array_equal(plain.best_ref, plain_drifted.best_ref)
+
+
+def test_delta_match_needs_equal_descriptor_dims():
+    rng = np.random.default_rng(8)
+    with pytest.raises(ValueError, match="descriptor dims differ: 4 vs 6"):
+        delta_match(_seq(rng, 12, 4), _seq(rng, 12, 6), DeltaConfig(window=4))
 
 
 def test_match_report_validation():

@@ -607,6 +607,33 @@ def test_training_error_carries_location():
     assert "epoch 4" in str(err) and "batch 7" in str(err)
 
 
+def test_train_stops_at_the_first_non_finite_batch_before_its_step(monkeypatch):
+    # the losses of epoch 1, batch 2 turn NaN: train raises there, having run
+    # an Adam step for every batch before it and none for that one
+    reference = _tiny_traversal(np.random.default_rng(3), frames=25, dim=4)
+    batches = 3  # 24 windows of d_s = 2 in batches of 8
+    calls = {"gradients": 0, "steps": 0}
+    real_gradients, real_step = neural._batch_gradients, neural.adam_step
+
+    def gradients(*args):
+        losses, logits = real_gradients(*args)
+        if calls["gradients"] == 1 * batches + 2:
+            losses = np.full_like(losses, np.nan)
+        calls["gradients"] += 1
+        return losses, logits
+
+    def step(*args):
+        calls["steps"] += 1
+        real_step(*args)
+
+    monkeypatch.setattr(neural, "_batch_gradients", gradients)
+    monkeypatch.setattr(neural, "adam_step", step)
+    with pytest.raises(TrainingError, match="non-finite loss at epoch 1, batch 2") as err:
+        train(reference, d_s=2, epochs=3, hidden=4, batch_size=8)
+    assert (err.value.epoch, err.value.batch) == (1, 2)
+    assert calls == {"gradients": batches + 3, "steps": batches + 2}
+
+
 def test_infer_holds_only_block_sized_scratch_beyond_its_outputs(tmp_path):
     # at N = 8192 a block is 128 queries; the parent's single 300-query
     # softmax took three Q x N float64 temporaries
