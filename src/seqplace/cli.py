@@ -49,6 +49,10 @@ from .synthetic import SynthConfig, generate, generate_revisit, write_dataset
 METHODS = ("seqslam", "delta", "deep")
 _SEQSLAM_FLAGS = ("v_min", "v_max", "v_step", "r_window", "metric")
 _MATCH_HEADER = "query_index,best_ref,score"
+# Domain of each numeric flag but --seed and synth's and extract's (their configs check
+# them), which main checks first: an int's least value, or None for a finite float > 0.
+_DOMAINS = {"ds": 1, "epochs": 0, "hidden": 1, "batch": 1, "reps": 1, "r_window": 1, "delta": 0,
+            "lr": None, "clip": None, "v_min": None, "v_max": None, "v_step": None}
 
 
 class UsageError(Exception):
@@ -182,14 +186,18 @@ def _print_epoch(epoch: int, epochs: int, loss: float, accuracy: float, seconds:
           f"seconds {seconds:.2f}", file=sys.stderr, flush=True)
 
 
-def cmd_train(args) -> int:
-    if args.ds < 1:
-        raise UsageError(f"--ds must be >= 1, got {args.ds}")
-    if args.epochs < 0:
-        raise UsageError(f"--epochs must be >= 0, got {args.epochs}")
-    for flag, value in (("--lr", args.lr), ("--clip", args.clip)):
-        if value is not None and not (np.isfinite(value) and value > 0.0):
+def _check_domains(args) -> None:
+    for key, least in _DOMAINS.items():
+        value, flag = getattr(args, key, None), "--" + key.replace("_", "-")
+        if value is not None and least is None and not (np.isfinite(value) and value > 0.0):
             raise UsageError(f"{flag} must be a finite number > 0, got {value}")
+        if value is not None and least is not None and value < least:
+            raise UsageError(f"{flag} must be >= {least}, got {value}")
+    if getattr(args, "v_min", 0.0) > getattr(args, "v_max", 0.0):
+        raise UsageError(f"--v-min must be <= --v-max, got {args.v_min} > {args.v_max}")
+
+
+def cmd_train(args) -> int:
     reference = _load_traversal(args.ref, args.ref_positions, normalize=True)
     model, curves = neural.train(
         reference,
@@ -210,8 +218,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_match(args) -> int:
-    if args.ds is not None and args.ds < 1:
-        raise UsageError(f"--ds must be >= 1, got {args.ds}")
     if args.method == "delta" and args.export_matrix is not None:
         raise UsageError("method delta has no matrix to export")
     model = None
@@ -221,16 +227,18 @@ def cmd_match(args) -> int:
         if args.query_positions is None:
             raise UsageError("deep matching needs --query-positions")
         model = neural.load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-        if model.d_s > model.places:  # training never writes one; deploying would pad by d_s
-            raise ValueError(f"{args.checkpoint}: window of d_s={model.d_s} frames is longer "
-                             f"than the route's {model.places} places")
     elif args.ds is None:
         raise UsageError(f"--ds is required for method {args.method}")
+    d_s = args.ds if args.ds is not None else model.d_s
+    if model is not None and d_s > model.places:  # deploying would pad every window by d_s
+        if args.ds is not None:
+            raise UsageError(f"--ds must be <= the checkpoint's {model.places} places, got {d_s}")
+        raise ValueError(f"{args.checkpoint}: window of d_s={model.d_s} frames is longer "
+                         f"than the route's {model.places} places")
 
     def export(matrix):
         save_descriptor_file(DescriptorSequence(data=matrix, normalized=False), args.export_matrix)
 
-    d_s = args.ds if args.ds is not None else model.d_s
     sink = export if args.export_matrix is not None else None
     if args.method == "deep":
         # the LSTM needs only the reference's frame count and dim: its header
@@ -335,10 +343,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.ds < 1:
-        raise UsageError(f"--ds must be >= 1, got {args.ds}")
-    if args.reps < 1:
-        raise UsageError(f"--reps must be >= 1, got {args.reps}")
     pair = _load_pair(args, need_positions=(args.method == "deep"))
     method = _build_methods([args.method], args)[0]
     result = benchmark(method, pair, args.ds, repetitions=args.reps)
@@ -462,11 +466,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        _check_domains(args)
         return int(args.func(args) or 0)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

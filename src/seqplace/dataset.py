@@ -35,11 +35,6 @@ class DescriptorFileError(ValueError):
         self.offset = offset
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 # Bytes of one block of rows that _row_norms casts to float64 and that
 # descriptors.unit_rows normalizes.
 _NORM_BLOCK_BYTES = 1 << 20
@@ -52,39 +47,53 @@ def _row_norms(data: np.ndarray) -> np.ndarray:
     np.linalg.norm over the whole matrix cast to float64.
     """
     norms = np.empty(data.shape[0])
-    step = max(1, _NORM_BLOCK_BYTES // (8 * data.shape[1]))
+    step = max(1, min(len(data), _NORM_BLOCK_BYTES // (8 * data.shape[1])))
+    cast = np.empty((step, data.shape[1]))  # one buffer for every block, so no block allocates
     for r0 in range(0, data.shape[0], step):
-        rows = slice(r0, r0 + step)
-        norms[rows] = np.linalg.norm(data[rows].astype(np.float64), axis=1)
+        rows = data[r0 : r0 + step]
+        squares = np.square(rows, out=cast[: len(rows)], dtype=np.float64)
+        norms[r0 : r0 + step] = np.sqrt(squares.sum(axis=1))
     return norms
+
+
+def _first_nonfinite(values: np.ndarray) -> int:
+    """Index of the first non-finite entry of a 1-d array, or -1."""
+    finite = np.isfinite(values)
+    return -1 if finite.all() else int(np.argmin(finite))
 
 
 @dataclass(frozen=True)
 class _Vetted:
-    """Rows this package has checked or computed itself: every value is
-    finite and, if unit is set, each row has unit norm whenever the
-    normalized flag says so. DescriptorSequence copies them to float32
-    without repeating those checks."""
+    """An array this package has just read, or computed from checked input,
+    and holds no other reference to: every value is finite and, if unit is
+    set, each row has unit norm whenever the normalized flag says so."""
 
     array: np.ndarray
     unit: bool = False
+
+    @staticmethod
+    def adopt(data, dtype) -> tuple[np.ndarray, "_Vetted | None"]:
+        """(array, token): a _Vetted array as it is (cast if its dtype does not
+        fit) and itself, or a copy of a caller's array, never aliased, and None."""
+        if isinstance(data, _Vetted):
+            return np.asarray(data.array, dtype=dtype, order="C"), data
+        return np.array(data, dtype=dtype, order="C"), None
 
 
 @dataclass(frozen=True)
 class DescriptorSequence:
     """T x n matrix of per-frame global descriptors (float32 rows).
 
-    The data is copied to float32 and stored read-only; a caller's array is
-    checked for non-finite values and, when the normalized flag is set, for
-    rows whose norm is not 1.
+    The data is stored read-only as float32. A caller's array is copied
+    and checked for non-finite values and, when the normalized flag is set,
+    for rows whose norm is not 1; a _Vetted array is adopted as it is.
     """
 
     data: np.ndarray
     normalized: bool = False
 
     def __post_init__(self):
-        vetted = self.data if isinstance(self.data, _Vetted) else None
-        data = np.array(self.data if vetted is None else vetted.array, dtype=np.float32, order="C")
+        data, vetted = _Vetted.adopt(self.data, np.float32)
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
             raise ValueError(f"descriptor matrix must be T x n with T,n >= 1, got shape {data.shape}")
         if vetted is None and not np.isfinite(data).all():
@@ -96,7 +105,8 @@ class DescriptorSequence:
                 raise ValueError(
                     f"normalized flag set but row {bad} has norm {norms[bad]:.6g}"
                 )
-        object.__setattr__(self, "data", _freeze(data))
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
 
     @property
     def frame_count(self) -> int:
@@ -121,7 +131,8 @@ class PositionTrack:
             raise ValueError("position track contains non-finite values")
         if data.min() < -1.0 or data.max() > 1.0:
             raise ValueError("normalized positions must lie in [-1, 1]")
-        object.__setattr__(self, "data", _freeze(data))
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
 
     @property
     def frame_count(self) -> int:
@@ -162,9 +173,11 @@ class SequenceWindow:
         object.__setattr__(self, "label", self.start + self.length - 1)
 
 
-def _spd1_header(head: bytes, size: int) -> tuple[int, int, int]:
-    """(frames, dim, flags) from the first 16 bytes of an SPD1 file of size
-    bytes; raises DescriptorFileError unless the size is the header's."""
+def _spd1_header(fh) -> tuple[int, int, int]:
+    """(frames, dim, flags) read from the open SPD1 file fh; raises
+    DescriptorFileError unless the file's size is the header's."""
+    head = fh.read(_HEADER_SIZE)
+    size = os.fstat(fh.fileno()).st_size
     if len(head) < _HEADER_SIZE:
         raise DescriptorFileError("truncated header", len(head))
     if head[:4] != SPD1_MAGIC:
@@ -190,27 +203,21 @@ def read_descriptor_header(path) -> tuple[int, int]:
     the payload is not read, so its values are not checked.
     """
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER_SIZE)
-        size = os.fstat(fh.fileno()).st_size
-    frames, dim, _ = _spd1_header(head, size)
-    return frames, dim
+        return _spd1_header(fh)[:2]
 
 
 def load_descriptor_file(path) -> DescriptorSequence:
-    """Read an SPD1 file; raises DescriptorFileError naming the bad offset."""
+    """Read an SPD1 file straight into the array the sequence keeps; raises
+    DescriptorFileError naming the bad offset."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    frames, dim, flags = _spd1_header(blob[:_HEADER_SIZE], len(blob))
-    data = np.frombuffer(blob, dtype="<f4", count=frames * dim, offset=_HEADER_SIZE)
-    finite = np.isfinite(data)
-    if not finite.all():
-        first_bad = int(np.argmin(finite))
-        raise DescriptorFileError(
-            "non-finite descriptor value", _HEADER_SIZE + 4 * first_bad
-        )
-    # DescriptorSequence copies the payload out of the file's bytes and checks
-    # the normalized flag; finiteness is checked above, with the offset
-    return DescriptorSequence(data=_Vetted(data.reshape(frames, dim)), normalized=bool(flags & 1))
+        frames, dim, flags = _spd1_header(fh)
+        data = np.empty((frames, dim), dtype="<f4")  # little-endian on any host
+        if fh.readinto(data) != data.nbytes:  # the file shrank after its size was checked
+            raise DescriptorFileError("truncated payload", os.fstat(fh.fileno()).st_size)
+    bad = _first_nonfinite(data.reshape(-1))
+    if bad >= 0:
+        raise DescriptorFileError("non-finite descriptor value", _HEADER_SIZE + 4 * bad)
+    return DescriptorSequence(data=_Vetted(data), normalized=bool(flags & 1))
 
 
 def save_descriptor_file(seq: DescriptorSequence, path) -> None:

@@ -270,20 +270,6 @@ def deep_method(
     return Method(name="deep", prepare=prepare)
 
 
-def thread_cap(value: int | None = None) -> int:
-    """Worker budget: explicit value, else SEQPLACE_THREADS (0 = auto).
-
-    No command reads it: ds_sweep runs its cells one after another."""
-    if value is None:
-        raw = os.environ.get("SEQPLACE_THREADS", "").strip()
-        value = int(raw) if raw else 0
-    if value < 0:
-        raise ValueError("thread cap must be >= 0")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
-
-
 @dataclass(frozen=True)
 class SweepCell:
     """One (method, d_s, query) evaluation; auc None when the cell failed,

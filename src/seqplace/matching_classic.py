@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DescriptorSequence
+from .dataset import DescriptorSequence, _Vetted
 from .descriptors import DeltaConfig, _delta_blocks, _RunningSums, unit_rows
 
 METRICS = ("cosine", "euclidean")
@@ -60,32 +60,22 @@ def _check_finite(rows: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class _Fresh:
-    """An array this module has just computed and holds no other reference
-    to; DifferenceMatrix adopts it without a copy."""
-
-    array: np.ndarray
-
-
-@dataclass(frozen=True)
 class DifferenceMatrix:
     """Pairwise distances; lower means more similar.
 
-    The data is stored read-only. A caller's array is copied first, so it is
-    never frozen or aliased.
+    The data is stored read-only as float64. A caller's array is copied
+    and checked for non-finite values; a _Vetted array is adopted as it is.
     """
 
     data: np.ndarray
     metric: str
 
     def __post_init__(self):
-        if isinstance(self.data, _Fresh):
-            data = np.asarray(self.data.array, dtype=np.float64, order="C")
-        else:
-            data = np.array(self.data, dtype=np.float64, order="C")
+        data, vetted = _Vetted.adopt(self.data, np.float64)
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
             raise ValueError(f"difference matrix must be Q x R, got shape {data.shape}")
-        _check_finite(data)
+        if vetted is None:
+            _check_finite(data)
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
         data.flags.writeable = False
@@ -246,7 +236,7 @@ def difference_matrix(
     out = np.empty((query.frame_count, reference.frame_count))
     for origin, rows in _distance_blocks(query, reference, metric):
         out[origin : origin + len(rows)] = rows
-    return DifferenceMatrix(data=_Fresh(out), metric=metric)
+    return DifferenceMatrix(data=_Vetted(out), metric=metric)
 
 
 class _Contrast:
@@ -320,7 +310,7 @@ def contrast_enhance(matrix: DifferenceMatrix, r_window: int = 10) -> Difference
     stage = _Contrast(*data.shape, r_window)
     for r0 in range(0, len(data), stage.step):
         stage.enhance(data, 0, r0, min(r0 + stage.step, len(data)))
-    return DifferenceMatrix(data=_Fresh(data), metric=matrix.metric)
+    return DifferenceMatrix(data=_Vetted(data), metric=matrix.metric)
 
 
 def velocity_grid(cfg: SeqSlamConfig) -> np.ndarray:

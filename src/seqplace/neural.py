@@ -33,14 +33,16 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import _UNIT_NORM_TOL, Traversal, _row_norms, make_windows, read_table, write_table
+from .dataset import (_UNIT_NORM_TOL, Traversal, _first_nonfinite, _row_norms, make_windows,
+                      read_table, write_table)
 from .matching_classic import MatchReport, _block_rows, _row_blocks
 from .rng import RandomStream
 
 SPM1_MAGIC = b"SPM1"
 _CURVES_HEADER = "epoch,loss,accuracy,seconds"
-# the dtype SPM1 stores weights in, and so the one loaded models compute in
-_CHECKPOINT_DTYPE = np.dtype(np.float32)
+# the dtype SPM1 stores weights in, and so the one loaded models compute in;
+# little-endian on any host, so a load reads the file's bytes as they are
+_CHECKPOINT_DTYPE = np.dtype("<f4")
 
 # float64 elements per Adam chunk: 128 KiB of each of the four buffers and of
 # the two scratch arrays, 768 KiB in all, so a chunk stays in L2 between its
@@ -589,7 +591,8 @@ def save_checkpoint(model: SequenceModel, path) -> None:
 
 
 def load_checkpoint(path) -> SequenceModel:
-    """Read an SPM1 file; the weights stay float32, as stored."""
+    """Read an SPM1 file straight into the float32 buffers the model keeps; a
+    non-finite weight raises ValueError naming its byte offset."""
     with open(path, "rb") as fh:
         header = fh.read(20)
         if len(header) < 20 or header[:4] != SPM1_MAGIC:
@@ -608,8 +611,12 @@ def load_checkpoint(path) -> SequenceModel:
             raise ValueError(f"{path}: {size - head_end} trailing bytes")
         lstm = LstmParams.zeros(m, hidden, _CHECKPOINT_DTYPE)
         head = HeadParams.zeros(hidden, places, _CHECKPOINT_DTYPE)
-        for flat in (lstm.flat, head.flat):
-            flat[...] = np.frombuffer(fh.read(4 * flat.size), dtype="<f4")
+        for name, flat, start in (("LSTM", lstm.flat, 20), ("head", head.flat, lstm_end)):
+            if fh.readinto(flat) != flat.nbytes:  # the file shrank after its size was checked
+                raise ValueError(f"{path}: checkpoint truncated in the {name} tensors")
+            bad = _first_nonfinite(flat)
+            if bad >= 0:
+                raise ValueError(f"{path}: non-finite weight (byte offset {start + 4 * bad})")
     return SequenceModel(lstm=lstm, head=head, d_s=d_s, n=m - 2, rng_seed=None)
 
 

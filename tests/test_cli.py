@@ -1,3 +1,4 @@
+import argparse
 import ast
 from pathlib import Path
 
@@ -470,6 +471,32 @@ def test_match_ds_below_one_is_a_usage_error(capsys, tmp_path, method):
     assert code == 2 and "--ds must be >= 1" in err
 
 
+def test_match_deep_refuses_a_ds_longer_than_the_checkpoint_route(capsys, tmp_path):
+    ds = synth_dataset(capsys, tmp_path)
+    ckpt = tmp_path / "model.spm1"
+    assert run(capsys, *train_args(ds, ckpt, tmp_path / "curves.csv", epochs=0, hidden=8))[0] == 0
+    out = tmp_path / "m.csv"
+    code, _, err = run(capsys, *deep_match_argv(ds, ckpt, out), "--ds", "41")
+    assert code == 2 and "--ds must be <= the checkpoint's 40 places, got 41" in err
+    assert not out.exists()
+    assert run(capsys, *deep_match_argv(ds, ckpt, out), "--ds", "40")[0] == 0
+
+
+def test_match_deep_names_the_offset_of_a_non_finite_weight(capsys, tmp_path):
+    ds = synth_dataset(capsys, tmp_path)
+    ckpt = tmp_path / "model.spm1"
+    assert run(capsys, *train_args(ds, ckpt, tmp_path / "curves.csv", epochs=0, hidden=8))[0] == 0
+    blob = bytearray(ckpt.read_bytes())
+    offset = len(blob) - 4 * 5  # a head bias
+    blob[offset : offset + 4] = np.array([np.nan], dtype="<f4").tobytes()
+    ckpt.write_bytes(bytes(blob))
+    out = tmp_path / "m.csv"
+    code, _, err = run(capsys, *deep_match_argv(ds, ckpt, out))
+    assert code == 3
+    assert f"{ckpt}: non-finite weight (byte offset {offset})" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method", ["seqslam", "delta"])
 def test_match_takes_a_reference_of_another_length(capsys, tmp_path, method):
     query = synth_dataset(capsys, tmp_path, "query")
@@ -782,3 +809,78 @@ def test_bench_out_rows_have_four_fields(capsys, tmp_path):
     rows = out.read_text().splitlines()
     assert len(rows) == 2
     assert [len(row.split(",")) for row in rows] == [4, 4]
+
+
+def command_argv(ds, out, command):
+    """A valid argv of command on the synth pair at ds, writing only into out."""
+    pair = ["--ref", str(ds / "reference.spd1"), "--query", str(ds / "query.spd1"),
+            "--ref-positions", str(ds / "reference_positions.txt"),
+            "--query-positions", str(ds / "query_positions.txt")]
+    deep = ["--epochs", "1", "--hidden", "4"]
+    out.mkdir(exist_ok=True)
+    if command == "train":
+        return train_args(ds, out / "c.spm1", out / "v.csv", epochs=1, hidden=4)
+    if command == "match":
+        return ["match", "--method", "seqslam", *pair[:4], "--ds", "2", "--out", str(out / "m.csv")]
+    if command == "eval":
+        write_match_csv(ds / "in.csv", range(20), [1.0 - 0.01 * i for i in range(20)])
+        return ["eval", "--matches", str(ds / "in.csv"), "--out-curve", str(out / "pr.csv")]
+    if command == "sweep":
+        return ["sweep", *pair, "--methods", "deep", "--ds-values", "2", *deep,
+                "--out", str(out / "s.csv")]
+    return ["bench", *pair, "--method", "deep", "--ds", "2", "--reps", "1", *deep,
+            "--out", str(out / "b.csv")]
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("train", ["--batch", "-1"], "--batch must be >= 1, got -1"),
+    ("train", ["--batch", "0"], "--batch must be >= 1, got 0"),
+    ("train", ["--hidden", "0"], "--hidden must be >= 1, got 0"),
+    ("sweep", ["--lr", "inf"], "--lr must be a finite number > 0, got inf"),
+    ("sweep", ["--epochs", "-1"], "--epochs must be >= 0, got -1"),
+    ("sweep", ["--hidden", "0"], "--hidden must be >= 1, got 0"),
+    ("bench", ["--lr", "-1"], "--lr must be a finite number > 0, got -1.0"),
+    ("match", ["--v-max", "inf"], "--v-max must be a finite number > 0, got inf"),
+    ("match", ["--v-step", "nan"], "--v-step must be a finite number > 0, got nan"),
+    ("match", ["--v-step", "0"], "--v-step must be a finite number > 0, got 0.0"),
+    ("match", ["--r-window", "0"], "--r-window must be >= 1, got 0"),
+    ("match", ["--v-min", "2"], "--v-min must be <= --v-max, got 2.0 > 1.2"),
+    ("eval", ["--ds", "0"], "--ds must be >= 1, got 0"),
+    ("eval", ["--delta", "-1"], "--delta must be >= 0, got -1"),
+    ("train", ["--config", "batch = 0"], "--batch must be >= 1, got 0"),
+])
+def test_a_numeric_flag_outside_its_domain_is_a_usage_error(capsys, tmp_path, command, flags, message):
+    ds = synth_dataset(capsys, tmp_path)
+    # the command runs with every other flag as it is
+    assert run(capsys, *command_argv(ds, tmp_path / "ok", command))[0] == 0
+    flags = list(flags)
+    if flags[0] == "--config":  # the flag arrives through a config file
+        (tmp_path / "flags.cfg").write_text(flags[1] + "\n")
+        flags[1] = str(tmp_path / "flags.cfg")
+    code, out, err = run(capsys, *command_argv(ds, tmp_path / "bad", command), *flags)
+    assert code == 2 and message in err, (code, err)
+    assert out == "" and not any((tmp_path / "bad").iterdir())
+
+
+def test_every_numeric_flag_has_a_domain():
+    # synth's and extract's flags are checked by SynthConfig and
+    # ThumbnailConfig, and --seed takes any integer
+    [subs] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    numeric = {
+        action.dest
+        for name, parser in subs.choices.items() if name not in ("synth", "extract")
+        for action in parser._actions if action.type in (int, float) and action.dest != "seed"
+    }
+    assert numeric == set(cli._DOMAINS)
+
+
+@pytest.mark.parametrize("error", [MemoryError, ZeroDivisionError, FloatingPointError])
+def test_memory_and_arithmetic_errors_exit_three(capsys, tmp_path, monkeypatch, error):
+    ds = synth_dataset(capsys, tmp_path)
+
+    def fail(**kwargs):
+        raise error("cannot deploy")
+
+    monkeypatch.setattr(cli, "seqslam_method", fail)
+    code, _, err = run(capsys, *command_argv(ds, tmp_path / "out", "match"))
+    assert code == 3 and "error: cannot deploy" in err

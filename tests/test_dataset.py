@@ -160,6 +160,26 @@ def test_load_descriptor_file_copies_the_payload_once(tmp_path, monkeypatch, nor
     assert peak <= 2.75 * payload, peak / payload
 
 
+@pytest.mark.parametrize("normalized", [False, True])
+def test_load_descriptor_file_reads_into_the_array_it_keeps(tmp_path, monkeypatch, normalized):
+    # the shape and norm blocks of the test above: the payload goes from the
+    # file into the sequence's own array, with no bytes object or second copy
+    monkeypatch.setattr(dataset, "_NORM_BLOCK_BYTES", 1 << 15)
+    seq = _random_sequence(np.random.default_rng(24), 400, 256, normalized)
+    path = tmp_path / "seq.spd1"
+    save_descriptor_file(seq, path)
+    payload = seq.data.nbytes
+    tracemalloc.start()
+    try:
+        loaded = load_descriptor_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.data, seq.data) and loaded.normalized == normalized
+    assert not loaded.data.flags.writeable
+    assert peak <= 1.6 * payload, peak / payload
+
+
 def test_descriptor_sequence_copies_and_freezes():
     src = np.ones((2, 2), dtype=np.float32)
     seq = DescriptorSequence(data=src)

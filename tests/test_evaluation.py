@@ -29,7 +29,6 @@ from seqplace.evaluation import (
     save_pr_csv,
     save_sweep_csv,
     seqslam_method,
-    thread_cap,
     tolerance_for,
     trained_method,
 )
@@ -211,19 +210,6 @@ def test_delta_window_for():
     assert delta_window_for(10) == 10
     with pytest.raises(ValueError):
         delta_window_for(0)
-
-
-def test_thread_cap(monkeypatch):
-    assert thread_cap(3) == 3
-    monkeypatch.setenv("SEQPLACE_THREADS", "2")
-    assert thread_cap() == 2
-    assert thread_cap(5) == 5  # explicit argument wins over the environment
-    monkeypatch.setenv("SEQPLACE_THREADS", "0")
-    assert thread_cap() >= 1
-    monkeypatch.delenv("SEQPLACE_THREADS")
-    assert thread_cap() >= 1
-    with pytest.raises(ValueError):
-        thread_cap(-1)
 
 
 def broken_method():

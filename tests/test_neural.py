@@ -568,6 +568,40 @@ def test_checkpoint_sizes_are_checked_before_allocating(tmp_path):
         load_checkpoint(path)
 
 
+def test_load_checkpoint_reads_into_the_weights_it_keeps(tmp_path):
+    # every weight goes from the file into the model's own buffers, with no
+    # bytes object or second copy; beside them, one buffer's finiteness mask
+    model = init_model(n=1022, places=2000, d_s=3, hidden=128, seed=5)
+    path = tmp_path / "m.spm1"
+    save_checkpoint(model, path)
+    weights = 4 * (model.lstm.flat.size + model.head.flat.size)
+    tracemalloc.start()
+    try:
+        back = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.lstm.flat.nbytes + back.head.flat.nbytes == weights
+    assert np.array_equal(back.head.flat, model.head.flat.astype(np.float32))
+    assert peak <= 1.25 * weights, peak / weights
+
+
+@pytest.mark.parametrize("where", ["lstm", "head", "both"])
+def test_load_checkpoint_names_the_offset_of_a_non_finite_weight(tmp_path, where):
+    model = init_model(n=3, places=4, d_s=2, hidden=3, seed=0)
+    path = tmp_path / "m.spm1"
+    save_checkpoint(model, path)
+    blob = bytearray(path.read_bytes())
+    lstm_end = 20 + 4 * model.lstm.flat.size
+    offsets = {"lstm": [20 + 4 * 7], "head": [lstm_end + 4 * 2], "both": [lstm_end, 24]}[where]
+    for offset, value in zip(offsets, (np.nan, np.inf)):
+        blob[offset : offset + 4] = np.array([value], dtype="<f4").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: non-finite weight (byte offset {min(offsets)})"
+
+
 def test_curves_csv_roundtrip(tmp_path):
     curves = TrainingCurves(
         losses=[2.5, 1.25, 0.7071067811865476],
