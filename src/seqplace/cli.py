@@ -230,7 +230,7 @@ def cmd_match(args) -> int:
     elif args.ds is None:
         raise UsageError(f"--ds is required for method {args.method}")
     d_s = args.ds if args.ds is not None else model.d_s
-    if model is not None and d_s > model.places:  # deploying would pad every window by d_s
+    if model is not None and d_s > model.places:  # no training window is that long
         if args.ds is not None:
             raise UsageError(f"--ds must be <= the checkpoint's {model.places} places, got {d_s}")
         raise ValueError(f"{args.checkpoint}: window of d_s={model.d_s} frames is longer "

@@ -157,18 +157,14 @@ class Method:
     """A matcher: prepare(reference, d_s) returns the deployment function.
 
     Preparation is the work done once per reference before any query: the
-    deep method trains there. The classic methods only fix their config,
-    and each of their deploys is one call into matching_classic
-    (seqslam_match or delta_match) that streams the query in blocks and
-    holds no Q x R matrix; delta_match computes the query's delta rows a
-    block at a time as well, so it holds no whole-query array either.
-    Their reference-side work (the delta rows, the float64 unit rows of
-    the distance GEMM) is a small share of a deploy and runs inside it, so
-    a prepared matcher holds no float64 copy of the reference between
-    deploys. The deep deploy (neural.infer) holds the Q x N activity and
-    block-sized scratch, and takes each block's softmax in place. Only
-    the returned deploy callable is benchmarked. Traversals arrive as
-    stored on disk; the LSTM normalizes rows itself.
+    deep method trains there. Each deploy is one call (seqslam_match,
+    delta_match or neural.lstm_match) that streams the query in blocks,
+    keeps each row's best match and holds neither a whole-query copy nor a
+    Q x R matrix unless a sink asks for one. The classic matchers'
+    reference-side work is a small share of a deploy and runs inside it,
+    so a prepared matcher holds no float64 copy of the reference between
+    deploys. Only the returned deploy callable is benchmarked. Traversals
+    arrive as stored on disk; each matcher normalizes rows itself.
     """
 
     name: str
@@ -247,11 +243,10 @@ def trained_deploy(
                          f"but the reference has {frames} frames of dim {dim}")
 
     def deploy(query: Traversal) -> MatchReport:
-        # the model was trained on unit rows, so it is fed unit rows
-        query = replace(query, descriptors=l2_normalize(query.descriptors))
-        activity, report = neural.infer(model, query, d_s)
+        out = None if sink is None else np.empty((query.frame_count, model.places))
+        report = neural.lstm_match(model, query, d_s, out)
         if sink is not None:
-            sink(activity)
+            sink(out)
         return report
 
     return deploy

@@ -336,16 +336,16 @@ def _offset_plan(vels: np.ndarray, d_s: int, n_ref: int) -> list[list]:
     """
     refs = np.arange(n_ref)
     ks = np.arange(1, d_s)
-    cols = np.rint(refs - vels[:, None, None] * ks[:, None]).astype(np.int64)
-    shifts = np.rint(vels[:, None] * ks).astype(np.int64)
-    kept: list[int] = []
+    seen: set[bytes] = set()
     plan: list[list] = []
-    for v in range(len(vels)):
-        if any(np.array_equal(cols[v], cols[u]) for u in kept):
+    for v in vels:
+        cols = np.rint(refs - v * ks[:, None]).astype(np.int64)
+        key = cols.tobytes()
+        if key in seen:
             continue
-        kept.append(v)
+        seen.add(key)
         terms: list = []
-        for k_cols, shift in zip(cols[v], shifts[v]):
+        for k_cols, shift in zip(cols, np.rint(v * ks).astype(np.int64)):
             if np.array_equal(k_cols, refs - shift):
                 terms.append(min(int(shift), n_ref))
             else:

@@ -4,17 +4,18 @@ A single-cell LSTM consumes windows of per-frame inputs (descriptor
 concatenated with the 2-d position, in that order) and a linear head maps
 the final hidden state to one logit per reference frame. Training is plain
 softmax cross-entropy with hand-derived backpropagation through time and
-Adam; inference emits a softmax activity profile over reference places for
-every query frame. Training, inference and the single-window functions of
-the gradient check share one core: _recur over the gates fused in the order
-i, f, g, o, and its BPTT, _backward. The loss and the activity profile
-share one in-place log softmax, _log_softmax_rows.
+Adam; inference (lstm_match, which infer wraps) takes a softmax activity
+profile over reference places for every query frame and keeps its argmax.
+Training, inference and the single-window functions of the gradient check
+share one core: _recur over the gates fused in the order i, f, g, o, and
+its BPTT, _backward. The loss and the activity profile share one in-place
+log softmax, _log_softmax_rows.
 
 Precision follows the parameters. A model trained in this process keeps
 float64 weights, so training, Adam and the reference functions the gradient
 check uses run in float64. A checkpoint stores float32 weights and loads as
-float32, and infer runs its projection, recurrence and head GEMMs at the
-parameters' dtype; only the softmax over the logits is taken in float64.
+float32, and lstm_match runs its projection, recurrence and head GEMMs at
+the parameters' dtype; only the softmax over the logits is taken in float64.
 
 Checkpoints use the SPM1 container: magic "SPM1"; m, H, N, d_s as unsigned
 32-bit little-endian; then the two flat parameter buffers, the LSTM's
@@ -33,8 +34,9 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import (_UNIT_NORM_TOL, Traversal, _first_nonfinite, _row_norms, make_windows,
-                      read_table, write_table)
+from .dataset import (_UNIT_NORM_TOL, DescriptorSequence, Traversal, _first_nonfinite, _row_norms,
+                      _Vetted, make_windows, read_table, write_table)
+from .descriptors import l2_normalize
 from .matching_classic import MatchReport, _block_rows, _row_blocks
 from .rng import RandomStream
 
@@ -49,7 +51,12 @@ _CHECKPOINT_DTYPE = np.dtype("<f4")
 # operations (fastest of 2^12-2^18 at H=512 on a Xeon with 2 MiB L2 per core)
 _ADAM_CHUNK = 1 << 14
 
-# Bytes of float64 activity rows per block of queries in infer (8 MiB)
+# Queries per projection GEMM of lstm_match, and the cap of _activity_rows.
+# OpenBLAS repacks W_x per call: at paper scale, H=512 and 1 BLAS thread,
+# 256-row blocks projected 25% slower than one whole-query GEMM, 1024 10%.
+_QUERY_ROWS = 1024
+
+# Bytes of float64 activity rows per recurrence-and-head block of lstm_match (8 MiB)
 _ACTIVITY_BYTES = 1 << 23
 
 
@@ -444,15 +451,6 @@ def _init_from_stream(rng: RandomStream, n: int, places: int, d_s: int, hidden: 
     return SequenceModel(lstm=lstm, head=head, d_s=d_s, n=n)
 
 
-def _window_inputs(traversal: Traversal, dtype=np.float64) -> np.ndarray:
-    """Per-frame model inputs: descriptor then position, cast to dtype."""
-    n = traversal.descriptors.dim
-    out = np.empty((traversal.frame_count, n + 2), dtype=dtype)
-    out[:, :n] = traversal.descriptors.data
-    out[:, n:] = traversal.positions.data
-    return out
-
-
 def train(
     reference: Traversal,
     d_s: int,
@@ -484,7 +482,7 @@ def train(
     model.rng_seed = rng_seed
     state = adam_init(model)
     grads = Gradients.zeros(model)
-    inputs = _window_inputs(reference)
+    inputs = np.hstack([desc.data, reference.positions.data])
     starts = np.array([w.start for w in windows])
     labels = np.array([w.label for w in windows])
     offsets = np.arange(d_s)[:, None]
@@ -518,65 +516,72 @@ def train(
 
 
 def _activity_rows(places: int) -> int:
-    """Queries per block of infer: the largest power of two up to 1024 whose
-    float64 activity rows fit in _ACTIVITY_BYTES, or 1. Blocks start on
-    multiples of it, and so on the row tiles of the float32 GEMM kernels;
-    the cap bounds the recurrence's block scratch when N is small."""
-    rows = min(1024, max(1, _ACTIVITY_BYTES // (8 * places)))
+    """Queries per recurrence-and-head block of lstm_match: the largest power
+    of two up to _QUERY_ROWS whose float64 activity rows fit in
+    _ACTIVITY_BYTES, or 1, so blocks start on the float32 GEMM row tiles."""
+    rows = min(_QUERY_ROWS, max(1, _ACTIVITY_BYTES // (8 * places)))
     return 1 << (rows.bit_length() - 1)
 
 
-def infer(model: SequenceModel, query: Traversal, d_s: int | None = None):
-    """Activity profile (softmax over reference places) per query frame.
+@np.errstate(over="ignore", invalid="ignore")  # the logits are checked instead
+def lstm_match(model: SequenceModel, query: Traversal, d_s: int,
+               out: np.ndarray | None = None) -> MatchReport:
+    """Per query frame, the argmax of its activity profile (the softmax over
+    reference places), scored by that probability; the float64 activity
+    rows go into out (Q x N) too if it is given.
 
-    Frame q's window covers frames [q - d_s + 1, q]; indices before the
-    first frame repeat frame 0. Returns the Q x N activity matrix and a
-    MatchReport whose score is the winning probability (higher is better).
-    Inputs, projections, recurrence and head run at the dtype of the model's
-    parameters (float32 for a loaded checkpoint); the logits are cast to
-    float64 for the softmax, so the activity is float64 either way.
-
-    Besides the activity and the (d_s - 1 + Q) x 4H projection of every
-    frame, only scratch the size of one block of queries is held: blocks
-    of _activity_rows(N) queries (256 at N = 3577) run the recurrence and
-    the head, and each block's softmax is taken in place in its activity
-    rows. With float32 weights the block size leaves every bit as it is;
-    with float64 weights OpenBLAS may round the head GEMM of a small block
-    otherwise.
+    Frame q's window covers frames [q - d_s + 1, q], frame 0 standing in for
+    those before it. Per block of _QUERY_ROWS queries, the frames its windows
+    read are scaled as l2_normalize scales them (the model was trained on
+    unit rows) and projected in one GEMM at the parameters' dtype.
+    Sub-blocks of _activity_rows(N) queries run the recurrence and the head
+    and take their softmax in place in float64. With float32 weights the
+    block sizes leave every bit as it is. Non-finite logits raise ValueError.
     """
-    if d_s is None:
-        d_s = model.d_s
+    desc, n, places = query.descriptors, model.n, model.places
     if d_s < 1:
         raise ValueError("d_s must be >= 1")
-    if query.descriptors.dim != model.n:
-        raise ValueError(
-            f"query descriptor dim {query.descriptors.dim} != model dim {model.n}"
-        )
-    n_query, dtype = query.frame_count, model.lstm.flat.dtype
-    # input-side gate projections depend only on the frame, so compute them
-    # once, after d_s - 1 rows that repeat frame 0's: proj[q + k] is step k
-    # of query q's window, so step k of a block is one slice
-    proj = np.empty((d_s - 1 + n_query, 4 * model.lstm.hidden_dim), dtype=dtype)
-    _project(model.lstm, _window_inputs(query, dtype), out=proj[d_s - 1 :])
-    proj[: d_s - 1] = proj[d_s - 1]
-    activity = np.empty((n_query, model.places))
-    step = _activity_rows(model.places)
-    logits = np.empty((min(step + 1, n_query), model.places), dtype=dtype)
-    for lo, hi in _row_blocks(n_query, step):
-        h, _ = _recur(model.lstm, (proj[lo + k : hi + k] for k in range(d_s)))
-        block = np.matmul(h, model.head.w.T, out=logits[: hi - lo])
-        block += model.head.b
-        rows = activity[lo:hi]
-        rows[...] = block  # the softmax runs in float64, in the activity rows
-        np.exp(_log_softmax_rows(rows), out=rows)
-    best = np.argmax(activity, axis=1)
-    report = MatchReport(
-        query_indices=np.arange(n_query),
-        best_ref=best,
-        scores=activity[np.arange(n_query), best],
-        higher_is_better=True,
-    )
-    return activity, report
+    if desc.dim != n:
+        raise ValueError(f"query descriptor dim {desc.dim} != model dim {n}")
+    n_query, dtype, step = query.frame_count, model.lstm.flat.dtype, _activity_rows(places)
+    if out is not None and out.shape != (n_query, places):
+        raise ValueError(f"out must be {n_query} x {places}, got shape {out.shape}")
+    span = d_s - 1 + min(_QUERY_ROWS + 1, n_query)  # frames of the largest block
+    frames = np.empty((span, n + 2), dtype=dtype)
+    proj = np.empty((span, 4 * model.lstm.hidden_dim), dtype=dtype)
+    logits = np.empty((min(step + 1, n_query), places), dtype=dtype)
+    scratch = np.empty(logits.shape) if out is None else None
+    best_ref, scores = np.empty(n_query, dtype=np.int64), np.empty(n_query)
+    for lo, hi in _row_blocks(n_query, _QUERY_ROWS):
+        first = max(lo - d_s + 1, 0)
+        pad = first - (lo - d_s + 1)  # window steps before frame 0
+        x = frames[: hi - first]
+        rows = DescriptorSequence(_Vetted(desc.data[first:hi], unit=True), desc.normalized)
+        x[:, :n] = l2_normalize(rows).data
+        x[:, n:] = query.positions.data[first:hi]
+        # proj[i + k] is step k of query lo + i's window, so a step is a slice
+        _project(model.lstm, x, out=proj[pad : pad + hi - first])
+        proj[:pad] = proj[pad]
+        for b0, b1 in _row_blocks(hi - lo, step):
+            h, _ = _recur(model.lstm, (proj[b0 + k : b1 + k] for k in range(d_s)))
+            block = np.matmul(h, model.head.w.T, out=logits[: b1 - b0])
+            block += model.head.b
+            bad = lo + b0 + np.flatnonzero(~np.isfinite(block).all(axis=1))
+            if bad.size:
+                raise ValueError(f"non-finite LSTM logits at query frame {bad[0]} "
+                                 f"({bad.size} of frames {lo + b0}-{lo + b1 - 1})")
+            act = scratch[: b1 - b0] if out is None else out[lo + b0 : lo + b1]
+            act[...] = block
+            np.exp(_log_softmax_rows(act), out=act)
+            best_ref[lo + b0 : lo + b1] = best = np.argmax(act, axis=1)
+            scores[lo + b0 : lo + b1] = act[np.arange(b1 - b0), best]
+    return MatchReport(np.arange(n_query), best_ref, scores, higher_is_better=True)
+
+
+def infer(model: SequenceModel, query: Traversal, d_s: int | None = None):
+    """The Q x N activity and the report of lstm_match, at model.d_s by default."""
+    activity = np.empty((query.frame_count, model.places))
+    return activity, lstm_match(model, query, model.d_s if d_s is None else d_s, activity)
 
 
 def save_checkpoint(model: SequenceModel, path) -> None:

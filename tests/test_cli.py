@@ -497,6 +497,24 @@ def test_match_deep_names_the_offset_of_a_non_finite_weight(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_match_deep_refuses_non_finite_logits(capsys, tmp_path):
+    # finite weights whose logits overflow: gate biases of 20 hold every
+    # hidden unit above tanh(1), and a head row of 3e38 scales them past float32
+    ds = synth_dataset(capsys, tmp_path)
+    ckpt = tmp_path / "model.spm1"
+    assert run(capsys, *train_args(ds, ckpt, tmp_path / "curves.csv", epochs=0, hidden=8))[0] == 0
+    model = neural.load_checkpoint(ckpt)
+    for bias in (model.lstm.b_i, model.lstm.b_g, model.lstm.b_o):
+        bias[...] = 20.0
+    model.head.w[4] = 3e38
+    neural.save_checkpoint(model, ckpt)
+    out = tmp_path / "m.csv"
+    code, _, err = run(capsys, *deep_match_argv(ds, ckpt, out))
+    assert code == 3
+    assert "error: non-finite LSTM logits at query frame 0 (40 of frames 0-39)" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method", ["seqslam", "delta"])
 def test_match_takes_a_reference_of_another_length(capsys, tmp_path, method):
     query = synth_dataset(capsys, tmp_path, "query")

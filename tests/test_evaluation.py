@@ -381,3 +381,57 @@ def test_evaluation_has_one_seqslam_entry_point():
         elif isinstance(node, ast.Name):
             used.add(node.id)
     assert not used & banned, sorted(used & banned)
+
+
+def test_trained_deploy_gives_infers_bytes_with_or_without_a_sink():
+    # an unflagged query: infer and the deploy both scale its rows to unit norm
+    rng = np.random.default_rng(26)
+    query = _traversal(rng, 300, 6)
+    model = neural.at_checkpoint_precision(
+        neural.init_model(n=6, places=50, d_s=4, hidden=8, seed=1)
+    )
+    activity, want = neural.infer(model, query)
+    sunk = []
+    reports = [evaluation.trained_deploy(model, 50, 6, 4, sink)(query)
+               for sink in (sunk.append, None)]
+    [matrix] = sunk
+    assert matrix.tobytes() == activity.tobytes()
+    for report in reports:
+        assert report.higher_is_better
+        for field in ("query_indices", "best_ref", "scores"):
+            assert getattr(report, field).tobytes() == getattr(want, field).tobytes(), field
+
+
+def test_trained_deploy_peak_does_not_grow_with_the_query():
+    rng = np.random.default_rng(27)
+    dim, places = 128, 600
+    model = neural.at_checkpoint_precision(
+        neural.init_model(n=dim, places=places, d_s=5, hidden=16, seed=2)
+    )
+    deploy = evaluation.trained_deploy(model, places, dim, 5)
+    peaks = []
+    for frames in (2000, 8000):
+        query = _traversal(rng, frames, dim)  # unflagged: the deploy scales its rows
+        tracemalloc.start()
+        try:
+            deploy(query)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # per query row the deploy keeps its report; a whole-query float64 copy
+    # alone would add 8 * dim bytes a row, and the Q x N activity 8 * places
+    growth = (peaks[1] - peaks[0]) / (6000 * 8 * dim)
+    assert growth < 0.25, growth
+
+
+def test_a_deep_cell_with_non_finite_logits_fails_with_their_error(capsys):
+    pair = generate(SynthConfig(frames=40, dim=6, smoothness=0.5, condition_noise=0.1, seed=2))
+    model = neural.init_model(n=6, places=40, d_s=3, hidden=8, seed=6)
+    for bias in (model.lstm.b_i, model.lstm.b_g, model.lstm.b_o):
+        bias[...] = 20.0  # every hidden unit above tanh(1)
+    model.head.w[4] = 3e38  # finite in float32; its logits overflow
+    [cell] = ds_sweep([trained_method(model)], [3], [pair])
+    assert cell.auc is None
+    assert cell.error == "ValueError: non-finite LSTM logits at query frame 0 (40 of frames 0-39)"
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"sweep: deep d_s=3 {pair.query.name} failed: {cell.error}"]

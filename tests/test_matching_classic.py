@@ -581,3 +581,17 @@ def test_delta_match_peak_does_not_grow_with_the_query():
     # array alone would add 8 * dim bytes a row
     growth = (peaks[1] - peaks[0]) / (6000 * 8 * dim)
     assert growth < 0.25, growth
+
+
+def test_offset_plan_peak_follows_the_distinct_plans():
+    # 401 velocities at v_step 0.001 sample 21 distinct column sets at d_s = 10;
+    # building every velocity's columns first took about 197 MB here
+    vels = velocity_grid(SeqSlamConfig(d_s=10, v_step=0.001))
+    tracemalloc.start()
+    try:
+        plan = matching_classic._offset_plan(vels, 10, 3577)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(vels), len(plan)) == (401, 21)
+    assert peak <= 16 * 2**20, peak / 2**20

@@ -1,6 +1,8 @@
 import math
 import re
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from oracles import max_gradient_error
 
 from seqplace import neural
 from seqplace.dataset import DescriptorSequence, PositionTrack, Traversal
+from seqplace.descriptors import l2_normalize
 from seqplace.neural import (
     AdamState,
     Gradients,
@@ -699,3 +702,40 @@ def test_infer_bits_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
         activity, report = infer(model, query)
         runs.append((activity.tobytes(), report.best_ref.tobytes(), report.scores.tobytes()))
     assert runs[0] == runs[1]
+
+
+def test_infer_scales_an_unflagged_query_as_l2_normalize_does(tmp_path):
+    # the model was trained on unit rows, so the core scales an unflagged
+    # query's frames, block by block, to the bits l2_normalize gives the whole
+    # query; 1100 frames make two 1024-row blocks, the second reading 3 frames
+    # of the first
+    rng = np.random.default_rng(34)
+    query = _tiny_traversal(rng, 1100, 6)
+    tripled = replace(query, descriptors=DescriptorSequence(data=3 * query.descriptors.data))
+    unit = replace(tripled, descriptors=l2_normalize(tripled.descriptors))
+    assert not tripled.descriptors.normalized and unit.descriptors.normalized
+    model = init_model(n=6, places=9, d_s=4, hidden=8, seed=5)
+    for weights in (model, _loaded(model, tmp_path)):
+        got_activity, got = infer(weights, tripled)
+        want_activity, want = infer(weights, unit)
+        assert got_activity.tobytes() == want_activity.tobytes()
+        assert got.best_ref.tobytes() == want.best_ref.tobytes()
+        assert got.scores.tobytes() == want.scores.tobytes()
+
+
+def test_lstm_match_names_the_query_frames_of_non_finite_logits(tmp_path):
+    # gate biases of 20 hold every hidden unit above tanh(1), so a head row of
+    # 3e38, finite in float32, overflows that logit of every query after
+    # frame 2: the deploy must raise, not write NaN scores, and no overflow
+    # warning may escape
+    rng = np.random.default_rng(36)
+    query = _tiny_traversal(rng, 40, 6)
+    model = _loaded(init_model(n=6, places=9, d_s=3, hidden=8, seed=6), tmp_path)
+    for bias in (model.lstm.b_i, model.lstm.b_g, model.lstm.b_o):
+        bias[...] = 20.0
+    model.head.w[4] = 3e38
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            neural.lstm_match(model, query, 3)
+    assert str(err.value) == "non-finite LSTM logits at query frame 0 (40 of frames 0-39)"
