@@ -19,6 +19,7 @@ from .dataset import (
     DescriptorSequence,
     PositionTrack,
     Traversal,
+    _Vetted,
     ascii_lines,
     load_descriptor_file,
     load_positions_file,
@@ -195,6 +196,11 @@ def _check_domains(args) -> None:
             raise UsageError(f"{flag} must be >= {least}, got {value}")
     if getattr(args, "v_min", 0.0) > getattr(args, "v_max", 0.0):
         raise UsageError(f"--v-min must be <= --v-max, got {args.v_min} > {args.v_max}")
+    if hasattr(args, "v_step"):  # match's seqslam flags may give a grid too fine to search
+        try:
+            seqslam_method(**{k: v for k, v in vars(args).items() if k in _SEQSLAM_FLAGS})
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
 
 def cmd_train(args) -> int:
@@ -235,21 +241,22 @@ def cmd_match(args) -> int:
             raise UsageError(f"--ds must be <= the checkpoint's {model.places} places, got {d_s}")
         raise ValueError(f"{args.checkpoint}: window of d_s={model.d_s} frames is longer "
                          f"than the route's {model.places} places")
-
-    def export(matrix):
-        save_descriptor_file(DescriptorSequence(data=matrix, normalized=False), args.export_matrix)
-
-    sink = export if args.export_matrix is not None else None
     if args.method == "deep":
         # the LSTM needs only the reference's frame count and dim: its header
         frames, dim = read_descriptor_header(_require_file(args.ref, "descriptor file"))
         query = _load_traversal(args.query, args.query_positions)
-        deploy = trained_deploy(model, frames, dim, d_s, sink)
+        deploy = trained_deploy(model, frames, dim, d_s)
     else:
         reference, query = _load_pair(args)
-        [method] = _build_methods([args.method], args, sink=sink)
-        deploy = method.prepare(reference, d_s)
-    report = deploy(query)
+        [method] = _build_methods([args.method], args)
+        deploy, frames = method.prepare(reference, d_s), reference.frame_count
+    if args.export_matrix is None:
+        report = deploy(query)
+    else:  # the deploy fills the matrix in the float32 that SPD1 stores
+        out = np.empty((query.frame_count, frames), dtype=np.float32)
+        report = deploy(query, out)
+        # finite: probabilities, or window z-scores of finite distances
+        save_descriptor_file(DescriptorSequence(_Vetted(out)), args.export_matrix)
     polarity = "higher" if report.higher_is_better else "lower"
     rows = zip(report.query_indices, report.best_ref, report.scores)
     meta = (("method", args.method), ("polarity", polarity), ("ds", d_s))
@@ -295,13 +302,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _build_methods(names: list[str], args, sink=None):
-    """The named methods; match adds its export sink and seqslam flags."""
+def _build_methods(names: list[str], args):
+    """The named methods; match adds its seqslam flags."""
     built = []
     for name in names:
         if name == "seqslam":
             flags = {k: v for k, v in vars(args).items() if k in _SEQSLAM_FLAGS}
-            built.append(seqslam_method(**flags, sink=sink))
+            built.append(seqslam_method(**flags))
         elif name == "delta":
             built.append(delta_method())
         elif name == "deep":

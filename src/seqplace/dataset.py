@@ -228,7 +228,7 @@ def save_descriptor_file(seq: DescriptorSequence, path) -> None:
     header[12] = 1 if seq.normalized else 0
     with open(path, "wb") as fh:
         fh.write(bytes(header))
-        fh.write(np.ascontiguousarray(seq.data, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(seq.data, dtype="<f4"))
 
 
 def position_bounds(raw: np.ndarray) -> np.ndarray:

@@ -147,8 +147,7 @@ def load_ground_truth(path) -> dict[int, int]:
     return dict(zip(queries.tolist(), refs.tolist()))
 
 
-Deploy = Callable[[Traversal], MatchReport]
-Sink = Callable[[np.ndarray], None]
+Deploy = Callable[..., MatchReport]  # deploy(query), and deploy(query, out) where a matrix exists
 Pair = tuple[Traversal, Traversal]  # (reference, query); a SynthPair unpacks into one
 
 
@@ -159,8 +158,10 @@ class Method:
     Preparation is the work done once per reference before any query: the
     deep method trains there. Each deploy is one call (seqslam_match,
     delta_match or neural.lstm_match) that streams the query in blocks,
-    keeps each row's best match and holds neither a whole-query copy nor a
-    Q x R matrix unless a sink asks for one. The classic matchers'
+    keeps each row's best match and holds no whole-query copy. The seqslam
+    and deep deploys take an optional out, a Q x R array that the caller
+    allocates and owns (float32 or float64), and write their matrix into it;
+    without one they hold no Q x R matrix. The classic matchers'
     reference-side work is a small share of a deploy and runs inside it,
     so a prepared matcher holds no float64 copy of the reference between
     deploys. Only the returned deploy callable is benchmarked. Traversals
@@ -173,25 +174,18 @@ class Method:
 
 def seqslam_method(
     v_min: float = 0.8, v_max: float = 1.2, v_step: float = 0.04, r_window: int = 10,
-    metric: str = "cosine", sink: Sink | None = None,
+    metric: str = "cosine",
 ) -> Method:
-    """Velocity-sweep SeqSLAM, one seqslam_match per deploy.
-
-    A deploy holds no Q x R matrix unless sink is given: the sink receives
-    each enhanced matrix, so only then is one built in full.
-    """
+    """Velocity-sweep SeqSLAM, one seqslam_match per deploy; deploy(query,
+    out) also writes the enhanced matrix into out. A ValueError here, before
+    any reference is prepared, if the velocity grid is out of bounds."""
+    config = SeqSlamConfig(v_min=v_min, v_max=v_max, v_step=v_step, r_window=r_window)
 
     def prepare(reference: Traversal, d_s: int) -> Deploy:
-        cfg = SeqSlamConfig(d_s=d_s, v_min=v_min, v_max=v_max, v_step=v_step, r_window=r_window)
+        cfg = replace(config, d_s=d_s)
 
-        def deploy(query: Traversal) -> MatchReport:
-            out = None
-            if sink is not None:
-                out = np.empty((query.frame_count, reference.frame_count))
-            report = seqslam_match(query.descriptors, reference.descriptors, cfg, metric, out)
-            if sink is not None:
-                sink(out)
-            return report
+        def deploy(query: Traversal, out: np.ndarray | None = None) -> MatchReport:
+            return seqslam_match(query.descriptors, reference.descriptors, cfg, metric, out)
 
         return deploy
 
@@ -217,7 +211,7 @@ def delta_method() -> Method:
     return Method(name="delta", prepare=prepare)
 
 
-def trained_method(model: neural.SequenceModel, sink: Sink | None = None) -> Method:
+def trained_method(model: neural.SequenceModel) -> Method:
     """The LSTM of a trained model, deployed as trained_deploy deploys it.
 
     It deploys the model at checkpoint precision (float32 weights), so a model
@@ -226,28 +220,22 @@ def trained_method(model: neural.SequenceModel, sink: Sink | None = None) -> Met
     model = neural.at_checkpoint_precision(model)
 
     def prepare(reference: Traversal, d_s: int) -> Deploy:
-        return trained_deploy(model, reference.frame_count, reference.descriptors.dim, d_s, sink)
+        return trained_deploy(model, reference.frame_count, reference.descriptors.dim, d_s)
 
     return Method(name="deep", prepare=prepare)
 
 
-def trained_deploy(
-    model: neural.SequenceModel, frames: int, dim: int, d_s: int, sink: Sink | None = None
-) -> Deploy:
+def trained_deploy(model: neural.SequenceModel, frames: int, dim: int, d_s: int) -> Deploy:
     """The deploy of a model against a reference of `frames` frames of
     descriptor dim `dim`, which is all the LSTM needs of the reference; a
-    ValueError if they are not the model's. sink, if given, receives each
-    activity matrix."""
+    ValueError if they are not the model's. deploy(query, out) also writes
+    the activity matrix into out."""
     if (model.places, model.n) != (frames, dim):
         raise ValueError(f"checkpoint has {model.places} places of descriptor dim {model.n}, "
                          f"but the reference has {frames} frames of dim {dim}")
 
-    def deploy(query: Traversal) -> MatchReport:
-        out = None if sink is None else np.empty((query.frame_count, model.places))
-        report = neural.lstm_match(model, query, d_s, out)
-        if sink is not None:
-            sink(out)
-        return report
+    def deploy(query: Traversal, out: np.ndarray | None = None) -> MatchReport:
+        return neural.lstm_match(model, query, d_s, out)
 
     return deploy
 

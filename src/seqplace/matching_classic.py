@@ -54,9 +54,12 @@ def _block_rows(n_ref: int) -> int:
 _DISTANCE_ROWS = 384
 
 
-def _check_finite(rows: np.ndarray) -> None:
-    if not np.isfinite(rows).all():
-        raise ValueError("difference matrix contains non-finite values")
+# The most velocities a SeqSLAM grid may hold. The search plans each velocity
+# in one pass over (d_s - 1) x R reference columns, about 0.23 ms at R = 4096
+# and d_s = 10 on one core, so 10001 velocities plan in about 2.3 s, as long
+# as a whole deploy at paper scale. A finer grid adds no line to search: the
+# 401 velocities of v_step 0.001, the finest grid the tests use, give 21.
+_MAX_VELOCITIES = 10_001
 
 
 @dataclass(frozen=True)
@@ -74,8 +77,8 @@ class DifferenceMatrix:
         data, vetted = _Vetted.adopt(self.data, np.float64)
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
             raise ValueError(f"difference matrix must be Q x R, got shape {data.shape}")
-        if vetted is None:
-            _check_finite(data)
+        if vetted is None and not np.isfinite(data).all():
+            raise ValueError("difference matrix contains non-finite values")
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
         data.flags.writeable = False
@@ -99,6 +102,10 @@ class SeqSlamConfig:
             raise ValueError("v_step must be > 0")
         if self.r_window < 1:
             raise ValueError("r_window must be >= 1")
+        count = _grid_size(self)
+        if count > _MAX_VELOCITIES:
+            raise ValueError(f"the velocity grid from {self.v_min} to {self.v_max} in steps of "
+                             f"{self.v_step} has {count:.0f} velocities, more than {_MAX_VELOCITIES}")
 
 
 @dataclass(frozen=True)
@@ -313,10 +320,14 @@ def contrast_enhance(matrix: DifferenceMatrix, r_window: int = 10) -> Difference
     return DifferenceMatrix(data=_Vetted(data), metric=matrix.metric)
 
 
+def _grid_size(cfg: SeqSlamConfig) -> float:
+    """Velocities in cfg's grid before the cap at v_max; inf if the ratio overflows."""
+    return np.rint((cfg.v_max - cfg.v_min) / cfg.v_step) + 1
+
+
 def velocity_grid(cfg: SeqSlamConfig) -> np.ndarray:
     """Sweep velocities v_min, v_min + v_step, ... capped at v_max."""
-    count = int(round((cfg.v_max - cfg.v_min) / cfg.v_step)) + 1
-    grid = cfg.v_min + cfg.v_step * np.arange(count)
+    grid = cfg.v_min + cfg.v_step * np.arange(int(_grid_size(cfg)))
     return grid[grid <= cfg.v_max + 1e-9]
 
 
@@ -472,8 +483,14 @@ def seqslam_match(
     metric), cfg.r_window), cfg). The query is walked once in distance
     blocks; each run of rows is enhanced in place in the blocks' view as
     soon as the rows its windows reach have arrived, and searched right
-    after in that view. If out (Q x R float64) is given, the enhanced rows
-    are written into it as well.
+    after in that view. If out (Q x R, float64 or float32) is given, the
+    enhanced rows are written into it as well, rounded to out's dtype.
+
+    No stage checks for non-finite values: descriptor rows are finite
+    float32, so cosine distances lie in [0, 2] and euclidean ones below
+    about 1e44 (n < 2^32 terms of at most (2 * 3.4e38)^2 each); squares of
+    those, their running sums over fewer than 2^32 rows, the window
+    statistics and d_s-term line costs all stay far below float64's 1.8e308.
     """
     n_query, n_ref = query.frame_count, reference.frame_count
     if out is not None and out.shape != (n_query, n_ref):
@@ -481,22 +498,20 @@ def seqslam_match(
     search = _Search(n_query, n_ref, cfg)
     contrast = _Contrast(n_query, n_ref, cfg.r_window)
     row_max = np.empty(n_query)
-    done = b0 = 0  # rows [0, done) are enhanced, [0, b0) checked
+    done = 0  # rows [0, done) are enhanced
     keep = cfg.r_window + cfg.d_s - 1
     for origin, rows in _distance_blocks(query, reference, metric, keep=keep):
         b1 = origin + len(rows)
-        _check_finite(rows[b0 - origin :])
         # a row is complete once the rows up to r_window after it are in
         end = n_query if b1 == n_query else b1 - cfg.r_window
         for r0 in range(done, end, contrast.step):
             r1 = min(r0 + contrast.step, end)
             run = contrast.enhance(rows, origin, r0, r1)
-            _check_finite(run)
             np.max(run, axis=1, out=row_max[r0:r1])
             if out is not None:
                 out[r0:r1] = run
             search.search(rows, row_max[origin:], origin, r0, r1)
-        done, b0 = max(done, end), b1
+        done = max(done, end)
     return search.report()
 
 

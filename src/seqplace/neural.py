@@ -34,9 +34,9 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import (_UNIT_NORM_TOL, DescriptorSequence, Traversal, _first_nonfinite, _row_norms,
-                      _Vetted, make_windows, read_table, write_table)
-from .descriptors import l2_normalize
+from .dataset import (_NORM_BLOCK_BYTES, _UNIT_NORM_TOL, Traversal, _first_nonfinite, _row_norms,
+                      make_windows, read_table, write_table)
+from .descriptors import unit_rows
 from .matching_classic import MatchReport, _block_rows, _row_blocks
 from .rng import RandomStream
 
@@ -527,16 +527,18 @@ def _activity_rows(places: int) -> int:
 def lstm_match(model: SequenceModel, query: Traversal, d_s: int,
                out: np.ndarray | None = None) -> MatchReport:
     """Per query frame, the argmax of its activity profile (the softmax over
-    reference places), scored by that probability; the float64 activity
-    rows go into out (Q x N) too if it is given.
+    reference places), scored by that probability; the activity rows go
+    into out (Q x N, float64 or float32) too if it is given.
 
     Frame q's window covers frames [q - d_s + 1, q], frame 0 standing in for
     those before it. Per block of _QUERY_ROWS queries, the frames its windows
     read are scaled as l2_normalize scales them (the model was trained on
     unit rows) and projected in one GEMM at the parameters' dtype.
     Sub-blocks of _activity_rows(N) queries run the recurrence and the head
-    and take their softmax in place in float64. With float32 weights the
-    block sizes leave every bit as it is. Non-finite logits raise ValueError.
+    and take their softmax in float64: in place in a float64 out, otherwise
+    in a sub-block scratch that is then rounded into out. With float32
+    weights the block sizes leave every bit as it is. Non-finite logits
+    raise ValueError.
     """
     desc, n, places = query.descriptors, model.n, model.places
     if d_s < 1:
@@ -550,14 +552,23 @@ def lstm_match(model: SequenceModel, query: Traversal, d_s: int,
     frames = np.empty((span, n + 2), dtype=dtype)
     proj = np.empty((span, 4 * model.lstm.hidden_dim), dtype=dtype)
     logits = np.empty((min(step + 1, n_query), places), dtype=dtype)
-    scratch = np.empty(logits.shape) if out is None else None
+    in_place = out is not None and out.dtype == np.float64
+    scratch = None if in_place else np.empty(logits.shape)
+    # an unflagged query's frames are scaled here, one unit_rows block at a time
+    chunk = min(max(1, _NORM_BLOCK_BYTES // (8 * n)), span)
+    unit = None if desc.normalized else np.empty((chunk, n))
     best_ref, scores = np.empty(n_query, dtype=np.int64), np.empty(n_query)
     for lo, hi in _row_blocks(n_query, _QUERY_ROWS):
         first = max(lo - d_s + 1, 0)
         pad = first - (lo - d_s + 1)  # window steps before frame 0
         x = frames[: hi - first]
-        rows = DescriptorSequence(_Vetted(desc.data[first:hi], unit=True), desc.normalized)
-        x[:, :n] = l2_normalize(rows).data
+        if unit is None:
+            x[:, :n] = desc.data[first:hi]
+        else:  # rounded to float32 first, as l2_normalize stores its rows
+            for r0 in range(first, hi, chunk):
+                rows = desc.data[r0 : min(r0 + chunk, hi)]
+                scaled, _ = unit_rows(rows, unit[: len(rows)])
+                x[r0 - first : r0 - first + len(rows), :n] = scaled.astype(np.float32)
         x[:, n:] = query.positions.data[first:hi]
         # proj[i + k] is step k of query lo + i's window, so a step is a slice
         _project(model.lstm, x, out=proj[pad : pad + hi - first])
@@ -570,11 +581,13 @@ def lstm_match(model: SequenceModel, query: Traversal, d_s: int,
             if bad.size:
                 raise ValueError(f"non-finite LSTM logits at query frame {bad[0]} "
                                  f"({bad.size} of frames {lo + b0}-{lo + b1 - 1})")
-            act = scratch[: b1 - b0] if out is None else out[lo + b0 : lo + b1]
+            act = out[lo + b0 : lo + b1] if in_place else scratch[: b1 - b0]
             act[...] = block
             np.exp(_log_softmax_rows(act), out=act)
             best_ref[lo + b0 : lo + b1] = best = np.argmax(act, axis=1)
             scores[lo + b0 : lo + b1] = act[np.arange(b1 - b0), best]
+            if out is not None and not in_place:
+                out[lo + b0 : lo + b1] = act
     return MatchReport(np.arange(n_query), best_ref, scores, higher_is_better=True)
 
 

@@ -1,5 +1,7 @@
 import argparse
 import ast
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,9 @@ from seqplace.dataset import (
     save_descriptor_file,
     save_positions_file,
 )
+from seqplace.descriptors import l2_normalize
 from seqplace.evaluation import load_pr_csv, load_sweep_csv
+from seqplace.matching_classic import contrast_enhance, difference_matrix
 
 
 def run(capsys, *argv):
@@ -336,6 +340,71 @@ def test_match_seqslam_ds1_is_row_argmin(capsys, tmp_path):
     assert matrix.shape == (40, 40)
     assert np.array_equal(report.best_ref, np.argmin(matrix, axis=1))
     assert np.allclose(report.scores, matrix.min(axis=1), atol=1e-6)
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_match_exports_the_enhanced_matrix_as_float32(capsys, tmp_path, metric):
+    ds = synth_dataset(capsys, tmp_path, noise="0.4")
+    path = tmp_path / "enhanced.spd1"
+    code, _, err = run(
+        capsys, "match", "--method", "seqslam", "--ds", "3", "--metric", metric, "--r-window", "4",
+        "--ref", str(ds / "reference.spd1"), "--query", str(ds / "query.spd1"),
+        "--export-matrix", str(path), "--out", str(tmp_path / "m.csv"),
+    )
+    assert code == 0, err
+    reference, query = (load_descriptor_file(ds / f"{side}.spd1") for side in ("reference", "query"))
+    want = contrast_enhance(difference_matrix(query, reference, metric), 4).data
+    got = load_descriptor_file(path)
+    assert not got.normalized
+    assert got.data.tobytes() == want.astype(np.float32).tobytes()
+
+
+def test_match_exports_the_deep_activity_as_float32(capsys, tmp_path):
+    # with the query file flagged normalized and with its rows scaled by 3
+    ds = synth_dataset(capsys, tmp_path)
+    ckpt = tmp_path / "model.spm1"
+    neural.save_checkpoint(neural.init_model(n=8, places=40, d_s=3, hidden=8, seed=2), ckpt)
+    model = neural.load_checkpoint(ckpt)
+    tripled = tmp_path / "tripled.spd1"
+    save_descriptor_file(DescriptorSequence(3 * load_descriptor_file(ds / "query.spd1").data), tripled)
+    for query in (ds / "query.spd1", tripled):
+        argv = deep_match_argv(ds, ckpt, tmp_path / "m.csv")
+        argv[argv.index("--query") + 1] = str(query)
+        code, _, err = run(capsys, *argv, "--export-matrix", str(tmp_path / "act.spd1"))
+        assert code == 0, err
+        traversal = cli._load_traversal(query, ds / "query_positions.txt")
+        unit = replace(traversal, descriptors=l2_normalize(traversal.descriptors))
+        activity, _ = neural.infer(model, unit)
+        got = load_descriptor_file(tmp_path / "act.spd1")
+        assert got.data.tobytes() == activity.astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize("method", ["seqslam", "deep"])
+def test_match_export_holds_one_float32_matrix(capsys, tmp_path, method):
+    # 8000 queries against 500 frames: the export is 16 MB in float32; the
+    # float64 matrix, its float32 copy and the bytes written took 64 MB
+    rng = np.random.default_rng(3)
+    n_query, n_ref, dim = 8000, 500, 16
+    paths = {name: tmp_path / f"{name}.spd1" for name in ("reference", "query")}
+    for name, frames in (("reference", n_ref), ("query", n_query)):
+        save_descriptor_file(DescriptorSequence(rng.standard_normal((frames, dim))), paths[name])
+    argv = ["match", "--method", method, "--ref", str(paths["reference"]),
+            "--query", str(paths["query"]), "--export-matrix", str(tmp_path / "m.spd1"),
+            "--out", str(tmp_path / "m.csv"), "--ds", "2"]
+    if method == "deep":
+        ckpt, positions = tmp_path / "model.spm1", tmp_path / "positions.txt"
+        neural.save_checkpoint(neural.init_model(n=dim, places=n_ref, d_s=2, hidden=8), ckpt)
+        save_positions_file(rng.standard_normal((n_query, 2)), positions)
+        argv += ["--checkpoint", str(ckpt), "--query-positions", str(positions)]
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    matrix = 8 * n_query * n_ref  # one Q x R float64 array
+    assert peak < matrix, peak / matrix  # about 0.7
 
 
 def test_match_delta_and_flag_errors(capsys, tmp_path):
@@ -866,6 +935,9 @@ def command_argv(ds, out, command):
     ("eval", ["--ds", "0"], "--ds must be >= 1, got 0"),
     ("eval", ["--delta", "-1"], "--delta must be >= 0, got -1"),
     ("train", ["--config", "batch = 0"], "--batch must be >= 1, got 0"),
+    # from 0.8 to 1.2 in steps of 0.4 / 10001: one velocity above the cap
+    ("match", ["--v-step", repr(0.4 / 10001)], "has 10002 velocities, more than 10001"),
+    ("match", ["--v-step", "5e-324"], "has inf velocities, more than 10001"),
 ])
 def test_a_numeric_flag_outside_its_domain_is_a_usage_error(capsys, tmp_path, command, flags, message):
     ds = synth_dataset(capsys, tmp_path)

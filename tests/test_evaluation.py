@@ -273,13 +273,13 @@ def test_trained_method_deploys_a_model_as_its_checkpoint(tmp_path):
     model, _ = neural.train(reference, d_s=3, epochs=5, rng_seed=0, hidden=32)
     path = tmp_path / "model.spm1"
     neural.save_checkpoint(model, path)
-    sunk = []
-    in_process = trained_method(model, sink=sunk.append).prepare(pair.reference, 3)(pair.query)
-    loaded = trained_method(neural.load_checkpoint(path), sink=sunk.append)
-    from_file = loaded.prepare(pair.reference, 3)(pair.query)
+    outs = [np.empty((120, 120)) for _ in range(2)]
+    in_process = trained_method(model).prepare(pair.reference, 3)(pair.query, outs[0])
+    loaded = trained_method(neural.load_checkpoint(path))
+    from_file = loaded.prepare(pair.reference, 3)(pair.query, outs[1])
     assert np.array_equal(in_process.best_ref, from_file.best_ref)
     assert np.array_equal(in_process.scores, from_file.scores)
-    assert np.array_equal(sunk[0], sunk[1]) and sunk[0].shape == (120, 120)
+    assert outs[0].tobytes() == outs[1].tobytes()
     assert model.lstm.flat.dtype == np.float64  # the caller's model is not touched
 
 
@@ -335,17 +335,16 @@ def _traversal(rng, frames, dim):
                      positions=PositionTrack(np.zeros((frames, 2))))
 
 
-def test_seqslam_sink_receives_the_enhanced_matrix():
+def test_seqslam_deploy_writes_the_enhanced_matrix_into_out():
     rng = np.random.default_rng(21)
     reference, query = _traversal(rng, 37, 6), _traversal(rng, 45, 6)
     for metric in ("cosine", "euclidean"):
-        sunk = []
-        method = seqslam_method(v_step=0.1, r_window=4, metric=metric, sink=sunk.append)
-        report = method.prepare(reference, 5)(query)
+        method = seqslam_method(v_step=0.1, r_window=4, metric=metric)
+        data = np.empty((45, 37))
+        report = method.prepare(reference, 5)(query, data)
         matrix = difference_matrix(query.descriptors, reference.descriptors, metric)
         enhanced = contrast_enhance(matrix, 4)
         want = seqslam_search(enhanced, SeqSlamConfig(d_s=5, v_step=0.1, r_window=4))
-        [data] = sunk
         assert np.array_equal(data, enhanced.data)
         assert np.array_equal(np.signbit(data), np.signbit(enhanced.data))
         assert np.array_equal(report.best_ref, want.best_ref)
@@ -383,7 +382,7 @@ def test_evaluation_has_one_seqslam_entry_point():
     assert not used & banned, sorted(used & banned)
 
 
-def test_trained_deploy_gives_infers_bytes_with_or_without_a_sink():
+def test_trained_deploy_gives_infers_bytes_with_or_without_out():
     # an unflagged query: infer and the deploy both scale its rows to unit norm
     rng = np.random.default_rng(26)
     query = _traversal(rng, 300, 6)
@@ -391,11 +390,11 @@ def test_trained_deploy_gives_infers_bytes_with_or_without_a_sink():
         neural.init_model(n=6, places=50, d_s=4, hidden=8, seed=1)
     )
     activity, want = neural.infer(model, query)
-    sunk = []
-    reports = [evaluation.trained_deploy(model, 50, 6, 4, sink)(query)
-               for sink in (sunk.append, None)]
-    [matrix] = sunk
+    deploy = evaluation.trained_deploy(model, 50, 6, 4)
+    matrix, single = np.empty((300, 50)), np.empty((300, 50), dtype=np.float32)
+    reports = [deploy(query, matrix), deploy(query, single), deploy(query)]
     assert matrix.tobytes() == activity.tobytes()
+    assert single.tobytes() == activity.astype(np.float32).tobytes()
     for report in reports:
         assert report.higher_is_better
         for field in ("query_indices", "best_ref", "scores"):

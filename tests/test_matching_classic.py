@@ -179,6 +179,15 @@ def test_velocity_grid_default_is_eleven_steps():
     assert len(single) == 1 and single[0] == 1.0
 
 
+def test_seqslam_config_refuses_a_grid_above_the_cap():
+    # v_step 1e-9 from 0.5 to 1.5 would ask for 1000000001 velocities
+    cap = matching_classic._MAX_VELOCITIES
+    assert len(velocity_grid(SeqSlamConfig(v_min=0.5, v_max=1.5, v_step=1.0 / (cap - 1)))) == cap
+    for v_step, count in ((1.0 / cap, cap + 1), (1e-9, 1000000001), (5e-324, "inf")):
+        with pytest.raises(ValueError, match=f"has {count} velocities, more than {cap}$"):
+            SeqSlamConfig(v_min=0.5, v_max=1.5, v_step=v_step)
+
+
 def test_seqslam_equals_bruteforce_enumeration():
     rng = np.random.default_rng(6)
     for case in range(30):

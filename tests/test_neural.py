@@ -9,7 +9,7 @@ import pytest
 from oracles import max_gradient_error
 
 from seqplace import neural
-from seqplace.dataset import DescriptorSequence, PositionTrack, Traversal
+from seqplace.dataset import _NORM_BLOCK_BYTES, DescriptorSequence, PositionTrack, Traversal
 from seqplace.descriptors import l2_normalize
 from seqplace.neural import (
     AdamState,
@@ -721,6 +721,30 @@ def test_infer_scales_an_unflagged_query_as_l2_normalize_does(tmp_path):
         assert got_activity.tobytes() == want_activity.tobytes()
         assert got.best_ref.tobytes() == want.best_ref.tobytes()
         assert got.scores.tobytes() == want.scores.tobytes()
+
+
+def test_an_unflagged_query_costs_only_norm_block_scratch(tmp_path):
+    # 1100 frames of 1024-d make a 1027-frame first block, 8 MiB in float64;
+    # scaling it through l2_normalize held that and its float32 copy (11.5 MiB
+    # above the flagged query's peak), while unit_rows-sized chunks hold 1.5
+    rng = np.random.default_rng(37)
+    frames, dim = 1100, 1024
+    pos = np.linspace(-1.0, 1.0, frames)
+    raw = Traversal(name="raw", positions=PositionTrack(np.column_stack([pos, -pos])),
+                    descriptors=DescriptorSequence(rng.standard_normal((frames, dim))))
+    unit = replace(raw, descriptors=l2_normalize(raw.descriptors))
+    model = _loaded(init_model(n=dim, places=50, d_s=4, hidden=8, seed=1), tmp_path)
+    peaks, reports = [], []
+    for query in (unit, raw):
+        tracemalloc.start()
+        try:
+            reports.append(neural.lstm_match(model, query, 4))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert reports[0].scores.tobytes() == reports[1].scores.tobytes()
+    excess = (peaks[1] - peaks[0]) / _NORM_BLOCK_BYTES
+    assert excess < 2, excess
 
 
 def test_lstm_match_names_the_query_frames_of_non_finite_logits(tmp_path):
