@@ -3,7 +3,9 @@
 Every command is flag-driven, optionally seeded by a line-oriented
 "key = value" config file (explicit flags win on conflict), and exits 0 on
 success, 2 on usage errors, 3 on runtime or training failures. Every
-command runs on one thread of its own; only NumPy's BLAS may start more.
+command runs on one thread of its own, besides the one helper thread that
+computes a seqslam or delta deploy's distance GEMMs a block ahead; only
+NumPy's BLAS may start more.
 """
 
 from __future__ import annotations

@@ -35,25 +35,31 @@ class DescriptorFileError(ValueError):
         self.offset = offset
 
 
-# Bytes of one block of rows that _row_norms casts to float64 and that
+# Bytes of one block of rows that _row_squares casts to float64 and that
 # descriptors.unit_rows normalizes.
 _NORM_BLOCK_BYTES = 1 << 20
 
 
-def _row_norms(data: np.ndarray) -> np.ndarray:
-    """Float64 Euclidean norm of each row, cast a block of rows at a time.
+def _row_squares(data: np.ndarray) -> np.ndarray:
+    """Float64 sum of the squares of each row, cast a block of rows at a time.
 
-    Each row's norm is summed on its own, so the result is bitwise that of
-    np.linalg.norm over the whole matrix cast to float64.
+    Each row is summed on its own, so the result is bitwise that of
+    (x * x).sum(axis=1) over the whole matrix x cast to float64.
     """
-    norms = np.empty(data.shape[0])
+    sums = np.empty(data.shape[0])
     step = max(1, min(len(data), _NORM_BLOCK_BYTES // (8 * data.shape[1])))
     cast = np.empty((step, data.shape[1]))  # one buffer for every block, so no block allocates
     for r0 in range(0, data.shape[0], step):
         rows = data[r0 : r0 + step]
-        squares = np.square(rows, out=cast[: len(rows)], dtype=np.float64)
-        norms[r0 : r0 + step] = np.sqrt(squares.sum(axis=1))
-    return norms
+        sums[r0 : r0 + step] = np.square(rows, out=cast[: len(rows)], dtype=np.float64).sum(axis=1)
+    return sums
+
+
+def _row_norms(data: np.ndarray) -> np.ndarray:
+    """Float64 Euclidean norm of each row: the square roots of _row_squares,
+    so bitwise np.linalg.norm over the whole matrix cast to float64."""
+    norms = _row_squares(data)
+    return np.sqrt(norms, out=norms)
 
 
 def _first_nonfinite(values: np.ndarray) -> int:

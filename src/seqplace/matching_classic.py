@@ -8,8 +8,10 @@ nearest-neighbor retrieval in delta-descriptor space.
 
 Distances are computed in blocks of query rows, one GEMM per block against
 a float64 operand of the reference; only `difference_matrix` stores every
-block. Nearest-neighbor and delta matching keep each row's argmin and its
-distance. Both baselines sum windows of consecutive rows through one
+block. Every distance computation is one double-buffered stream: a helper
+thread, the only one that calls BLAS, computes the next block's GEMM while
+the caller consumes the current one with elementwise work. Nearest-neighbor
+and delta matching keep each row's argmin and its distance. Both baselines sum windows of consecutive rows through one
 running-sum kernel, `descriptors._RunningSums`: delta matching computes the
 query's delta rows a block at a time and fills the reference operand the
 same way, so it holds no whole-query array and no delta-transformed copy of
@@ -18,19 +20,22 @@ stages, which share one view (rows, origin) in which rows[i] is row
 origin + i: a distance block after the r_window + d_s - 1 rows before it.
 A run of rows is enhanced in place once every row its windows reach is in
 the view, then searched in the view, which still holds the d_s - 1
-enhanced rows before the run. Besides the view the stream holds the
-contrast window's running sums and the Q row maxima, and no Q x R array.
+enhanced rows before the run. Besides the two buffers its views alternate
+between, the stream holds the contrast window's running sums and the Q row
+maxima, and no Q x R array.
 `contrast_enhance` and `seqslam_search` drive the same two stages over a
 whole matrix, so the stream gives their results bit for bit.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DescriptorSequence, _Vetted
+from .dataset import DescriptorSequence, _row_squares, _Vetted
 from .descriptors import DeltaConfig, _delta_blocks, _RunningSums, unit_rows
 
 METRICS = ("cosine", "euclidean")
@@ -48,10 +53,12 @@ def _block_rows(n_ref: int) -> int:
 # Query rows per GEMM of a distance computation. With one BLAS thread,
 # OpenBLAS gives every entry the bits of one whole-matrix GEMM only when each
 # block starts on a multiple of its dgemm kernel's row tile (24 rows on the
-# SkylakeX kernel, where 16- or 256-row blocks change a few entries); 384 is
-# a multiple of 24 and of the smaller tiles (4, 8, 16) of other kernels. At
-# paper scale, 384-row blocks run as fast as one whole-matrix GEMM.
-_DISTANCE_ROWS = 384
+# SkylakeX kernel, where 16- or 256-row blocks change a few entries); 192 is
+# a multiple of 24 and of the smaller tiles (4, 8, 16) of other kernels. A
+# distance stream holds two blocks' buffers, one read by the caller while a
+# helper thread fills the other, so the two hold what one buffer of 384
+# rows did.
+_DISTANCE_ROWS = 192
 
 
 # The most velocities a SeqSLAM grid may hold. The search plans each velocity
@@ -176,47 +183,80 @@ def _distances(blocks, n_query, b, metric, keep=0):
 
     blocks yields the query's rows (float32, or any dtype the float64 cast
     is exact for) of each block of _row_blocks(n_query, _DISTANCE_ROWS), in
-    order, so a source may compute them one block at a time. Rows are views
-    of one scratch array, to whose front the last `keep` rows move before
-    the next block is computed; a consumer may overwrite rows of the view,
-    and the carried rows keep what it wrote. The query is cast a block at a
-    time into one block-sized float64 buffer, where for the cosine metric
-    `unit_rows` normalizes it; every step is row-wise, so the bits are those
-    of a whole-query cast.
+    order, so a source may compute them one block at a time; it may reuse
+    its scratch for the next block. Rows are views of one of two buffers
+    that the blocks alternate between. A consumer may overwrite rows of the
+    view, and the carried rows keep what it wrote: they are copied into the
+    next block's buffer once the consumer has asked for that block.
+
+    One helper thread, the only one that calls BLAS, computes a block's
+    GEMM and its elementwise finish one block ahead: while the caller
+    consumes block i, the helper computes block i + 1 and the caller pulls
+    the query rows of block i + 2 from blocks into one of two float64 row
+    buffers (for the cosine metric normalized there by `unit_rows`). Every
+    step is row-wise and each GEMM takes the same operands whichever thread
+    runs it, so the bits are those of a whole-query cast. The helper is
+    gone once the stream ends, raises or is closed.
     """
     n_ref = b.shape[0]
+    bounds = list(_row_blocks(n_query, _DISTANCE_ROWS))
+    starts = [max(b0 - keep, 0) for b0, _ in bounds]  # origin of each block's view
     most = min(_DISTANCE_ROWS + 1, n_query)  # rows of the largest block
-    rows64 = np.empty((most, b.shape[1]))
+    rows64 = np.empty((2, most, b.shape[1]))
+    views = np.empty((2, min(keep + most, n_query), n_ref))
     if metric == "cosine":
         b_zero = ~b.any(axis=1)
     else:
-        b_sq = (b * b).sum(axis=1)
+        b_sq = _row_squares(b)
         gram = np.empty((most, n_ref))
-    scratch = np.empty((min(keep + most, n_query), n_ref))
-    origin = 0
-    for (b0, b1), new in zip(_row_blocks(n_query, _DISTANCE_ROWS), blocks):
-        start = max(b0 - keep, 0)
-        scratch[: b0 - start] = scratch[start - origin : b0 - origin]
-        rows = scratch[: b1 - start]
-        origin = start
-        block = rows[b0 - origin :]
+
+    def pull(i):
+        """Block i's query rows in rows64[i % 2], and for the euclidean
+        metric their squared norms; runs on the calling thread."""
+        b0, b1 = bounds[i]
+        a = rows64[i % 2, : b1 - b0]
+        new = next(blocks)
         if metric == "cosine":
-            a, _ = unit_rows(new, rows64[: b1 - b0])
+            return unit_rows(new, a)[0], None
+        a_sq = np.square(new, out=a, dtype=np.float64).sum(axis=1)  # a is scratch here
+        a[...] = new
+        return a, a_sq
+
+    def compute(i, a, a_sq):
+        """Block i's distances, in place in views[i % 2]; runs on the helper."""
+        b0, b1 = bounds[i]
+        block = views[i % 2, b0 - starts[i] : b1 - starts[i]]
+        if metric == "cosine":
             np.matmul(a, b.T, out=block)
             np.subtract(1.0, block, out=block)
             block[~a.any(axis=1), :] = 1.0
             block[:, b_zero] = 1.0
             np.clip(block, 0.0, 2.0, out=block)
         else:
-            a = rows64[: b1 - b0]
-            a[...] = new
-            np.add((a * a).sum(axis=1)[:, None], b_sq[None, :], out=block)
+            np.add(a_sq[:, None], b_sq[None, :], out=block)
             g = np.matmul(a, b.T, out=gram[: b1 - b0])
             g *= 2.0
             block -= g
             np.clip(block, 0.0, None, out=block)
             np.sqrt(block, out=block)
-        yield origin, rows
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        ahead = helper.submit(compute, 0, *pull(0))
+        if len(bounds) > 1:
+            pulled = pull(1)
+        for i, (b0, b1) in enumerate(bounds):
+            ahead.result()
+            rows = views[i % 2, : b1 - starts[i]]
+            if i > 0:
+                # the carried rows leave the other buffer before the next
+                # block's GEMM may write there
+                prev = starts[i - 1]
+                rows[: b0 - starts[i]] = views[(i - 1) % 2, starts[i] - prev : b0 - prev]
+            if i + 1 < len(bounds):
+                ahead = helper.submit(compute, i + 1, *pulled)
+            yield starts[i], rows
+            if i + 2 < len(bounds):
+                pulled = pull(i + 2)
 
 
 def _nearest(blocks, n_query) -> tuple[np.ndarray, np.ndarray]:
@@ -225,10 +265,11 @@ def _nearest(blocks, n_query) -> tuple[np.ndarray, np.ndarray]:
     argmin of the difference matrix."""
     best = np.empty(n_query, dtype=np.int64)
     scores = np.empty(n_query)
-    for origin, rows in blocks:
-        winner = np.argmin(rows, axis=1)
-        best[origin : origin + len(rows)] = winner
-        scores[origin : origin + len(rows)] = rows[np.arange(len(winner)), winner]
+    with closing(blocks):
+        for origin, rows in blocks:
+            winner = np.argmin(rows, axis=1)
+            best[origin : origin + len(rows)] = winner
+            scores[origin : origin + len(rows)] = rows[np.arange(len(winner)), winner]
     return best, scores
 
 
@@ -241,8 +282,9 @@ def difference_matrix(
     vector gets distance 1. Euclidean is the plain L2 distance.
     """
     out = np.empty((query.frame_count, reference.frame_count))
-    for origin, rows in _distance_blocks(query, reference, metric):
-        out[origin : origin + len(rows)] = rows
+    with closing(_distance_blocks(query, reference, metric)) as blocks:
+        for origin, rows in blocks:
+            out[origin : origin + len(rows)] = rows
     return DifferenceMatrix(data=_Vetted(out), metric=metric)
 
 
@@ -500,18 +542,19 @@ def seqslam_match(
     row_max = np.empty(n_query)
     done = 0  # rows [0, done) are enhanced
     keep = cfg.r_window + cfg.d_s - 1
-    for origin, rows in _distance_blocks(query, reference, metric, keep=keep):
-        b1 = origin + len(rows)
-        # a row is complete once the rows up to r_window after it are in
-        end = n_query if b1 == n_query else b1 - cfg.r_window
-        for r0 in range(done, end, contrast.step):
-            r1 = min(r0 + contrast.step, end)
-            run = contrast.enhance(rows, origin, r0, r1)
-            np.max(run, axis=1, out=row_max[r0:r1])
-            if out is not None:
-                out[r0:r1] = run
-            search.search(rows, row_max[origin:], origin, r0, r1)
-        done = max(done, end)
+    with closing(_distance_blocks(query, reference, metric, keep=keep)) as blocks:
+        for origin, rows in blocks:
+            b1 = origin + len(rows)
+            # a row is complete once the rows up to r_window after it are in
+            end = n_query if b1 == n_query else b1 - cfg.r_window
+            for r0 in range(done, end, contrast.step):
+                r1 = min(r0 + contrast.step, end)
+                run = contrast.enhance(rows, origin, r0, r1)
+                np.max(run, axis=1, out=row_max[r0:r1])
+                if out is not None:
+                    out[r0:r1] = run
+                search.search(rows, row_max[origin:], origin, r0, r1)
+            done = max(done, end)
     return search.report()
 
 

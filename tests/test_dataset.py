@@ -132,6 +132,8 @@ def test_normalized_check_uses_whole_matrix_norms(monkeypatch):
     for block_rows in (1, 3, 4, 11):
         monkeypatch.setattr(dataset, "_NORM_BLOCK_BYTES", 8 * 7 * block_rows)
         assert np.array_equal(dataset._row_norms(data), whole), block_rows
+        cast = data.astype(np.float64)
+        assert np.array_equal(dataset._row_squares(data), (cast * cast).sum(axis=1)), block_rows
         with pytest.raises(ValueError) as err:
             DescriptorSequence(data=data, normalized=True)
         assert str(err.value) == f"normalized flag set but row {bad} has norm {whole[bad]:.6g}"

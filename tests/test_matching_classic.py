@@ -1,10 +1,12 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from oracles import seqslam_oracle
 
-from seqplace import matching_classic
+from seqplace import dataset, matching_classic
 from seqplace.dataset import DescriptorSequence
 from seqplace.descriptors import DeltaConfig, delta_transform
 from seqplace.matching_classic import (
@@ -352,6 +354,89 @@ def test_seqslam_match_equals_the_stages_bit_for_bit(monkeypatch):
                 _assert_same_bits(plain.scores, got.scores, label)
                 assert np.array_equal(got.query_indices, np.arange(frames))
                 assert not got.higher_is_better
+
+
+def test_seqslam_match_keeps_every_bit_across_many_buffer_swaps(monkeypatch):
+    # 130 rows in 3-row blocks make 42 seams, at each of which the 12 carried
+    # rows leave one buffer while the helper may start the next GEMM into it;
+    # a short switch interval hands the interpreter over often
+    rng = np.random.default_rng(27)
+    query = np.round(rng.standard_normal((130, 4)) * 2.0) / 2.0
+    reference = np.round(rng.standard_normal((64, 4)) * 2.0) / 2.0
+    query[40:60] = 0.0
+    q = DescriptorSequence(data=query.astype(np.float32))
+    r = DescriptorSequence(data=reference.astype(np.float32))
+    cfg = SeqSlamConfig(d_s=5, r_window=8)  # keep = 12 rows
+    monkeypatch.setattr(matching_classic, "_DISTANCE_ROWS", 3)
+    monkeypatch.setattr(dataset, "_NORM_BLOCK_BYTES", 8 * 4 * 2)  # reference norms in 2-row blocks
+    assert len(list(matching_classic._row_blocks(130, 3))) - 1 >= 40
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for metric in METRICS:
+            enhanced = contrast_enhance(difference_matrix(q, r, metric), cfg.r_window).data
+            want = seqslam_search(DifferenceMatrix(data=enhanced, metric=metric), cfg)
+            for run in range(20):
+                out = np.empty((130, 64))
+                got = seqslam_match(q, r, cfg, metric, out)
+                assert np.array_equal(got.best_ref, want.best_ref), (metric, run)
+                _assert_same_bits(got.scores, want.scores, (metric, run))
+                _assert_same_bits(out, enhanced, (metric, run))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_failing_block_source_reaches_the_caller_and_stops_the_helper(monkeypatch):
+    monkeypatch.setattr(matching_classic, "_DISTANCE_ROWS", 3)
+    rng = np.random.default_rng(28)
+    query = rng.standard_normal((20, 4)).astype(np.float32)
+    b = rng.standard_normal((9, 4))
+
+    def source():
+        for k, (b0, b1) in enumerate(matching_classic._row_blocks(20, 3)):
+            if k == 2:
+                raise RuntimeError("the third block failed")
+            yield query[b0:b1]
+
+    threads = threading.active_count()
+    for metric in METRICS:
+        with pytest.raises(RuntimeError, match="the third block failed"):
+            matching_classic._nearest(matching_classic._distances(source(), 20, b, metric), 20)
+        assert threading.active_count() == threads, metric
+
+
+def test_closing_the_stream_after_one_block_stops_the_helper(monkeypatch):
+    monkeypatch.setattr(matching_classic, "_DISTANCE_ROWS", 3)
+    rng = np.random.default_rng(29)
+    q, r = _seq(rng, 20, 4), _seq(rng, 9, 4)
+    threads = threading.active_count()
+    for metric in METRICS:
+        stream = matching_classic._distance_blocks(q, r, metric, keep=5)
+        origin, rows = next(stream)
+        assert (origin, len(rows)) == (0, 3)
+        assert threading.active_count() == threads + 1, metric
+        stream.close()
+        assert threading.active_count() == threads, metric
+
+
+def test_euclidean_deploy_peaks_within_one_distance_block_of_cosine():
+    # the euclidean operand's squared norms are summed a block of rows at a
+    # time: a whole b * b temporary would take 8 * 400 * 2048 bytes, nearly
+    # 10 of the stream's buffers
+    rng = np.random.default_rng(30)
+    query, reference = _seq(rng, 300, 2048), _seq(rng, 400, 2048)
+    cfg = SeqSlamConfig()
+    keep = cfg.r_window + cfg.d_s - 1
+    block = 8 * 400 * (keep + matching_classic._DISTANCE_ROWS + 1)  # one of the stream's buffers
+    peaks = {}
+    for metric in METRICS:
+        tracemalloc.start()
+        try:
+            seqslam_match(query, reference, cfg, metric)
+            peaks[metric] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["euclidean"] - peaks["cosine"] <= block, (peaks, block)
 
 
 def test_contrast_prefix_moves_keep_every_bit_over_long_runs(monkeypatch):
