@@ -16,6 +16,9 @@ float64 weights, so training, Adam and the reference functions the gradient
 check uses run in float64. A checkpoint stores float32 weights and loads as
 float32, and lstm_match runs its projection, recurrence and head GEMMs at
 the parameters' dtype; only the softmax over the logits is taken in float64.
+lstm_match runs its blocks of queries on two threads, the caller and one
+helper, which take the blocks in turn; every block's operations are those
+of a one-thread run, so the threads change no bit.
 
 Checkpoints use the SPM1 container: magic "SPM1"; m, H, N, d_s as unsigned
 32-bit little-endian; then the two flat parameter buffers, the LSTM's
@@ -27,8 +30,11 @@ head w, head b.
 
 from __future__ import annotations
 
+import itertools
 import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -54,7 +60,9 @@ _ADAM_CHUNK = 1 << 14
 # Queries per projection GEMM of lstm_match, and the cap of _activity_rows.
 # OpenBLAS repacks W_x per call: at paper scale, H=512 and 1 BLAS thread,
 # 256-row blocks projected 25% slower than one whole-query GEMM, 1024 10%.
-_QUERY_ROWS = 1024
+# lstm_match's two workers each hold one block's frames and projection, so
+# together they hold about what one worker held with 1024-row blocks.
+_QUERY_ROWS = 512
 
 # Bytes of float64 activity rows per recurrence-and-head block of lstm_match (8 MiB)
 _ACTIVITY_BYTES = 1 << 23
@@ -523,7 +531,6 @@ def _activity_rows(places: int) -> int:
     return 1 << (rows.bit_length() - 1)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the logits are checked instead
 def lstm_match(model: SequenceModel, query: Traversal, d_s: int,
                out: np.ndarray | None = None) -> MatchReport:
     """Per query frame, the argmax of its activity profile (the softmax over
@@ -537,8 +544,15 @@ def lstm_match(model: SequenceModel, query: Traversal, d_s: int,
     Sub-blocks of _activity_rows(N) queries run the recurrence and the head
     and take their softmax in float64: in place in a float64 out, otherwise
     in a sub-block scratch that is then rounded into out. With float32
-    weights the block sizes leave every bit as it is. Non-finite logits
-    raise ValueError.
+    weights the block sizes leave every bit as it is.
+
+    Two workers, the calling thread and one helper thread, take the blocks'
+    indices in turn from one counter; each allocates its own buffers when it
+    takes its first block, so a one-block query starts no helper. Workers
+    write disjoint rows of the report and of out. Non-finite logits raise
+    ValueError; once a block has failed neither worker takes another, and
+    the call raises the error of the lowest-indexed failing block, so it
+    names the first bad query frame whichever worker found it.
     """
     desc, n, places = query.descriptors, model.n, model.places
     if d_s < 1:
@@ -549,16 +563,25 @@ def lstm_match(model: SequenceModel, query: Traversal, d_s: int,
     if out is not None and out.shape != (n_query, places):
         raise ValueError(f"out must be {n_query} x {places}, got shape {out.shape}")
     span = d_s - 1 + min(_QUERY_ROWS + 1, n_query)  # frames of the largest block
-    frames = np.empty((span, n + 2), dtype=dtype)
-    proj = np.empty((span, 4 * model.lstm.hidden_dim), dtype=dtype)
-    logits = np.empty((min(step + 1, n_query), places), dtype=dtype)
     in_place = out is not None and out.dtype == np.float64
-    scratch = None if in_place else np.empty(logits.shape)
-    # an unflagged query's frames are scaled here, one unit_rows block at a time
-    chunk = min(max(1, _NORM_BLOCK_BYTES // (8 * n)), span)
-    unit = None if desc.normalized else np.empty((chunk, n))
+    # an unflagged query's frames are scaled one unit_rows chunk at a time;
+    # the two workers' chunks together fit one _NORM_BLOCK_BYTES
+    chunk = min(max(1, _NORM_BLOCK_BYTES // (16 * n)), span)
     best_ref, scores = np.empty(n_query, dtype=np.int64), np.empty(n_query)
-    for lo, hi in _row_blocks(n_query, _QUERY_ROWS):
+    bounds = list(_row_blocks(n_query, _QUERY_ROWS))
+    taken, lock = itertools.count(), threading.Lock()
+    failures: dict[int, BaseException] = {}  # block index -> what it raised
+
+    def buffers():
+        """One worker's frames, projection, logits, softmax and unit-row scratch."""
+        logits = np.empty((min(step + 1, n_query), places), dtype=dtype)
+        return (np.empty((span, n + 2), dtype=dtype),
+                np.empty((span, 4 * model.lstm.hidden_dim), dtype=dtype), logits,
+                None if in_place else np.empty(logits.shape),
+                None if desc.normalized else np.empty((chunk, n)))
+
+    def run(lo, hi, frames, proj, logits, scratch, unit):
+        """Queries [lo, hi) into best_ref, scores and out."""
         first = max(lo - d_s + 1, 0)
         pad = first - (lo - d_s + 1)  # window steps before frame 0
         x = frames[: hi - first]
@@ -588,6 +611,34 @@ def lstm_match(model: SequenceModel, query: Traversal, d_s: int,
             scores[lo + b0 : lo + b1] = act[np.arange(b1 - b0), best]
             if out is not None and not in_place:
                 out[lo + b0 : lo + b1] = act
+
+    # errstate is per thread, so each worker sets its own
+    @np.errstate(over="ignore", invalid="ignore")  # the logits are checked instead
+    def work():
+        """Run blocks until none is left or one has failed."""
+        held = None
+        while True:
+            with lock:
+                i = len(bounds) if failures else next(taken)
+            if i >= len(bounds):
+                return
+            try:
+                if held is None:
+                    held = buffers()
+                run(*bounds[i], *held)
+            except BaseException as exc:  # raised again by the calling thread
+                with lock:
+                    failures[i] = exc
+
+    if len(bounds) < 2:
+        work()
+    else:
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            second = helper.submit(work)
+            work()
+            second.result()
+    if failures:
+        raise failures[min(failures)]
     return MatchReport(np.arange(n_query), best_ref, scores, higher_is_better=True)
 
 

@@ -1,5 +1,7 @@
 import math
 import re
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -415,7 +417,7 @@ def test_infer_activity_is_softmax_of_reference_forward():
 
 
 def test_infer_windows_hold_across_query_blocks():
-    # queries past the first 1024-row block read their steps' projections as
+    # queries past the first 512-row block read their steps' projections as
     # slices; each window must still be frames [q - d_s + 1, q]
     rng = np.random.default_rng(33)
     query = _tiny_traversal(rng, 2100, 5)
@@ -424,7 +426,7 @@ def test_infer_windows_hold_across_query_blocks():
     frames = np.concatenate(
         [query.descriptors.data.astype(np.float64), query.positions.data], axis=1
     )
-    for q in (0, 2, 3, 1023, 1024, 1025, 2047, 2048, 2099):
+    for q in (0, 2, 3, 511, 512, 513, 1023, 1024, 1025, 2047, 2048, 2099):
         idx = [max(q - 4 + 1 + k, 0) for k in range(4)]
         logits = model_forward(model, frames[idx])
         probs = np.exp(logits - logits.max())
@@ -458,8 +460,9 @@ def _loaded(model, tmp_path):
 
 
 def test_infer_on_a_loaded_checkpoint_stays_float32(tmp_path):
-    # six 1024-row blocks: the float32 path peaks at 0.85x one float64 Q x 4H
-    # projection here, a float64 h0 at 1.24x and float64 inputs at 1.70x
+    # twelve 512-row blocks on two workers: the float32 path peaks at 0.35x
+    # one float64 Q x 4H projection here, a float64 h0 at 1.24x and float64
+    # inputs at 1.70x
     frames, hidden = 6144, 64
     rng = np.random.default_rng(31)
     query = _tiny_traversal(rng, frames, 8)
@@ -707,8 +710,8 @@ def test_infer_bits_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
 def test_infer_scales_an_unflagged_query_as_l2_normalize_does(tmp_path):
     # the model was trained on unit rows, so the core scales an unflagged
     # query's frames, block by block, to the bits l2_normalize gives the whole
-    # query; 1100 frames make two 1024-row blocks, the second reading 3 frames
-    # of the first
+    # query; 1100 frames make blocks of 512, 512 and 76 queries, each after
+    # the first reading 3 frames of the one before
     rng = np.random.default_rng(34)
     query = _tiny_traversal(rng, 1100, 6)
     tripled = replace(query, descriptors=DescriptorSequence(data=3 * query.descriptors.data))
@@ -724,9 +727,10 @@ def test_infer_scales_an_unflagged_query_as_l2_normalize_does(tmp_path):
 
 
 def test_an_unflagged_query_costs_only_norm_block_scratch(tmp_path):
-    # 1100 frames of 1024-d make a 1027-frame first block, 8 MiB in float64;
+    # 1100 frames of 1024-d made a 1027-frame first block, 8 MiB in float64;
     # scaling it through l2_normalize held that and its float32 copy (11.5 MiB
-    # above the flagged query's peak), while unit_rows-sized chunks hold 1.5
+    # above the flagged query's peak), while the two workers' unit_rows-sized
+    # chunks hold 1.2-1.5
     rng = np.random.default_rng(37)
     frames, dim = 1100, 1024
     pos = np.linspace(-1.0, 1.0, frames)
@@ -763,3 +767,81 @@ def test_lstm_match_names_the_query_frames_of_non_finite_logits(tmp_path):
         with pytest.raises(ValueError) as err:
             neural.lstm_match(model, query, 3)
     assert str(err.value) == "non-finite LSTM logits at query frame 0 (40 of frames 0-39)"
+
+
+def _sign_gated(model):
+    """Make model's logit 4 overflow float32 exactly for the queries whose last
+    frame has a positive first descriptor entry: the forget gate shuts, the
+    input and output gates open, and g takes that entry's sign, so every hidden
+    unit is about +-tanh(1) and head row 4 adds about +-2.3e38 to a bias of 3e38."""
+    model.lstm.flat[...] = 0.0
+    model.lstm.b_i[...] = model.lstm.b_o[...] = 20.0
+    model.lstm.b_f[...] = -20.0
+    model.lstm.w_ig[:, 0] = 1e4
+    model.head.w[4] = 3e38 / model.lstm.hidden_dim
+    model.head.b[4] = 3e38
+    return model
+
+
+def test_the_lowest_failing_block_names_the_error_on_either_worker(tmp_path, monkeypatch):
+    # five 8-query blocks, the second and fourth with overflowing logits: the
+    # second is projected late, so the other worker usually meets the fourth
+    # first, yet the call raises the second's error, no worker takes a block
+    # after a failure, and no overflow warning escapes the helper thread
+    monkeypatch.setattr(neural, "_QUERY_ROWS", 8)
+    query = _tiny_traversal(np.random.default_rng(38), 40, 6)
+    project, last_block_runs = neural._project, []
+
+    def late_at_13(lstm, x, out=None):
+        def holds(frame):
+            return (x[:, -2:] == query.positions.data[frame].astype(x.dtype)).all(axis=1).any()
+
+        if holds(13):
+            time.sleep(0.05)
+        last_block_runs.append(holds(39))
+        return project(lstm, x, out)
+
+    monkeypatch.setattr(neural, "_project", late_at_13)
+
+    def positive_at(frames):
+        data = query.descriptors.data.copy()
+        data[:, 0] = -np.abs(data[:, 0])
+        data[frames, 0] *= -1.0
+        return replace(query, descriptors=DescriptorSequence(data=data, normalized=True))
+
+    model = _sign_gated(_loaded(init_model(n=6, places=9, d_s=3, hidden=8, seed=6), tmp_path))
+    threads = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(5):
+            with pytest.raises(ValueError) as err:
+                neural.lstm_match(model, positive_at([13, 30]), 3)
+            assert str(err.value) == "non-finite LSTM logits at query frame 13 (1 of frames 8-15)"
+            assert threading.active_count() == threads
+        # both bad blocks are taken before the last one, so no worker takes it
+        assert not any(last_block_runs)
+        with pytest.raises(ValueError, match="query frame 30 [(]1 of frames 24-31[)]"):
+            neural.lstm_match(model, positive_at([30]), 3)
+        neural.lstm_match(model, positive_at([]), 3)  # every logit finite
+
+
+def test_two_workers_keep_every_bit_of_one(tmp_path, monkeypatch):
+    # 64-query blocks split 300 queries into five, which both workers take;
+    # 4096-query blocks make one, which the calling thread runs alone
+    frames, places = 300, 700
+    rng = np.random.default_rng(39)
+    query = _tiny_traversal(rng, frames, 40)
+    model = _loaded(init_model(n=40, places=places, d_s=5, hidden=32, seed=7), tmp_path)
+    threads = threading.active_count()
+    runs = []
+    for rows in (64, 4096):
+        monkeypatch.setattr(neural, "_QUERY_ROWS", rows)
+        run = []
+        for dtype in (np.float64, np.float32, None):
+            out = None if dtype is None else np.empty((frames, places), dtype=dtype)
+            report = neural.lstm_match(model, query, 5, out)
+            assert threading.active_count() == threads
+            run += [report.best_ref.tobytes(), report.scores.tobytes()]
+            run += [] if out is None else [out.tobytes()]
+        runs.append(run)
+    assert runs[0] == runs[1]
