@@ -2,10 +2,10 @@
 
 Every command is flag-driven, optionally seeded by a line-oriented
 "key = value" config file (explicit flags win on conflict), and exits 0 on
-success, 2 on usage errors, 3 on runtime or training failures. Every
-command runs on one thread of its own, besides the one helper thread that
-computes a seqslam or delta deploy's distance GEMMs a block ahead; only
-NumPy's BLAS may start more.
+success, 2 on usage errors, 3 on runtime failures (evaluation.RUN_ERRORS).
+Every command runs on one thread of its own, besides one helper thread per
+deploy: a seqslam or delta deploy's distance GEMMs a block ahead, or a deep
+deploy's second worker. Only NumPy's BLAS may start more.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .dataset import (
 )
 from .descriptors import ThumbnailConfig, l2_normalize, read_pgm, thumbnail_descriptor
 from .evaluation import (
+    RUN_ERRORS,
     delta_method,
     deep_method,
     ds_sweep,
@@ -480,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, RuntimeError, MemoryError, ArithmeticError) as exc:
+    except RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -25,6 +25,8 @@ from . import neural
 
 _PR_HEADER = "threshold,precision,recall"
 _SWEEP_HEADER = "method,d_s,query_name,auc"
+# the failures a command exits 3 on and a sweep cell fails alone on
+RUN_ERRORS = (ValueError, OSError, RuntimeError, MemoryError, ArithmeticError)
 
 
 def tolerance_for(d_s: int) -> int:
@@ -272,8 +274,8 @@ def ds_sweep(
 ) -> list[SweepCell]:
     """AUC per (method, d_s, pair) at delta = d_s + 10, sorted by key.
 
-    A cell failing with a domain error (those the CLI exits 3 on) gets auc
-    None, its error and a stderr line; other exceptions abort the sweep.
+    A cell failing with one of RUN_ERRORS (those the CLI exits 3 on) gets
+    auc None, its error and a stderr line; other exceptions abort the sweep.
     """
 
     def run(method: Method, d_s: int, reference: Traversal, query: Traversal) -> SweepCell:
@@ -281,7 +283,7 @@ def ds_sweep(
         try:
             report = method.prepare(reference, d_s)(query)
             auc = pr_curve(report, tolerance_for(d_s)).auc
-        except (ValueError, OSError, RuntimeError) as exc:
+        except RUN_ERRORS as exc:
             error = f"{type(exc).__name__}: {exc}"
         return SweepCell(method.name, d_s, query.name, auc, error)
 

@@ -56,8 +56,7 @@ def _block_rows(n_ref: int) -> int:
 # SkylakeX kernel, where 16- or 256-row blocks change a few entries); 192 is
 # a multiple of 24 and of the smaller tiles (4, 8, 16) of other kernels. A
 # distance stream holds two blocks' buffers, one read by the caller while a
-# helper thread fills the other, so the two hold what one buffer of 384
-# rows did.
+# helper thread fills the other: 384 rows in all.
 _DISTANCE_ROWS = 192
 
 

@@ -61,7 +61,7 @@ _ADAM_CHUNK = 1 << 14
 # OpenBLAS repacks W_x per call: at paper scale, H=512 and 1 BLAS thread,
 # 256-row blocks projected 25% slower than one whole-query GEMM, 1024 10%.
 # lstm_match's two workers each hold one block's frames and projection, so
-# together they hold about what one worker held with 1024-row blocks.
+# together they hold as much as one 1024-row block.
 _QUERY_ROWS = 512
 
 # Bytes of float64 activity rows per recurrence-and-head block of lstm_match (8 MiB)
@@ -470,7 +470,8 @@ def train(
     clip_norm: float | None = None,
     progress: Callable[[int, int, float, float, float], None] | None = None,
 ) -> tuple[SequenceModel, TrainingCurves]:
-    """Train the matcher on one traversal's overlapping windows.
+    """Train the matcher on one traversal's overlapping windows, each batch
+    gathered from the stored float32 rows and the positions (an exact cast).
 
     Deterministic given (data, rng_seed, config): initialization and epoch
     shuffles all come from one seeded stream. Loss/accuracy fields of the
@@ -484,27 +485,23 @@ def train(
         norms = _row_norms(desc.data)
         if np.any((np.abs(norms - 1.0) > _UNIT_NORM_TOL) & (norms != 0.0)):
             raise ValueError("reference descriptors must be L2-normalized before training")
-    windows = make_windows(reference, d_s)
+    order = np.arange(len(make_windows(reference, d_s)))
     rng = RandomStream(rng_seed)
     model = _init_from_stream(rng, desc.dim, reference.frame_count, d_s, hidden)
     model.rng_seed = rng_seed
     state = adam_init(model)
     grads = Gradients.zeros(model)
-    inputs = np.hstack([desc.data, reference.positions.data])
-    starts = np.array([w.start for w in windows])
-    labels = np.array([w.label for w in windows])
-    offsets = np.arange(d_s)[:, None]
     curves = TrainingCurves(losses=[], accuracies=[], seconds=[])
-    order = np.arange(len(windows))
     for epoch in range(epochs):
         tick = time.perf_counter()
         rng.shuffle(order)
         loss_sum = 0.0
         hits = 0
         for bi, lo in enumerate(range(0, len(order), batch_size)):
-            idx = order[lo : lo + batch_size]
-            ys = labels[idx]
-            losses, logits = _batch_gradients(model, inputs[starts[idx] + offsets], ys, grads)
+            frames = order[lo : lo + batch_size] + np.arange(d_s)[:, None]
+            xs = np.concatenate([desc.data[frames], reference.positions.data[frames]], axis=-1)
+            ys = frames[-1]
+            losses, logits = _batch_gradients(model, xs, ys, grads)
             if not np.isfinite(losses).all():
                 raise TrainingError(epoch, bi)
             loss_sum += float(losses.sum())

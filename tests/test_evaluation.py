@@ -248,6 +248,29 @@ def test_ds_sweep_records_domain_errors(capsys):
     assert err == [f"sweep: delta d_s=8 {pair.query.name} failed: {failed.error}"]
 
 
+@pytest.mark.parametrize("error", [MemoryError, FloatingPointError, OverflowError])
+def test_ds_sweep_cells_that_run_out_of_memory_or_range_fail_alone(capsys, error):
+    # the CLI exits 3 on these, so a sweep cell fails alone on them too
+    def prepare(reference, d_s):
+        if d_s == 1:
+            return seqslam_method().prepare(reference, d_s)
+
+        def deploy(query, out=None):
+            raise error("cannot deploy")
+
+        return deploy
+
+    pair = generate(SynthConfig(frames=20, dim=4, smoothness=0.5, seed=0))
+    cells = ds_sweep([Method(name="flaky", prepare=prepare), delta_method()], [1, 2], [pair])
+    keys = [(c.method, c.d_s) for c in cells]
+    assert keys == [("delta", 1), ("delta", 2), ("flaky", 1), ("flaky", 2)]
+    failed = cells.pop()
+    assert failed.auc is None and failed.error == f"{error.__name__}: cannot deploy"
+    assert all(c.auc is not None and c.error is None for c in cells)
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"sweep: flaky d_s=2 {pair.query.name} failed: {failed.error}"]
+
+
 def test_ds_sweep_propagates_programming_errors():
     def prepare(reference, d_s):
         raise TypeError("prepare() got an unexpected argument")

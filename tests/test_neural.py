@@ -11,7 +11,13 @@ import pytest
 from oracles import max_gradient_error
 
 from seqplace import neural
-from seqplace.dataset import _NORM_BLOCK_BYTES, DescriptorSequence, PositionTrack, Traversal
+from seqplace.dataset import (
+    _NORM_BLOCK_BYTES,
+    DescriptorSequence,
+    PositionTrack,
+    Traversal,
+    make_windows,
+)
 from seqplace.descriptors import l2_normalize
 from seqplace.neural import (
     AdamState,
@@ -36,6 +42,7 @@ from seqplace.neural import (
     save_curves_csv,
     train,
 )
+from seqplace.rng import RandomStream
 from seqplace.synthetic import SynthConfig, generate
 
 
@@ -394,6 +401,62 @@ def test_train_requires_normalized_descriptors():
     trav = Traversal(name="t", descriptors=desc, positions=PositionTrack(np.zeros((8, 2))))
     with pytest.raises(ValueError, match="normalized"):
         train(trav, d_s=2, epochs=1)
+
+
+def test_train_gathers_the_batches_of_a_float64_reference_copy_bit_for_bit(monkeypatch):
+    # 23 windows of d_s = 3 in batches of 5: each epoch ends on a batch of 3
+    frames, dim, d_s, batch_size, epochs, seed, hidden = 25, 6, 3, 5, 2, 7, 4
+    reference = _tiny_traversal(np.random.default_rng(12), frames, dim)
+    seen = []
+    real_gradients = neural._batch_gradients
+
+    def gradients(model, xs, labels, grads):
+        seen.append((xs.copy(), labels.copy()))
+        return real_gradients(model, xs, labels, grads)
+
+    monkeypatch.setattr(neural, "_batch_gradients", gradients)
+    train(reference, d_s=d_s, epochs=epochs, rng_seed=seed, hidden=hidden, batch_size=batch_size)
+    # the gather from one float64 T x (n + 2) copy, by window start and label
+    windows = make_windows(reference, d_s)
+    inputs = np.hstack([reference.descriptors.data, reference.positions.data])
+    starts = np.array([w.start for w in windows])
+    labels = np.array([w.label for w in windows])
+    offsets = np.arange(d_s)[:, None]
+    rng = RandomStream(seed)  # train draws the init, then each epoch's shuffle
+    neural._init_from_stream(rng, dim, frames, d_s, hidden)
+    order = np.arange(len(windows))
+    expected = []
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for lo in range(0, len(order), batch_size):
+            idx = order[lo : lo + batch_size]
+            expected.append((inputs[starts[idx] + offsets], labels[idx]))
+    assert [len(ys) for _, ys in seen] == [5, 5, 5, 5, 3] * epochs
+    for (xs, ys), (want_xs, want_ys) in zip(seen, expected, strict=True):
+        assert xs.dtype == want_xs.dtype and xs.shape == want_xs.shape
+        assert xs.tobytes() == want_xs.tobytes()
+        assert np.array_equal(ys, want_ys)
+
+
+def test_train_holds_no_float64_copy_of_the_reference():
+    frames, dim = 2000, 256
+    rng = np.random.default_rng(13)
+    data = rng.standard_normal((frames, dim))
+    data /= np.linalg.norm(data, axis=1, keepdims=True)
+    reference = Traversal(
+        name="long",
+        descriptors=DescriptorSequence(data=data, normalized=True),
+        positions=PositionTrack(np.zeros((frames, 2))),
+    )
+    copy_bytes = 8 * frames * (dim + 2)  # one float64 T x (n + 2) copy
+    tracemalloc.start()
+    try:
+        train(reference, d_s=2, epochs=1, hidden=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 0.67 here; a run that holds the copy peaks at about 1.75
+    assert peak < copy_bytes, peak / copy_bytes
 
 
 def test_infer_activity_is_softmax_of_reference_forward():
