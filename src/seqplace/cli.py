@@ -3,9 +3,10 @@
 Every command is flag-driven, optionally seeded by a line-oriented
 "key = value" config file (explicit flags win on conflict), and exits 0 on
 success, 2 on usage errors, 3 on runtime failures (evaluation.RUN_ERRORS).
-Every command runs on one thread of its own, besides one helper thread per
-deploy: a seqslam or delta deploy's distance GEMMs a block ahead, or a deep
-deploy's second worker. Only NumPy's BLAS may start more.
+Every command runs on one thread of its own, besides a deploy's helper
+threads: one that computes a seqslam deploy's distance GEMMs a block ahead,
+two that keep two of a delta deploy's GEMMs in flight, or a deep deploy's
+second worker. Only NumPy's BLAS may start more.
 """
 
 from __future__ import annotations

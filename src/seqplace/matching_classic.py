@@ -8,27 +8,31 @@ nearest-neighbor retrieval in delta-descriptor space.
 
 Distances are computed in blocks of query rows, one GEMM per block against
 a float64 operand of the reference; only `difference_matrix` stores every
-block. Every distance computation is one double-buffered stream: a helper
-thread, the only one that calls BLAS, computes the next block's GEMM while
-the caller consumes the current one with elementwise work. Nearest-neighbor
-and delta matching keep each row's argmin and its distance. Both baselines sum windows of consecutive rows through one
-running-sum kernel, `descriptors._RunningSums`: delta matching computes the
-query's delta rows a block at a time and fills the reference operand the
-same way, so it holds no whole-query array and no delta-transformed copy of
-either side. `seqslam_match` streams the blocks through both SeqSLAM
-stages, which share one view (rows, origin) in which rows[i] is row
-origin + i: a distance block after the r_window + d_s - 1 rows before it.
-A run of rows is enhanced in place once every row its windows reach is in
-the view, then searched in the view, which still holds the d_s - 1
-enhanced rows before the run. Besides the two buffers its views alternate
-between, the stream holds the contrast window's running sums and the Q row
-maxima, and no Q x R array.
+block. Every distance computation is one stream through a ring of block
+buffers: helper threads, the only ones that call BLAS, compute the GEMMs of
+the blocks ahead while the caller consumes the current one with elementwise
+work. Nearest-neighbor and delta matching keep each row's argmin and its
+distance, far less work than a GEMM, so they and `difference_matrix` run
+two helpers and keep two GEMMs in flight. `seqslam_match` runs one: its
+contrast and search keep pace with it. Both baselines sum windows of
+consecutive rows through one running-sum kernel, `descriptors._RunningSums`:
+delta matching computes the query's delta rows a block at a time and fills
+the reference operand the same way, so it holds no whole-query array and
+no delta-transformed copy of either side. `seqslam_match` streams the
+blocks through both SeqSLAM stages, which share one view (rows, origin) in
+which rows[i] is row origin + i: a distance block after the
+r_window + d_s - 1 rows before it. A run of rows is enhanced in place once
+every row its windows reach is in the view, then searched in the view,
+which still holds the d_s - 1 enhanced rows before the run. Besides the two
+buffers its views alternate between, the stream holds the contrast window's
+running sums and the Q row maxima, and no Q x R array.
 `contrast_enhance` and `seqslam_search` drive the same two stages over a
 whole matrix, so the stream gives their results bit for bit.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
@@ -55,8 +59,8 @@ def _block_rows(n_ref: int) -> int:
 # block starts on a multiple of its dgemm kernel's row tile (24 rows on the
 # SkylakeX kernel, where 16- or 256-row blocks change a few entries); 192 is
 # a multiple of 24 and of the smaller tiles (4, 8, 16) of other kernels. A
-# distance stream holds two blocks' buffers, one read by the caller while a
-# helper thread fills the other: 384 rows in all.
+# distance stream holds one block's buffer per helper thread, which fills it,
+# and one that the caller reads: 384 rows with one helper, 576 with two.
 _DISTANCE_ROWS = 192
 
 
@@ -156,7 +160,7 @@ def _row_blocks(n_rows: int, step: int):
         b0 = b1
 
 
-def _distance_blocks(query, reference, metric, keep=0):
+def _distance_blocks(query, reference, metric, keep=0, helpers=1):
     """_distances of query's rows, in blocks of _DISTANCE_ROWS, against
     reference's rows cast to float64 (and scaled to unit norm by unit_rows
     for the cosine metric)."""
@@ -170,10 +174,10 @@ def _distance_blocks(query, reference, metric, keep=0):
         b = reference.data.astype(np.float64)
     n_query = query.frame_count
     blocks = (query.data[b0:b1] for b0, b1 in _row_blocks(n_query, _DISTANCE_ROWS))
-    return _distances(blocks, n_query, b, metric, keep)
+    return _distances(blocks, n_query, b, metric, keep, helpers)
 
 
-def _distances(blocks, n_query, b, metric, keep=0):
+def _distances(blocks, n_query, b, metric, keep=0, helpers=1):
     """Yield (origin, rows): rows[i] holds the distances of query row
     origin + i to every row of the float64 reference operand b, whose rows
     have unit norm (or are zero) for the cosine metric. Each yield holds
@@ -183,37 +187,39 @@ def _distances(blocks, n_query, b, metric, keep=0):
     blocks yields the query's rows (float32, or any dtype the float64 cast
     is exact for) of each block of _row_blocks(n_query, _DISTANCE_ROWS), in
     order, so a source may compute them one block at a time; it may reuse
-    its scratch for the next block. Rows are views of one of two buffers
-    that the blocks alternate between. A consumer may overwrite rows of the
-    view, and the carried rows keep what it wrote: they are copied into the
-    next block's buffer once the consumer has asked for that block.
+    its scratch for the next block. Rows are views of a ring of
+    helpers + 1 buffers that the blocks take in turn. A consumer may
+    overwrite rows of the view, and the carried rows keep what it wrote:
+    they are copied into the next block's buffer once the consumer has
+    asked for that block.
 
-    One helper thread, the only one that calls BLAS, computes a block's
-    GEMM and its elementwise finish one block ahead: while the caller
-    consumes block i, the helper computes block i + 1 and the caller pulls
-    the query rows of block i + 2 from blocks into one of two float64 row
-    buffers (for the cosine metric normalized there by `unit_rows`). Every
-    step is row-wise and each GEMM takes the same operands whichever thread
-    runs it, so the bits are those of a whole-query cast. The helper is
-    gone once the stream ends, raises or is closed.
+    `helpers` threads, the only ones that call BLAS, compute each block's
+    GEMM and its elementwise finish up to `helpers` blocks ahead: while the
+    caller consumes block i, they compute blocks i + 1 to i + helpers and
+    the caller pulls the query rows of block i + helpers + 1 from blocks
+    into a ring of helpers + 1 float64 row buffers (for the cosine metric
+    normalized there by `unit_rows`). Every step is row-wise and each GEMM
+    takes the same operands whichever thread runs it, so the bits are
+    those of a whole-query cast. The helpers are gone once the stream
+    ends, raises or is closed.
     """
     n_ref = b.shape[0]
-    bounds = list(_row_blocks(n_query, _DISTANCE_ROWS))
-    starts = [max(b0 - keep, 0) for b0, _ in bounds]  # origin of each block's view
-    most = min(_DISTANCE_ROWS + 1, n_query)  # rows of the largest block
-    rows64 = np.empty((2, most, b.shape[1]))
-    views = np.empty((2, min(keep + most, n_query), n_ref))
     if metric == "cosine":
         b_zero = ~b.any(axis=1)
     else:
         b_sq = _row_squares(b)
-        gram = np.empty((most, n_ref))
+    bounds = list(_row_blocks(n_query, _DISTANCE_ROWS))
+    starts = [max(b0 - keep, 0) for b0, _ in bounds]  # origin of each block's view
+    most = min(_DISTANCE_ROWS + 1, n_query)  # rows of the largest block
+    slots = helpers + 1
+    rows64 = np.empty((slots, most, b.shape[1]))
+    views = np.empty((slots, min(keep + most, n_query), n_ref))
 
     def pull(i):
-        """Block i's query rows in rows64[i % 2], and for the euclidean
-        metric their squared norms; runs on the calling thread."""
+        """Block i's query rows in their slot of rows64, and for the
+        euclidean metric their squared norms; runs on the calling thread."""
         b0, b1 = bounds[i]
-        a = rows64[i % 2, : b1 - b0]
+        a = rows64[i % slots, : b1 - b0]
         new = next(blocks)
         if metric == "cosine":
             return unit_rows(new, a)[0], None
@@ -222,40 +228,41 @@ def _distances(blocks, n_query, b, metric, keep=0):
         return a, a_sq
 
     def compute(i, a, a_sq):
-        """Block i's distances, in place in views[i % 2]; runs on the helper."""
+        """Block i's distances, in place in its slot of views; runs on a helper."""
         b0, b1 = bounds[i]
-        block = views[i % 2, b0 - starts[i] : b1 - starts[i]]
+        block = views[i % slots, b0 - starts[i] : b1 - starts[i]]
+        np.matmul(a, b.T, out=block)
         if metric == "cosine":
-            np.matmul(a, b.T, out=block)
             np.subtract(1.0, block, out=block)
             block[~a.any(axis=1), :] = 1.0
             block[:, b_zero] = 1.0
             np.clip(block, 0.0, 2.0, out=block)
         else:
-            np.add(a_sq[:, None], b_sq[None, :], out=block)
-            g = np.matmul(a, b.T, out=gram[: b1 - b0])
-            g *= 2.0
-            block -= g
+            # (|a|^2 + |b|^2) - 2ab, the formula's operations in its order,
+            # a row at a time, so no block-sized temporary is held
+            block *= 2.0
+            for row, row_sq in zip(block, a_sq):
+                np.subtract(row_sq + b_sq, row, out=row)
             np.clip(block, 0.0, None, out=block)
             np.sqrt(block, out=block)
 
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        ahead = helper.submit(compute, 0, *pull(0))
-        if len(bounds) > 1:
-            pulled = pull(1)
+    with ThreadPoolExecutor(max_workers=helpers) as pool:
+        ahead = deque(pool.submit(compute, i, *pull(i)) for i in range(min(helpers, len(bounds))))
+        if helpers < len(bounds):
+            pulled = pull(helpers)
         for i, (b0, b1) in enumerate(bounds):
-            ahead.result()
-            rows = views[i % 2, : b1 - starts[i]]
+            ahead.popleft().result()
+            rows = views[i % slots, : b1 - starts[i]]
             if i > 0:
-                # the carried rows leave the other buffer before the next
-                # block's GEMM may write there
+                # the carried rows leave block i - 1's buffer before the
+                # GEMM of block i + helpers may write there
                 prev = starts[i - 1]
-                rows[: b0 - starts[i]] = views[(i - 1) % 2, starts[i] - prev : b0 - prev]
-            if i + 1 < len(bounds):
-                ahead = helper.submit(compute, i + 1, *pulled)
+                rows[: b0 - starts[i]] = views[(i - 1) % slots, starts[i] - prev : b0 - prev]
+            if i + helpers < len(bounds):
+                ahead.append(pool.submit(compute, i + helpers, *pulled))
             yield starts[i], rows
-            if i + 2 < len(bounds):
-                pulled = pull(i + 2)
+            if i + helpers + 1 < len(bounds):
+                pulled = pull(i + helpers + 1)
 
 
 def _nearest(blocks, n_query) -> tuple[np.ndarray, np.ndarray]:
@@ -281,7 +288,7 @@ def difference_matrix(
     vector gets distance 1. Euclidean is the plain L2 distance.
     """
     out = np.empty((query.frame_count, reference.frame_count))
-    with closing(_distance_blocks(query, reference, metric)) as blocks:
+    with closing(_distance_blocks(query, reference, metric, helpers=2)) as blocks:
         for origin, rows in blocks:
             out[origin : origin + len(rows)] = rows
     return DifferenceMatrix(data=_Vetted(out), metric=metric)
@@ -561,7 +568,8 @@ def nearest_neighbor_match(
     query: DescriptorSequence, reference: DescriptorSequence, metric: str = "cosine"
 ) -> MatchReport:
     """Single-frame retrieval: per-query argmin of the difference matrix."""
-    best, scores = _nearest(_distance_blocks(query, reference, metric), query.frame_count)
+    blocks = _distance_blocks(query, reference, metric, helpers=2)
+    best, scores = _nearest(blocks, query.frame_count)
     return MatchReport(
         query_indices=np.arange(query.frame_count),
         best_ref=best,
@@ -617,7 +625,7 @@ def delta_match(
     b = _delta_operand(reference.data, cfg.window)
     n_query = query.frame_count - cfg.window + 1
     query_rows = _delta_rows(query.data, cfg.window, list(_row_blocks(n_query, _DISTANCE_ROWS)))
-    best, scores = _nearest(_distances(query_rows, n_query, b, "cosine"), n_query)
+    best, scores = _nearest(_distances(query_rows, n_query, b, "cosine", helpers=2), n_query)
     half = cfg.window // 2
     return MatchReport(
         query_indices=np.arange(half, query.frame_count - half + 1),

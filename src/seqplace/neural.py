@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import (_NORM_BLOCK_BYTES, _UNIT_NORM_TOL, Traversal, _first_nonfinite, _row_norms,
-                      make_windows, read_table, write_table)
+                      read_table, write_table)
 from .descriptors import unit_rows
 from .matching_classic import MatchReport, _block_rows, _row_blocks
 from .rng import RandomStream
@@ -485,7 +485,10 @@ def train(
         norms = _row_norms(desc.data)
         if np.any((np.abs(norms - 1.0) > _UNIT_NORM_TOL) & (norms != 0.0)):
             raise ValueError("reference descriptors must be L2-normalized before training")
-    order = np.arange(len(make_windows(reference, d_s)))
+    n_frames = reference.frame_count
+    if d_s < 1 or d_s > n_frames:  # as make_windows checks it
+        raise ValueError(f"sequence length {d_s} outside [1, {n_frames}]")
+    order = np.arange(n_frames - d_s + 1)  # the first frame of every window
     rng = RandomStream(rng_seed)
     model = _init_from_stream(rng, desc.dim, reference.frame_count, d_s, hidden)
     model.rng_seed = rng_seed

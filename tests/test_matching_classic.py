@@ -399,10 +399,12 @@ def test_a_failing_block_source_reaches_the_caller_and_stops_the_helper(monkeypa
             yield query[b0:b1]
 
     threads = threading.active_count()
-    for metric in METRICS:
-        with pytest.raises(RuntimeError, match="the third block failed"):
-            matching_classic._nearest(matching_classic._distances(source(), 20, b, metric), 20)
-        assert threading.active_count() == threads, metric
+    for helpers in (1, 2):  # the source fails with every helper's GEMM in flight
+        for metric in METRICS:
+            with pytest.raises(RuntimeError, match="the third block failed"):
+                stream = matching_classic._distances(source(), 20, b, metric, helpers=helpers)
+                matching_classic._nearest(stream, 20)
+            assert threading.active_count() == threads, (helpers, metric)
 
 
 def test_closing_the_stream_after_one_block_stops_the_helper(monkeypatch):
@@ -410,13 +412,113 @@ def test_closing_the_stream_after_one_block_stops_the_helper(monkeypatch):
     rng = np.random.default_rng(29)
     q, r = _seq(rng, 20, 4), _seq(rng, 9, 4)
     threads = threading.active_count()
+    for helpers in (1, 2):
+        for metric in METRICS:
+            stream = matching_classic._distance_blocks(q, r, metric, keep=5, helpers=helpers)
+            origin, rows = next(stream)
+            assert (origin, len(rows)) == (0, 3)
+            # a pool starts its second helper only if the first is busy
+            assert threads < threading.active_count() <= threads + helpers, (helpers, metric)
+            stream.close()
+            assert threading.active_count() == threads, (helpers, metric)
+
+
+def _blockwise(a, b, metric):
+    """The distances of a's rows to b's rows, one _one_gemm per distance block."""
+    blocks = matching_classic._row_blocks(len(a), matching_classic._DISTANCE_ROWS)
+    return np.concatenate([_one_gemm(a[b0:b1], b, metric) for b0, b1 in blocks])
+
+
+def test_nearest_streams_keep_every_bit_across_many_ring_seams(monkeypatch):
+    # 130 query rows in 3-row blocks make 42 seams, at each of which two
+    # helpers' GEMMs fill the two buffers of the ring that the caller is not
+    # reading; queries of 2 and 6 frames make one and two blocks, fewer than
+    # the helpers. A short switch interval hands the interpreter over often.
+    rng = np.random.default_rng(31)
+    reference = np.round(rng.standard_normal((64, 4)) * 2.0) / 2.0
+    reference[[5, 40]] = 0.0
+    r = DescriptorSequence(data=reference.astype(np.float32))
+    cfg = DeltaConfig(window=2)
+    dr, r_frames = delta_transform(r, cfg)
+    monkeypatch.setattr(matching_classic, "_DISTANCE_ROWS", 3)
+    assert len(list(matching_classic._row_blocks(130 - 1, 3))) - 1 >= 40
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for frames in (2, 6, 130):
+            query = np.round(rng.standard_normal((frames, 4)) * 2.0) / 2.0
+            query[frames // 3 : frames // 2] = 0.0
+            q = DescriptorSequence(data=query.astype(np.float32))
+            dq, q_frames = delta_transform(q, cfg)
+            wants = {metric: _blockwise(q.data, r.data, metric) for metric in METRICS}
+            delta_want = _blockwise(dq.data, dr.data, "cosine")
+            delta_best = np.argmin(delta_want, axis=1)
+            delta_scores = delta_want[np.arange(len(delta_best)), delta_best]
+            for run in range(20):
+                label = (frames, run)
+                for metric, want in wants.items():
+                    _assert_same_bits(difference_matrix(q, r, metric).data, want, (label, metric))
+                    report = nearest_neighbor_match(q, r, metric)
+                    best = np.argmin(want, axis=1)
+                    assert np.array_equal(report.best_ref, best), (label, metric)
+                    _assert_same_bits(report.scores, want[np.arange(frames), best], (label, metric))
+                report = delta_match(q, r, cfg)
+                assert np.array_equal(report.query_indices, q_frames)
+                assert np.array_equal(report.best_ref, r_frames[delta_best]), label
+                _assert_same_bits(report.scores, delta_scores, label)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_nearest_streams_run_two_gemms_at_once(monkeypatch):
+    # each stream's first two GEMMs wait until both have begun, which takes
+    # two helpers: with one, the barrier's timeout fails the stream
+    gemms, meet = [], None
+
+    class Meeting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                gemms.append(threading.get_ident())
+                if len(gemms) <= 2:
+                    meet.wait()
+            inputs = tuple(x.view(np.ndarray) if isinstance(x, Meeting) else x for x in inputs)
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    unit_rows = matching_classic.unit_rows
+
+    def meeting_rows(matrix, out):  # the cosine operands, as Meeting arrays
+        rows, normalized = unit_rows(matrix, out)
+        return rows.view(Meeting), normalized
+
+    monkeypatch.setattr(matching_classic, "unit_rows", meeting_rows)
+    monkeypatch.setattr(matching_classic, "_DISTANCE_ROWS", 3)
+    rng = np.random.default_rng(33)
+    q, r = _seq(rng, 20, 4), _seq(rng, 9, 4)
+    threads = threading.active_count()
+    for match in (lambda: difference_matrix(q, r), lambda: nearest_neighbor_match(q, r),
+                  lambda: delta_match(q, r, DeltaConfig(window=2))):
+        gemms, meet = [], threading.Barrier(2, timeout=5.0)
+        match()
+        assert len(gemms) > 2 and len(set(gemms[:2])) == 2, gemms
+        assert threading.get_ident() not in gemms
+        assert threading.active_count() == threads
+
+
+def test_euclidean_nearest_stream_peaks_within_a_few_reference_rows_of_cosine():
+    # the euclidean finish works a row at a time after the GEMM: a gram
+    # block beside the distance block would take 193 reference-length rows
+    rng = np.random.default_rng(32)
+    query, reference = _seq(rng, 800, 32), _seq(rng, 4000, 32)
+    peaks = {}
     for metric in METRICS:
-        stream = matching_classic._distance_blocks(q, r, metric, keep=5)
-        origin, rows = next(stream)
-        assert (origin, len(rows)) == (0, 3)
-        assert threading.active_count() == threads + 1, metric
-        stream.close()
-        assert threading.active_count() == threads, metric
+        tracemalloc.start()
+        try:
+            nearest_neighbor_match(query, reference, metric)
+            peaks[metric] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    row = 8 * 4000
+    assert peaks["euclidean"] - peaks["cosine"] <= 4 * row, (peaks, row)
 
 
 def test_euclidean_deploy_peaks_within_one_distance_block_of_cosine():
@@ -530,22 +632,24 @@ def test_nearest_scans_match_difference_matrix_argmin_across_block_seams(monkeyp
                 assert np.array_equal(report.scores, dist[np.arange(len(want)), want])
 
 
-def test_difference_matrix_equals_one_whole_gemm_bit_for_bit():
-    def whole(a, b, metric):  # the formulas as one GEMM over every query row
-        a = a.astype(np.float64)
-        b = b.astype(np.float64)
-        if metric == "euclidean":
-            dist = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-            return np.sqrt(np.clip(dist, 0.0, None))
-        na = np.linalg.norm(a, axis=1)
-        nb = np.linalg.norm(b, axis=1)
-        dist = 1.0 - (a / np.where(na == 0.0, 1.0, na)[:, None]) @ (
-            b / np.where(nb == 0.0, 1.0, nb)[:, None]
-        ).T
-        dist[na == 0.0, :] = 1.0
-        dist[:, nb == 0.0] = 1.0
-        return np.clip(dist, 0.0, 2.0)
+def _one_gemm(a, b, metric):
+    """The distance formulas as one GEMM over every row of a."""
+    a = a.astype(np.float64)
+    b = b.astype(np.float64)
+    if metric == "euclidean":
+        dist = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+        return np.sqrt(np.clip(dist, 0.0, None))
+    na = np.linalg.norm(a, axis=1)
+    nb = np.linalg.norm(b, axis=1)
+    dist = 1.0 - (a / np.where(na == 0.0, 1.0, na)[:, None]) @ (
+        b / np.where(nb == 0.0, 1.0, nb)[:, None]
+    ).T
+    dist[na == 0.0, :] = 1.0
+    dist[:, nb == 0.0] = 1.0
+    return np.clip(dist, 0.0, 2.0)
 
+
+def test_difference_matrix_equals_one_whole_gemm_bit_for_bit():
     rng = np.random.default_rng(17)
     step = matching_classic._DISTANCE_ROWS
     # one block plus one row, two blocks plus one, and a short last block
@@ -554,7 +658,7 @@ def test_difference_matrix_equals_one_whole_gemm_bit_for_bit():
         r = _seq(rng, 19, 8)
         for metric in METRICS:
             got = difference_matrix(q, r, metric).data
-            assert np.array_equal(got, whole(q.data, r.data, metric)), (frames, metric)
+            assert np.array_equal(got, _one_gemm(q.data, r.data, metric)), (frames, metric)
 
 
 def test_nearest_scans_hold_no_query_by_reference_matrix():

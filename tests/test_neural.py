@@ -403,6 +403,16 @@ def test_train_requires_normalized_descriptors():
         train(trav, d_s=2, epochs=1)
 
 
+def test_train_rejects_a_sequence_length_outside_the_route():
+    reference = _tiny_traversal(np.random.default_rng(14), 6, 3)
+    for d_s in (0, 7):
+        with pytest.raises(ValueError) as trained:
+            train(reference, d_s=d_s, epochs=1, hidden=4)
+        with pytest.raises(ValueError) as windowed:
+            make_windows(reference, d_s)
+        assert str(trained.value) == str(windowed.value) == f"sequence length {d_s} outside [1, 6]"
+
+
 def test_train_gathers_the_batches_of_a_float64_reference_copy_bit_for_bit(monkeypatch):
     # 23 windows of d_s = 3 in batches of 5: each epoch ends on a batch of 3
     frames, dim, d_s, batch_size, epochs, seed, hidden = 25, 6, 3, 5, 2, 7, 4
