@@ -5,8 +5,9 @@ Every command is flag-driven, optionally seeded by a line-oriented
 success, 2 on usage errors, 3 on runtime failures (evaluation.RUN_ERRORS).
 Every command runs on one thread of its own, besides a deploy's helper
 threads: one that computes a seqslam deploy's distance GEMMs a block ahead,
-two that keep two of a delta deploy's GEMMs in flight, or a deep deploy's
-second worker. Only NumPy's BLAS may start more.
+two that keep two of a delta deploy's GEMMs in flight, or one that runs the
+second half of a deep deploy's query blocks. Only NumPy's BLAS may start
+more.
 """
 
 from __future__ import annotations

@@ -16,9 +16,9 @@ float64 weights, so training, Adam and the reference functions the gradient
 check uses run in float64. A checkpoint stores float32 weights and loads as
 float32, and lstm_match runs its projection, recurrence and head GEMMs at
 the parameters' dtype; only the softmax over the logits is taken in float64.
-lstm_match runs its blocks of queries on two threads, the caller and one
-helper, which take the blocks in turn; every block's operations are those
-of a one-thread run, so the threads change no bit.
+lstm_match splits its blocks of queries in two halves, the first run by
+the calling thread and the rest by one helper; every block's operations
+are those of a one-thread run, so the threads change no bit.
 
 Checkpoints use the SPM1 container: magic "SPM1"; m, H, N, d_s as unsigned
 32-bit little-endian; then the two flat parameter buffers, the LSTM's
@@ -30,7 +30,6 @@ head w, head b.
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
 import time
@@ -60,7 +59,7 @@ _ADAM_CHUNK = 1 << 14
 # Queries per projection GEMM of lstm_match, and the cap of _activity_rows.
 # OpenBLAS repacks W_x per call: at paper scale, H=512 and 1 BLAS thread,
 # 256-row blocks projected 25% slower than one whole-query GEMM, 1024 10%.
-# lstm_match's two workers each hold one block's frames and projection, so
+# lstm_match's two threads each hold one block's frames and projection, so
 # together they hold as much as one 1024-row block.
 _QUERY_ROWS = 512
 
@@ -546,13 +545,15 @@ def lstm_match(model: SequenceModel, query: Traversal, d_s: int,
     in a sub-block scratch that is then rounded into out. With float32
     weights the block sizes leave every bit as it is.
 
-    Two workers, the calling thread and one helper thread, take the blocks'
-    indices in turn from one counter; each allocates its own buffers when it
-    takes its first block, so a one-block query starts no helper. Workers
-    write disjoint rows of the report and of out. Non-finite logits raise
-    ValueError; once a block has failed neither worker takes another, and
-    the call raises the error of the lowest-indexed failing block, so it
-    names the first bad query frame whichever worker found it.
+    The calling thread runs the first half of the blocks, rounded up, in
+    order and one helper thread the rest; each allocates its own buffers
+    when it starts its first block, so a one-block query's helper runs
+    nothing. The two write disjoint rows of the report and of out.
+    Non-finite logits raise ValueError. A failing block of the caller's
+    half stops the helper before its next block and its error is raised;
+    otherwise the helper's first failure is. Either way the error is that
+    of the lowest-indexed failing block, so it names the first bad query
+    frame.
     """
     desc, n, places = query.descriptors, model.n, model.places
     if d_s < 1:
@@ -569,8 +570,8 @@ def lstm_match(model: SequenceModel, query: Traversal, d_s: int,
     chunk = min(max(1, _NORM_BLOCK_BYTES // (16 * n)), span)
     best_ref, scores = np.empty(n_query, dtype=np.int64), np.empty(n_query)
     bounds = list(_row_blocks(n_query, _QUERY_ROWS))
-    taken, lock = itertools.count(), threading.Lock()
-    failures: dict[int, BaseException] = {}  # block index -> what it raised
+    half = (len(bounds) + 1) // 2
+    failed = threading.Event()
 
     def buffers():
         """One worker's frames, projection, logits, softmax and unit-row scratch."""
@@ -614,31 +615,24 @@ def lstm_match(model: SequenceModel, query: Traversal, d_s: int,
 
     # errstate is per thread, so each worker sets its own
     @np.errstate(over="ignore", invalid="ignore")  # the logits are checked instead
-    def work():
-        """Run blocks until none is left or one has failed."""
+    def work(blocks):
+        """Run blocks in order until a block of the caller's half has failed."""
         held = None
-        while True:
-            with lock:
-                i = len(bounds) if failures else next(taken)
-            if i >= len(bounds):
+        for lo, hi in blocks:
+            if failed.is_set():
                 return
-            try:
-                if held is None:
-                    held = buffers()
-                run(*bounds[i], *held)
-            except BaseException as exc:  # raised again by the calling thread
-                with lock:
-                    failures[i] = exc
+            if held is None:
+                held = buffers()
+            run(lo, hi, *held)
 
-    if len(bounds) < 2:
-        work()
-    else:
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            second = helper.submit(work)
-            work()
-            second.result()
-    if failures:
-        raise failures[min(failures)]
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        second = helper.submit(work, bounds[half:])
+        try:
+            work(bounds[:half])
+        except BaseException:
+            failed.set()
+            raise
+        second.result()
     return MatchReport(np.arange(n_query), best_ref, scores, higher_is_better=True)
 
 

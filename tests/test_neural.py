@@ -898,16 +898,51 @@ def test_the_lowest_failing_block_names_the_error_on_either_worker(tmp_path, mon
         neural.lstm_match(model, positive_at([]), 3)  # every logit finite
 
 
+def test_a_failing_first_block_stops_the_other_worker(tmp_path, monkeypatch):
+    # six 8-query blocks with overflowing logits in the first and the last:
+    # every block but the first is projected late, so the first fails while
+    # the other worker is still in its first block, after which it takes none
+    monkeypatch.setattr(neural, "_QUERY_ROWS", 8)
+    query = _tiny_traversal(np.random.default_rng(40), 48, 6)
+    data = query.descriptors.data.copy()
+    data[:, 0] = -np.abs(data[:, 0])
+    data[[2, 5, 44], 0] *= -1.0
+    query = replace(query, descriptors=DescriptorSequence(data=data, normalized=True))
+    project, projected = neural._project, []
+
+    def late_after_block_0(lstm, x, out=None):
+        positions = query.positions.data.astype(x.dtype)
+        block = int(np.flatnonzero((positions == x[-1, -2:]).all(axis=1))[0]) // 8
+        projected.append(block)
+        if block:
+            time.sleep(0.05)
+        return project(lstm, x, out)
+
+    monkeypatch.setattr(neural, "_project", late_after_block_0)
+    model = _sign_gated(_loaded(init_model(n=6, places=9, d_s=3, hidden=8, seed=6), tmp_path))
+    threads = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(5):
+            projected.clear()
+            with pytest.raises(ValueError) as err:
+                neural.lstm_match(model, query, 3)
+            assert str(err.value) == "non-finite LSTM logits at query frame 2 (2 of frames 0-7)"
+            assert threading.active_count() == threads
+            assert projected.count(0) == 1 and len(projected) <= 2, projected
+
+
 def test_two_workers_keep_every_bit_of_one(tmp_path, monkeypatch):
-    # 64-query blocks split 300 queries into five, which both workers take;
-    # 4096-query blocks make one, which the calling thread runs alone
+    # 64-query blocks split 300 queries into five, three on the calling thread
+    # and two on the helper; 150-query blocks make two, one each; 4096-query
+    # blocks make one, which the calling thread runs alone
     frames, places = 300, 700
     rng = np.random.default_rng(39)
     query = _tiny_traversal(rng, frames, 40)
     model = _loaded(init_model(n=40, places=places, d_s=5, hidden=32, seed=7), tmp_path)
     threads = threading.active_count()
     runs = []
-    for rows in (64, 4096):
+    for rows in (64, 150, 4096):
         monkeypatch.setattr(neural, "_QUERY_ROWS", rows)
         run = []
         for dtype in (np.float64, np.float32, None):
@@ -917,4 +952,4 @@ def test_two_workers_keep_every_bit_of_one(tmp_path, monkeypatch):
             run += [report.best_ref.tobytes(), report.scores.tobytes()]
             run += [] if out is None else [out.tobytes()]
         runs.append(run)
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
