@@ -5,9 +5,9 @@ Every command is flag-driven, optionally seeded by a line-oriented
 success, 2 on usage errors, 3 on runtime failures (evaluation.RUN_ERRORS).
 Every command runs on one thread of its own, besides a deploy's helper
 threads: one that computes a seqslam deploy's distance GEMMs a block ahead,
-two that keep two of a delta deploy's GEMMs in flight, or one that runs the
-second half of a deep deploy's query blocks. Only NumPy's BLAS may start
-more.
+two that keep two of a delta deploy's GEMMs in flight, or one that takes a
+deep deploy's query blocks from the back of the deque whose front the
+calling thread takes. Only NumPy's BLAS may start more.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .dataset import (
     read_descriptor_header,
     read_table,
     save_descriptor_file,
+    splits_field,
     write_table,
 )
 from .descriptors import ThumbnailConfig, l2_normalize, read_pgm, thumbnail_descriptor
@@ -348,6 +349,9 @@ def cmd_sweep(args) -> int:
         if repeated:
             raise UsageError(f"{flag} repeats {', '.join(map(str, repeated))}")
     pair = _load_pair(args, need_positions="deep" in names)
+    if splits_field(pair[1].name):  # checked before a deep cell trains for hours
+        raise UsageError(f"query name {pair[1].name!r} of {args.query} holds a comma or a "
+                         "line break, which the sweep CSV cannot hold")
     cells = ds_sweep(_build_methods(names, args), ds_values, [pair])
     save_sweep_csv(cells, args.out)
     print(args.out)

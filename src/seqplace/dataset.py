@@ -28,10 +28,11 @@ _UNIT_NORM_TOL = 1e-5
 
 
 class DescriptorFileError(ValueError):
-    """SPD1 parse failure; carries the byte offset of the offending data."""
+    """SPD1 parse failure; names the file and carries the byte offset of the
+    offending data."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, path, message: str, offset: int):
+        super().__init__(f"{path}: {message} (byte offset {offset})")
         self.offset = offset
 
 
@@ -179,25 +180,25 @@ class SequenceWindow:
         object.__setattr__(self, "label", self.start + self.length - 1)
 
 
-def _spd1_header(fh) -> tuple[int, int, int]:
-    """(frames, dim, flags) read from the open SPD1 file fh; raises
+def _spd1_header(fh, path) -> tuple[int, int, int]:
+    """(frames, dim, flags) read from fh, the SPD1 file at path open; raises
     DescriptorFileError unless the file's size is the header's."""
     head = fh.read(_HEADER_SIZE)
     size = os.fstat(fh.fileno()).st_size
     if len(head) < _HEADER_SIZE:
-        raise DescriptorFileError("truncated header", len(head))
+        raise DescriptorFileError(path, "truncated header", len(head))
     if head[:4] != SPD1_MAGIC:
-        raise DescriptorFileError(f"bad magic {head[:4]!r}", 0)
+        raise DescriptorFileError(path, f"bad magic {head[:4]!r}", 0)
     frames = int(np.frombuffer(head, dtype="<u4", count=1, offset=4)[0])
     dim = int(np.frombuffer(head, dtype="<u4", count=1, offset=8)[0])
     if frames < 1:
-        raise DescriptorFileError("frame count must be >= 1", 4)
+        raise DescriptorFileError(path, "frame count must be >= 1", 4)
     if dim < 1:
-        raise DescriptorFileError("descriptor dim must be >= 1", 8)
+        raise DescriptorFileError(path, "descriptor dim must be >= 1", 8)
     expected = _HEADER_SIZE + 4 * frames * dim
     if size != expected:
         raise DescriptorFileError(
-            f"payload size {size - _HEADER_SIZE} != {4 * frames * dim}", min(size, expected)
+            path, f"payload size {size - _HEADER_SIZE} != {4 * frames * dim}", min(size, expected)
         )
     return frames, dim, head[12]
 
@@ -209,21 +210,25 @@ def read_descriptor_header(path) -> tuple[int, int]:
     the payload is not read, so its values are not checked.
     """
     with open(path, "rb") as fh:
-        return _spd1_header(fh)[:2]
+        return _spd1_header(fh, path)[:2]
 
 
 def load_descriptor_file(path) -> DescriptorSequence:
     """Read an SPD1 file straight into the array the sequence keeps; raises
-    DescriptorFileError naming the bad offset."""
+    DescriptorFileError naming the file and the bad offset (the flags byte's
+    when a row of a file flagged normalized does not have unit norm)."""
     with open(path, "rb") as fh:
-        frames, dim, flags = _spd1_header(fh)
+        frames, dim, flags = _spd1_header(fh, path)
         data = np.empty((frames, dim), dtype="<f4")  # little-endian on any host
         if fh.readinto(data) != data.nbytes:  # the file shrank after its size was checked
-            raise DescriptorFileError("truncated payload", os.fstat(fh.fileno()).st_size)
+            raise DescriptorFileError(path, "truncated payload", os.fstat(fh.fileno()).st_size)
     bad = _first_nonfinite(data.reshape(-1))
     if bad >= 0:
-        raise DescriptorFileError("non-finite descriptor value", _HEADER_SIZE + 4 * bad)
-    return DescriptorSequence(data=_Vetted(data), normalized=bool(flags & 1))
+        raise DescriptorFileError(path, "non-finite descriptor value", _HEADER_SIZE + 4 * bad)
+    try:
+        return DescriptorSequence(data=_Vetted(data), normalized=bool(flags & 1))
+    except ValueError as exc:  # the only check left for finite T x n rows: their norms
+        raise DescriptorFileError(path, str(exc), 12) from None
 
 
 def save_descriptor_file(seq: DescriptorSequence, path) -> None:
@@ -343,14 +348,25 @@ def _columns(cells: list[str], kinds) -> list:
 
 def write_table(path, header: str | None, rows, meta=()) -> None:
     """Write meta as "# key=value" lines, the header, then the rows; floats as
-    repr(float(v)), which reads back bit-exactly, and None as an empty field."""
+    repr(float(v)), which reads back bit-exactly, and None as an empty field.
+    A field that read_table would split raises ValueError naming path."""
     with open(path, "w", encoding="ascii") as fh:
         for key, value in meta:
             fh.write(f"# {key}={_field(value)}\n")
         if header is not None:
             fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(map(_field, row)) + "\n")
+            fields = list(map(_field, row))
+            bad = next((text for text in fields if splits_field(text)), None)
+            if bad is not None:
+                raise ValueError(f"{path}: field {bad!r} holds a comma or a line break")
+            fh.write(",".join(fields) + "\n")
+
+
+def splits_field(text: str) -> bool:
+    """Whether read_table would read text as more than one field: it holds a
+    comma or a line break."""
+    return "," in text or "\n" in text or "\r" in text
 
 
 def _field(value) -> str:

@@ -16,9 +16,8 @@ float64 weights, so training, Adam and the reference functions the gradient
 check uses run in float64. A checkpoint stores float32 weights and loads as
 float32, and lstm_match runs its projection, recurrence and head GEMMs at
 the parameters' dtype; only the softmax over the logits is taken in float64.
-lstm_match splits its blocks of queries in two halves, the first run by
-the calling thread and the rest by one helper; every block's operations
-are those of a one-thread run, so the threads change no bit.
+lstm_match's caller and one helper pop its query blocks from the two ends
+of one deque and run each as one thread would, so they change no bit.
 
 Checkpoints use the SPM1 container: magic "SPM1"; m, H, N, d_s as unsigned
 32-bit little-endian; then the two flat parameter buffers, the LSTM's
@@ -31,8 +30,8 @@ head w, head b.
 from __future__ import annotations
 
 import os
-import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -545,15 +544,16 @@ def lstm_match(model: SequenceModel, query: Traversal, d_s: int,
     in a sub-block scratch that is then rounded into out. With float32
     weights the block sizes leave every bit as it is.
 
-    The calling thread runs the first half of the blocks, rounded up, in
-    order and one helper thread the rest; each allocates its own buffers
-    when it starts its first block, so a one-block query's helper runs
-    nothing. The two write disjoint rows of the report and of out.
-    Non-finite logits raise ValueError. A failing block of the caller's
-    half stops the helper before its next block and its error is raised;
-    otherwise the helper's first failure is. Either way the error is that
-    of the lowest-indexed failing block, so it names the first bad query
-    frame.
+    The blocks wait in one deque: the calling thread pops from its front
+    and one helper thread from its back until it is empty, so the faster
+    thread runs more blocks, but the helper takes no block of a one-block
+    query (run by the helper, such a block raised a 500-frame sweep's peak
+    RSS by 3 MB). Each allocates its buffers at its first block. They write
+    disjoint rows of the report and of out, and every caller block lies
+    below every helper block. Non-finite logits raise ValueError. A failing
+    caller block empties the deque, which stops the helper; after a failing
+    helper block the caller runs every block left. The error raised is the
+    lowest failing block's either way, so it names the first bad query frame.
     """
     desc, n, places = query.descriptors, model.n, model.places
     if d_s < 1:
@@ -569,9 +569,7 @@ def lstm_match(model: SequenceModel, query: Traversal, d_s: int,
     # the two workers' chunks together fit one _NORM_BLOCK_BYTES
     chunk = min(max(1, _NORM_BLOCK_BYTES // (16 * n)), span)
     best_ref, scores = np.empty(n_query, dtype=np.int64), np.empty(n_query)
-    bounds = list(_row_blocks(n_query, _QUERY_ROWS))
-    half = (len(bounds) + 1) // 2
-    failed = threading.Event()
+    blocks = deque(_row_blocks(n_query, _QUERY_ROWS))
 
     def buffers():
         """One worker's frames, projection, logits, softmax and unit-row scratch."""
@@ -615,22 +613,24 @@ def lstm_match(model: SequenceModel, query: Traversal, d_s: int,
 
     # errstate is per thread, so each worker sets its own
     @np.errstate(over="ignore", invalid="ignore")  # the logits are checked instead
-    def work(blocks):
-        """Run blocks in order until a block of the caller's half has failed."""
+    def work(take):
+        """Run the blocks that take pops until it finds the deque empty."""
         held = None
-        for lo, hi in blocks:
-            if failed.is_set():
+        while True:
+            try:
+                lo, hi = take()
+            except IndexError:
                 return
             if held is None:
                 held = buffers()
             run(lo, hi, *held)
 
     with ThreadPoolExecutor(max_workers=1) as helper:
-        second = helper.submit(work, bounds[half:])
+        second = helper.submit(work, blocks.pop if len(blocks) > 1 else [].pop)
         try:
-            work(bounds[:half])
+            work(blocks.popleft)
         except BaseException:
-            failed.set()
+            blocks.clear()  # the helper takes no block after this one
             raise
         second.result()
     return MatchReport(np.arange(n_query), best_ref, scores, higher_is_better=True)

@@ -463,6 +463,56 @@ def test_an_empty_descriptor_header_names_its_offset(capsys, tmp_path, offset, w
     assert f"{what} must be >= 1 (byte offset {offset})" in err
 
 
+def _mutated_spd1(rng, blob: bytes) -> tuple[str, bytes]:
+    """One seeded mutation of an SPD1 file's bytes, and its kind."""
+    blob = bytearray(blob)
+    kind = ("header", "payload", "truncate", "float", "flags")[rng.integers(5)]
+    if kind == "header":
+        blob[rng.integers(16)] ^= int(rng.integers(1, 256))
+    elif kind == "payload":
+        blob[rng.integers(16, len(blob))] ^= int(rng.integers(1, 256))
+    elif kind == "truncate":
+        del blob[rng.integers(len(blob)) :]
+    elif kind == "float":
+        at = 16 + 4 * int(rng.integers((len(blob) - 16) // 4))
+        value = (np.nan, np.inf, -np.inf, 3e38, -3e38)[rng.integers(5)]
+        blob[at : at + 4] = np.array([value], dtype="<f4").tobytes()
+    else:
+        blob[12] = int(rng.integers(256))
+    return kind, bytes(blob)
+
+
+def test_a_mutated_spd1_input_matches_finitely_or_names_its_file(capsys, tmp_path):
+    # 120 seeded mutations of one of a 60 x 8 pair's SPD1 files (the reference
+    # flagged unit-norm, the drifted query not): byte flips in the header and
+    # the payload, truncations, a NaN, an infinity or a +-3e38 float, and a
+    # random flags byte. Each match either exits 0 with finite scores or
+    # exits 3 naming the mutated file and a byte offset
+    ds = synth_dataset(capsys, tmp_path, frames=60, dim=8, noise=0.2, drift=",".join(["0.2"] * 8))
+    paths = {side: ds / f"{side}.spd1" for side in ("reference", "query")}
+    originals = {side: path.read_bytes() for side, path in paths.items()}
+    assert (originals["reference"][12], originals["query"][12]) == (1, 0)
+    rng = np.random.default_rng(41)
+    out, failed = tmp_path / "m.csv", []
+    for trial in range(120):
+        side = ("reference", "query")[rng.integers(2)]
+        kind, blob = _mutated_spd1(rng, originals[side])
+        paths[side].write_bytes(blob)
+        for method in ("seqslam", "delta"):
+            out.unlink(missing_ok=True)
+            code, _, err = run(capsys, "match", "--method", method, "--ds", "4", "--ref",
+                               str(paths["reference"]), "--query", str(paths["query"]),
+                               "--out", str(out))
+            if code == 0:
+                ok = np.isfinite(load_match_csv(out)[0].scores).all()
+            else:
+                ok = code == 3 and f"{paths[side]}: " in err and "byte offset" in err
+            if not ok:
+                failed.append((trial, side, kind, method, code, err))
+        paths[side].write_bytes(originals[side])
+    assert not failed, failed
+
+
 def deep_match_argv(ds, ckpt, out, ref=None):
     return [
         "match", "--method", "deep",
@@ -851,6 +901,23 @@ def test_sweep_rejects_repeated_methods_and_ds_values(capsys, tmp_path):
     code, _, err = run(capsys, *base, "--methods", "delta", "--ds-values", "2,4,2")
     assert code == 2 and "--ds-values repeats 2" in err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_refuses_a_query_name_its_csv_cannot_hold(capsys, tmp_path, monkeypatch):
+    # the query's name is its file name, and a comma in it would split the
+    # sweep CSV's query_name field: refused before a cell runs
+    ds = synth_dataset(capsys, tmp_path)
+    cells = []
+    monkeypatch.setattr(cli, "ds_sweep", lambda *args: cells.append(args) or [])
+    out = tmp_path / "sweep.csv"
+    for name in ("win,ter", "win\nter"):
+        query = ds / f"{name}.spd1"
+        query.write_bytes((ds / "query.spd1").read_bytes())
+        code, _, err = run(capsys, "sweep", "--ref", str(ds / "reference.spd1"), "--query",
+                           str(query), "--methods", "seqslam", "--ds-values", "2", "--out", str(out))
+        assert code == 2
+        assert f"query name {name!r} of {query} holds a comma or a line break" in err
+    assert not cells and not out.exists()
 
 
 def test_sweep_and_bench_refuse_a_ds_below_one(capsys, tmp_path):

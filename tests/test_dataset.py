@@ -112,6 +112,22 @@ def test_header_reader_checks_what_the_loader_checks_but_the_payload(tmp_path):
         with pytest.raises(DescriptorFileError) as err:
             read_descriptor_header(path)
         assert (str(err.value), err.value.offset) == loaded
+        assert loaded[0].startswith(f"{path}: ")
+
+
+def test_a_normalized_flag_over_other_rows_names_the_file_and_its_byte(tmp_path):
+    # rows of norm 4 sqrt(2) under a flags byte that says unit rows: the flags
+    # byte (offset 12) is what the file gets wrong; the header alone reads
+    path = tmp_path / "flagged.spd1"
+    save_descriptor_file(DescriptorSequence(data=np.full((3, 2), 4.0, dtype=np.float32)), path)
+    blob = bytearray(path.read_bytes())
+    blob[12] = 1
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DescriptorFileError) as err:
+        load_descriptor_file(path)
+    assert err.value.offset == 12
+    assert str(err.value) == f"{path}: normalized flag set but row 0 has norm 5.65685 (byte offset 12)"
+    assert read_descriptor_header(path) == (3, 2)
 
 
 def test_normalized_flag_is_validated():

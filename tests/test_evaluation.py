@@ -346,10 +346,13 @@ def test_bench_result_validation_and_csv(tmp_path):
     with pytest.raises(ValueError):
         BenchResult(method="m", seconds=1.0, frames=0, device="cpu")
     path = tmp_path / "bench.csv"
-    save_bench_csv([BenchResult("m", 0.5, 10, "cpu, 1 logical cores")], path)
+    save_bench_csv([BenchResult("m", 0.5, 10, "cpu (1 logical cores)")], path)
     lines = path.read_text().splitlines()
     assert lines[0] == "method,seconds,frames,device"
     assert lines[1].startswith("m,0.5,10,")
+    # a field with a comma would read back as two
+    with pytest.raises(ValueError, match="'cpu, 1 logical cores' holds a comma"):
+        save_bench_csv([BenchResult("m", 0.5, 10, "cpu, 1 logical cores")], path)
 
 
 def _traversal(rng, frames, dim):

@@ -858,12 +858,13 @@ def _sign_gated(model):
 
 def test_the_lowest_failing_block_names_the_error_on_either_worker(tmp_path, monkeypatch):
     # five 8-query blocks, the second and fourth with overflowing logits: the
-    # second is projected late, so the other worker usually meets the fourth
-    # first, yet the call raises the second's error, no worker takes a block
-    # after a failure, and no overflow warning escapes the helper thread
+    # second is projected late, so the helper, taking blocks from the back,
+    # usually meets the fourth first, yet the call raises the second's error,
+    # no worker takes the third block between the failures, and no overflow
+    # warning escapes the helper thread
     monkeypatch.setattr(neural, "_QUERY_ROWS", 8)
     query = _tiny_traversal(np.random.default_rng(38), 40, 6)
-    project, last_block_runs = neural._project, []
+    project, middle_block_runs = neural._project, []
 
     def late_at_13(lstm, x, out=None):
         def holds(frame):
@@ -871,7 +872,7 @@ def test_the_lowest_failing_block_names_the_error_on_either_worker(tmp_path, mon
 
         if holds(13):
             time.sleep(0.05)
-        last_block_runs.append(holds(39))
+        middle_block_runs.append(holds(19))  # only the third block's frames hold 19
         return project(lstm, x, out)
 
     monkeypatch.setattr(neural, "_project", late_at_13)
@@ -891,22 +892,23 @@ def test_the_lowest_failing_block_names_the_error_on_either_worker(tmp_path, mon
                 neural.lstm_match(model, positive_at([13, 30]), 3)
             assert str(err.value) == "non-finite LSTM logits at query frame 13 (1 of frames 8-15)"
             assert threading.active_count() == threads
-        # both bad blocks are taken before the last one, so no worker takes it
-        assert not any(last_block_runs)
+        # each worker stops at the bad block on its side of the third one
+        assert not any(middle_block_runs)
         with pytest.raises(ValueError, match="query frame 30 [(]1 of frames 24-31[)]"):
             neural.lstm_match(model, positive_at([30]), 3)
         neural.lstm_match(model, positive_at([]), 3)  # every logit finite
 
 
 def test_a_failing_first_block_stops_the_other_worker(tmp_path, monkeypatch):
-    # six 8-query blocks with overflowing logits in the first and the last:
+    # six 8-query blocks with overflowing logits in the first and the third:
     # every block but the first is projected late, so the first fails while
-    # the other worker is still in its first block, after which it takes none
+    # the helper is still in its first block, the last, after which it takes
+    # none, so it never reaches the third block's failure
     monkeypatch.setattr(neural, "_QUERY_ROWS", 8)
     query = _tiny_traversal(np.random.default_rng(40), 48, 6)
     data = query.descriptors.data.copy()
     data[:, 0] = -np.abs(data[:, 0])
-    data[[2, 5, 44], 0] *= -1.0
+    data[[2, 5, 20], 0] *= -1.0
     query = replace(query, descriptors=DescriptorSequence(data=data, normalized=True))
     project, projected = neural._project, []
 
@@ -933,23 +935,50 @@ def test_a_failing_first_block_stops_the_other_worker(tmp_path, monkeypatch):
 
 
 def test_two_workers_keep_every_bit_of_one(tmp_path, monkeypatch):
-    # 64-query blocks split 300 queries into five, three on the calling thread
-    # and two on the helper; 150-query blocks make two, one each; 4096-query
-    # blocks make one, which the calling thread runs alone
+    # 64-query blocks split 300 queries into five, which the two threads pop
+    # from the two ends of one deque; 150-query blocks make two; 4096-query
+    # blocks make one, which the calling thread runs alone. Which thread runs
+    # a block depends on timing, so the 64-query runs are repeated with the
+    # first block of either thread held back until the other thread has
+    # projected the other four
     frames, places = 300, 700
     rng = np.random.default_rng(39)
     query = _tiny_traversal(rng, frames, 40)
     model = _loaded(init_model(n=40, places=places, d_s=5, hidden=32, seed=7), tmp_path)
-    threads = threading.active_count()
-    runs = []
-    for rows in (64, 150, 4096):
+    threads, caller, project = threading.active_count(), threading.current_thread(), neural._project
+
+    def holding_back(caller_held):
+        entered, released, others = threading.Event(), threading.Event(), []
+
+        def late(lstm, x, out=None):
+            if (threading.current_thread() is caller) == caller_held:
+                entered.set()
+                assert released.wait(10)
+            else:
+                assert entered.wait(10)  # the held thread has taken its one block
+                others.append(len(x))
+                if len(others) == 4:
+                    released.set()
+            return project(lstm, x, out)
+
+        return late
+
+    def recorded(lstm, x, out=None):
+        projected.append((neural._QUERY_ROWS, threading.current_thread()))
+        return project(lstm, x, out)
+
+    runs, projected = [], []
+    for rows, caller_held in ((64, None), (64, True), (64, False), (150, None), (4096, None)):
         monkeypatch.setattr(neural, "_QUERY_ROWS", rows)
         run = []
         for dtype in (np.float64, np.float32, None):
+            late = recorded if caller_held is None else holding_back(caller_held)
+            monkeypatch.setattr(neural, "_project", late)
             out = None if dtype is None else np.empty((frames, places), dtype=dtype)
             report = neural.lstm_match(model, query, 5, out)
             assert threading.active_count() == threads
             run += [report.best_ref.tobytes(), report.scores.tobytes()]
             run += [] if out is None else [out.tobytes()]
         runs.append(run)
-    assert runs[0] == runs[1] == runs[2]
+    assert all(run == runs[-1] for run in runs)
+    assert {thread for rows, thread in projected if rows == 4096} == {caller}

@@ -12,6 +12,7 @@ from seqplace.evaluation import (
     load_sweep_csv,
     save_pr_csv,
     save_sweep_csv,
+    SweepCell,
 )
 from seqplace.neural import load_curves_csv, save_curves_csv
 
@@ -98,3 +99,11 @@ def test_a_byte_outside_ascii_names_its_line(tmp_path, kind):
     lineno = len(lines) + rows + 1
     with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: a byte is not ASCII")):
         load(path)
+
+
+
+@pytest.mark.parametrize("value", ["win,ter", "win\nter", "win\rter"])
+def test_a_text_field_that_would_read_back_split_is_refused(tmp_path, value):
+    path = tmp_path / "sweep.csv"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: field {value!r} holds a comma")):
+        save_sweep_csv([SweepCell("seqslam", 2, value, 0.5)], path)
