@@ -34,7 +34,7 @@ from .dataset import (
     splits_field,
     write_table,
 )
-from .descriptors import ThumbnailConfig, l2_normalize, read_pgm, thumbnail_descriptor
+from .descriptors import ThumbnailConfig, read_pgm, thumbnail_descriptor
 from .evaluation import (
     RUN_ERRORS,
     delta_method,
@@ -117,10 +117,8 @@ def _parse_drift(text: str | None) -> tuple[float, ...] | None:
         raise UsageError(f"--drift expects comma-separated numbers, got {text!r}") from None
 
 
-def _load_traversal(desc_path, pos_path=None, normalize: bool = False) -> Traversal:
+def _load_traversal(desc_path, pos_path=None) -> Traversal:
     seq = load_descriptor_file(_require_file(desc_path, "descriptor file"))
-    if normalize:
-        seq = l2_normalize(seq)
     if pos_path is not None:
         raw = load_positions_file(_require_file(pos_path, "positions file"))
         if raw.shape[0] != seq.frame_count:
@@ -210,7 +208,7 @@ def _check_domains(args) -> None:
 
 
 def cmd_train(args) -> int:
-    reference = _load_traversal(args.ref, args.ref_positions, normalize=True)
+    reference = _load_traversal(args.ref, args.ref_positions)
     model, curves = neural.train(
         reference,
         d_s=args.ds,

@@ -6,7 +6,7 @@ descriptors (and, reusing the same layout, for exported Q x R matrices):
     bytes 0-3    magic "SPD1"
     bytes 4-7    frame count T, unsigned 32-bit little-endian
     bytes 8-11   descriptor dim n, unsigned 32-bit little-endian
-    byte  12     flags (bit 0: rows are L2-normalized)
+    byte  12     flags (bit 0: rows are L2-normalized; the others are zero)
     bytes 13-15  zero padding
     then         T*n IEEE-754 float32 little-endian, row-major
 
@@ -17,6 +17,7 @@ read_table and written by write_table: one comma-separated row per line,
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -182,7 +183,8 @@ class SequenceWindow:
 
 def _spd1_header(fh, path) -> tuple[int, int, int]:
     """(frames, dim, flags) read from fh, the SPD1 file at path open; raises
-    DescriptorFileError unless the file's size is the header's."""
+    DescriptorFileError unless the file's size is the header's and its
+    reserved flag bits and padding bytes are zero."""
     head = fh.read(_HEADER_SIZE)
     size = os.fstat(fh.fileno()).st_size
     if len(head) < _HEADER_SIZE:
@@ -195,6 +197,11 @@ def _spd1_header(fh, path) -> tuple[int, int, int]:
         raise DescriptorFileError(path, "frame count must be >= 1", 4)
     if dim < 1:
         raise DescriptorFileError(path, "descriptor dim must be >= 1", 8)
+    if head[12] & ~1:
+        raise DescriptorFileError(path, f"reserved flag bits set in {head[12]:#04x}", 12)
+    for offset in range(13, _HEADER_SIZE):
+        if head[offset]:
+            raise DescriptorFileError(path, f"nonzero padding byte {head[offset]:#04x}", offset)
     expected = _HEADER_SIZE + 4 * frames * dim
     if size != expected:
         raise DescriptorFileError(
@@ -349,18 +356,21 @@ def _columns(cells: list[str], kinds) -> list:
 def write_table(path, header: str | None, rows, meta=()) -> None:
     """Write meta as "# key=value" lines, the header, then the rows; floats as
     repr(float(v)), which reads back bit-exactly, and None as an empty field.
-    A field that read_table would split raises ValueError naming path."""
-    with open(path, "w", encoding="ascii") as fh:
-        for key, value in meta:
-            fh.write(f"# {key}={_field(value)}\n")
-        if header is not None:
-            fh.write(header + "\n")
-        for row in rows:
-            fields = list(map(_field, row))
-            bad = next((text for text in fields if splits_field(text)), None)
-            if bad is not None:
-                raise ValueError(f"{path}: field {bad!r} holds a comma or a line break")
-            fh.write(",".join(fields) + "\n")
+    A field that read_table would split raises ValueError naming path, and a
+    byte outside ASCII UnicodeEncodeError, both before path is opened, so a
+    refused table leaves no file behind and an existing one as it was."""
+    lines = [f"# {key}={_field(value)}\n" for key, value in meta]
+    if header is not None:
+        lines.append(header + "\n")
+    for row in rows:
+        fields = list(map(_field, row))
+        bad = next((text for text in fields if splits_field(text)), None)
+        if bad is not None:
+            raise ValueError(f"{path}: field {bad!r} holds a comma or a line break")
+        lines.append(",".join(fields) + "\n")
+    text = "".join(lines).encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(text)
 
 
 def splits_field(text: str) -> bool:
@@ -376,11 +386,22 @@ def _field(value) -> str:
 
 
 def load_positions_file(path) -> np.ndarray:
-    """Raw T x 2 positions: a headerless table of two float fields."""
+    """Raw T x 2 positions: a headerless table of two float fields, each
+    finite, and per axis a range that normalize_positions can double; a
+    ValueError names path and the line of the first non-finite value."""
     columns, _, lines = read_table(path, fields=(float, float))
     if not lines:
         raise ValueError(f"{path}: no position rows")
-    return np.stack(columns, axis=1)
+    raw = np.stack(columns, axis=1)
+    for axis, column in enumerate(columns, start=1):
+        # in Python floats an overflow gives inf and inf - inf nan, with no warning
+        if not math.isfinite(2.0 * (float(column.max()) - float(column.min()))):
+            bad = _first_nonfinite(raw.reshape(-1))
+            if bad >= 0:
+                raise ValueError(f"{path}:{lines[bad // 2]}: non-finite position value")
+            raise ValueError(f"{path}: positions in column {axis} span too wide a range "
+                             "to normalize")
+    return raw
 
 
 def save_positions_file(raw: np.ndarray, path) -> None:

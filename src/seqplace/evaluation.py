@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import Traversal, read_table, write_table
-from .descriptors import DeltaConfig, l2_normalize
+from .descriptors import DeltaConfig
 from .matching_classic import MatchReport, SeqSlamConfig, delta_match, seqslam_match
 from . import neural
 
@@ -167,7 +167,8 @@ class Method:
     reference-side work is a small share of a deploy and runs inside it,
     so a prepared matcher holds no float64 copy of the reference between
     deploys. Only the returned deploy callable is benchmarked. Traversals
-    arrive as stored on disk; each matcher normalizes rows itself.
+    arrive as stored on disk; each matcher, and neural.train, scales rows
+    itself.
     """
 
     name: str
@@ -246,7 +247,6 @@ def deep_method(
     epochs: int = 100, lr: float = 0.01, hidden: int = 512, seed: int = 0
 ) -> Method:
     def prepare(reference: Traversal, d_s: int) -> Deploy:
-        reference = replace(reference, descriptors=l2_normalize(reference.descriptors))
         model, _ = neural.train(
             reference, d_s, epochs=epochs, lr=lr, rng_seed=seed, hidden=hidden
         )

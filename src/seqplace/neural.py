@@ -38,9 +38,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import (_NORM_BLOCK_BYTES, _UNIT_NORM_TOL, Traversal, _first_nonfinite, _row_norms,
-                      read_table, write_table)
-from .descriptors import unit_rows
+from .dataset import _NORM_BLOCK_BYTES, Traversal, _first_nonfinite, read_table, write_table
+from .descriptors import l2_normalize, unit_rows
 from .matching_classic import MatchReport, _block_rows, _row_blocks
 from .rng import RandomStream
 
@@ -469,7 +468,12 @@ def train(
     progress: Callable[[int, int, float, float, float], None] | None = None,
 ) -> tuple[SequenceModel, TrainingCurves]:
     """Train the matcher on one traversal's overlapping windows, each batch
-    gathered from the stored float32 rows and the positions (an exact cast).
+    gathered from the float32 unit rows and the positions (an exact cast).
+
+    The reference is taken as stored. Rows flagged normalized are used as
+    they are; an unflagged reference is scaled once through l2_normalize,
+    which keeps a zero row (a flat frame) zero, even if its rows are unit
+    already: the flag alone decides.
 
     Deterministic given (data, rng_seed, config): initialization and epoch
     shuffles all come from one seeded stream. Loss/accuracy fields of the
@@ -477,12 +481,7 @@ def train(
     given, is called after each epoch with (epoch, epochs, loss, accuracy,
     seconds), the epoch counted from 0 as in the curves.
     """
-    desc = reference.descriptors
-    if not desc.normalized:
-        # l2_normalize keeps a zero row (a flat frame) zero and clears the flag
-        norms = _row_norms(desc.data)
-        if np.any((np.abs(norms - 1.0) > _UNIT_NORM_TOL) & (norms != 0.0)):
-            raise ValueError("reference descriptors must be L2-normalized before training")
+    desc = l2_normalize(reference.descriptors)
     n_frames = reference.frame_count
     if d_s < 1 or d_s > n_frames:  # as make_windows checks it
         raise ValueError(f"sequence length {d_s} outside [1, {n_frames}]")

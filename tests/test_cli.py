@@ -1,6 +1,7 @@
 import argparse
 import ast
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -510,6 +511,95 @@ def test_a_mutated_spd1_input_matches_finitely_or_names_its_file(capsys, tmp_pat
             if not ok:
                 failed.append((trial, side, kind, method, code, err))
         paths[side].write_bytes(originals[side])
+    assert not failed, failed
+
+
+def _mutated_spm1(rng, blob: bytes) -> tuple[str, bytes, str | None]:
+    """One seeded mutation of an SPM1 file's bytes, its kind, and what the
+    error must say after the file's path when the mutation is a non-finite
+    weight."""
+    blob, where = bytearray(blob), None
+    kind = ("flip", "truncate", "field", "float", "trailing")[rng.integers(5)]
+    if kind == "flip":
+        blob[rng.integers(len(blob))] ^= int(rng.integers(1, 256))
+    elif kind == "truncate":
+        del blob[rng.integers(len(blob)) :]
+    elif kind == "field":  # m, H, N or d_s
+        at = 4 + 4 * int(rng.integers(4))
+        old = int.from_bytes(blob[at : at + 4], "little")
+        new = (0, 1, 2, old - 1, old + 1, 2**32 - 1, int(rng.integers(2**32)))[rng.integers(7)]
+        blob[at : at + 4] = (new % 2**32).to_bytes(4, "little")
+    elif kind == "float":
+        at = 20 + 4 * int(rng.integers((len(blob) - 20) // 4))
+        value = (np.nan, np.inf, -np.inf, 3e38, -3e38)[rng.integers(5)]
+        blob[at : at + 4] = np.array([value], dtype="<f4").tobytes()
+        if not np.isfinite(value):
+            where = f": non-finite weight (byte offset {at})"
+    else:
+        blob += rng.integers(256, size=int(rng.integers(1, 9)), dtype=np.uint8).tobytes()
+    return kind, bytes(blob), where
+
+
+def _mutated_positions(rng, blob: bytes) -> tuple[str, bytes, str | None]:
+    """One seeded mutation of a positions file's bytes, its kind, and what
+    the error must say after the file's path when the mutation is a
+    non-finite value."""
+    blob, where = bytearray(blob), None
+    kind = ("edit", "truncate", "nonfinite", "large", "ascii", "crlf")[rng.integers(6)]
+    if kind == "edit":
+        blob[rng.integers(len(blob))] = int(rng.choice(list(b"0123456789.,-+e \n\t\x00x")))
+    elif kind == "truncate":
+        del blob[rng.integers(len(blob)) :]
+    elif kind in ("nonfinite", "large"):
+        lines = bytes(blob).split(b"\n")
+        row = int(rng.integers(len(lines) - 1))  # the last "line" follows the final line break
+        fields = lines[row].split(b",")
+        values = ((b"nan", b"inf", b"-inf", b"1e400", b"-1e400") if kind == "nonfinite"
+                  else (b"1e308", b"-1e308", b"1.7e308", b"-1.7e308", b"3e38", b"1e300"))
+        fields[rng.integers(2)] = values[rng.integers(len(values))]
+        lines[row] = b",".join(fields)
+        blob = bytearray(b"\n".join(lines))
+        if kind == "nonfinite":
+            where = f":{row + 1}: non-finite position value"
+    elif kind == "ascii":
+        blob[rng.integers(len(blob))] = int(rng.integers(128, 256))
+    else:
+        blob = bytearray(bytes(blob).replace(b"\n", b"\r\n"))
+    return kind, bytes(blob), where
+
+
+def test_a_mutated_checkpoint_or_positions_file_matches_finitely_or_names_it(capsys, tmp_path):
+    # 150 seeded mutations of a 60 x 8 pair's H=4 checkpoint and 100 of its
+    # query positions file, each run through match --method deep: byte flips
+    # and edits, truncations, header fields, NaN, inf and +-3e38 weights,
+    # trailing bytes, non-finite and very large rows, bytes outside ASCII and
+    # CRLF line ends. Each match exits 0 with finite scores, or exits 2 or 3
+    # naming the mutated file (and the byte offset or line of a non-finite
+    # value) or the query frames whose logits overflowed; no warning escapes
+    ds = synth_dataset(capsys, tmp_path, frames=60, dim=8, noise=0.2, drift=",".join(["0.2"] * 8))
+    ckpt, out = tmp_path / "model.spm1", tmp_path / "m.csv"
+    argv = train_args(ds, ckpt, tmp_path / "curves.csv", ds=4, epochs=2, hidden=4)
+    assert run(capsys, *argv)[0] == 0
+    positions = ds / "query_positions.txt"
+    rng = np.random.default_rng(43)
+    trials = [(ckpt, _mutated_spm1)] * 150 + [(positions, _mutated_positions)] * 100
+    failed = []
+    for path, mutate in trials:
+        original = path.read_bytes()
+        kind, blob, where = mutate(rng, original)
+        path.write_bytes(blob)
+        out.unlink(missing_ok=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, *deep_match_argv(ds, ckpt, out))
+        if code == 0:
+            ok = where is None and np.isfinite(load_match_csv(out)[0].scores).all()
+        else:
+            named = f"{path}{where or ''}" in err
+            ok = code in (2, 3) and (named or "non-finite LSTM logits at query frame" in err)
+        if not ok:
+            failed.append((path.name, kind, blob[:40], code, err))
+        path.write_bytes(original)
     assert not failed, failed
 
 

@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +132,26 @@ def test_a_normalized_flag_over_other_rows_names_the_file_and_its_byte(tmp_path)
     assert read_descriptor_header(path) == (3, 2)
 
 
+@pytest.mark.parametrize("offset, value, message", [
+    (12, 0x03, "reserved flag bits set in 0x03"),
+    (12, 0x80, "reserved flag bits set in 0x80"),
+    (13, 0xFF, "nonzero padding byte 0xff"),
+    (14, 0x01, "nonzero padding byte 0x01"),
+    (15, 0x7F, "nonzero padding byte 0x7f"),
+])
+def test_a_reserved_header_bit_names_the_file_and_its_byte(tmp_path, offset, value, message):
+    path = tmp_path / "reserved.spd1"
+    save_descriptor_file(_random_sequence(np.random.default_rng(9), 600, 4, normalized=True), path)
+    blob = bytearray(path.read_bytes())
+    blob[offset] = value
+    path.write_bytes(bytes(blob))
+    for read in (load_descriptor_file, read_descriptor_header):
+        with pytest.raises(DescriptorFileError) as err:
+            read(path)
+        assert str(err.value) == f"{path}: {message} (byte offset {offset})"
+        assert err.value.offset == offset
+
+
 def test_normalized_flag_is_validated():
     with pytest.raises(ValueError):
         DescriptorSequence(data=2.0 * np.ones((2, 3), dtype=np.float32), normalized=True)
@@ -256,6 +278,24 @@ def test_positions_file_errors_name_lines(tmp_path):
     path.write_text("0.0,abc\n")
     with pytest.raises(ValueError, match=":1"):
         load_positions_file(path)
+    for value in ("nan", "-inf", "1e400"):
+        path.write_text(f"0.0,0.0\n1.0,2.0\n3.0,{value}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: non-finite position value")):
+            load_positions_file(path)
+
+
+@pytest.mark.parametrize("rows, column", [("-1e308,0\n1e308,0\n", 1), ("0,1e308\n0,0\n", 2)])
+def test_positions_whose_normalization_would_overflow_are_refused_without_a_warning(
+        tmp_path, rows, column):
+    path = tmp_path / "wide.txt"
+    path.write_text(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: positions in column {column} span too wide a range to normalize")):
+            load_positions_file(path)
+    path.write_text("-4e307,0\n4e307,1\n")  # 2 x the range is finite
+    assert normalize_positions(load_positions_file(path)).data.tolist() == [[-1.0, -1.0], [1.0, 1.0]]
 
 
 def test_window_label_is_last_frame():

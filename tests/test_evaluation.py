@@ -350,9 +350,17 @@ def test_bench_result_validation_and_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "method,seconds,frames,device"
     assert lines[1].startswith("m,0.5,10,")
-    # a field with a comma would read back as two
-    with pytest.raises(ValueError, match="'cpu, 1 logical cores' holds a comma"):
-        save_bench_csv([BenchResult("m", 0.5, 10, "cpu, 1 logical cores")], path)
+    # a field with a comma would read back as two, and one outside ASCII
+    # cannot be written: refused before the file opens
+    written = path.read_bytes()
+    for device, refused in (("cpu, 1 logical cores", "'cpu, 1 logical cores' holds a comma"),
+                            ("cpu \u00e9", "'ascii' codec can't encode")):
+        for target in (path, tmp_path / "new.csv"):
+            with pytest.raises(ValueError, match=refused):
+                save_bench_csv([BenchResult("m", 0.5, 10, "cpu (1 logical cores)"),
+                                BenchResult("m", 0.5, 10, device)], target)
+    assert path.read_bytes() == written
+    assert not (tmp_path / "new.csv").exists()
 
 
 def _traversal(rng, frames, dim):

@@ -396,11 +396,25 @@ def test_train_reduces_loss_and_reports_accuracy():
     assert 0.0 <= min(curves.accuracies) and max(curves.accuracies) <= 1.0
 
 
-def test_train_requires_normalized_descriptors():
-    desc = DescriptorSequence(data=np.full((8, 3), 2.0, dtype=np.float32))
-    trav = Traversal(name="t", descriptors=desc, positions=PositionTrack(np.zeros((8, 2))))
-    with pytest.raises(ValueError, match="normalized"):
-        train(trav, d_s=2, epochs=1)
+def test_train_scales_an_unflagged_reference_once_as_l2_normalize_does(tmp_path, monkeypatch):
+    # rows at random scales and one flat frame, which clears l2_normalize's
+    # flag: train scales them once, as on l2_normalize's rows taken as they are
+    rng = np.random.default_rng(15)
+    unit = _tiny_traversal(rng, 14, 5)
+    data = unit.descriptors.data * rng.uniform(0.1, 10.0, (14, 1))
+    data[6] = 0.0
+    raw = replace(unit, descriptors=DescriptorSequence(data=data))
+    kwargs = dict(d_s=3, epochs=3, rng_seed=2, hidden=6, batch_size=4)
+    model, curves = train(raw, **kwargs)
+    scaled = replace(raw, descriptors=l2_normalize(raw.descriptors))
+    assert not scaled.descriptors.normalized  # the flat frame clears the flag
+    monkeypatch.setattr(neural, "l2_normalize", lambda seq: seq)  # train on it as it is
+    once, once_curves = train(scaled, **kwargs)
+    save_checkpoint(model, tmp_path / "raw.spm1")
+    save_checkpoint(once, tmp_path / "once.spm1")
+    assert (tmp_path / "raw.spm1").read_bytes() == (tmp_path / "once.spm1").read_bytes()
+    assert curves.losses == once_curves.losses
+    assert curves.accuracies == once_curves.accuracies
 
 
 def test_train_rejects_a_sequence_length_outside_the_route():
