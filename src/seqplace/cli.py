@@ -249,7 +249,10 @@ def cmd_match(args) -> int:
         # the LSTM needs only the reference's frame count and dim: its header
         frames, dim = read_descriptor_header(_require_file(args.ref, "descriptor file"))
         query = _load_traversal(args.query, args.query_positions)
-        deploy = trained_deploy(model, frames, dim, d_s)
+        try:
+            deploy = trained_deploy(model, frames, dim, d_s)
+        except ValueError as exc:  # the model and the reference do not fit
+            raise ValueError(f"{args.checkpoint} against {args.ref}: {exc}") from None
     else:
         reference, query = _load_pair(args)
         [method] = _build_methods([args.method], args)

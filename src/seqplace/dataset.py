@@ -263,7 +263,9 @@ def normalize_positions(raw: np.ndarray, bounds: np.ndarray | None = None) -> Po
     """Affine-map each axis into [-1, 1]; a zero-range axis maps to zeros.
 
     Pass the reference traversal's position_bounds() so queries share the
-    reference coordinate frame; values beyond those bounds clamp to +/-1.
+    reference coordinate frame; values beyond those bounds are clamped to
+    them first, so they map to exactly +/-1 and no step can overflow. A
+    ValueError if an axis's doubled span is not finite.
     """
     raw = np.asarray(raw, dtype=np.float64)
     own = position_bounds(raw)
@@ -274,12 +276,17 @@ def normalize_positions(raw: np.ndarray, bounds: np.ndarray | None = None) -> Po
         if bounds.shape != (2, 2):
             raise ValueError("bounds must be a 2 x 2 (min row, max row) array")
     lo, hi = bounds[0], bounds[1]
+    for axis, (low, high) in enumerate(zip(lo.tolist(), hi.tolist())):
+        # in Python floats an overflow gives inf and inf - inf nan, with no warning
+        if not math.isfinite(2.0 * (high - low)):
+            raise ValueError(f"bounds of axis {axis} span too wide a range to normalize: "
+                             f"{low!r} to {high!r}")
     span = hi - lo
     out = np.zeros_like(raw)
     for axis in range(2):
         if span[axis] > 0:
-            out[:, axis] = 2.0 * (raw[:, axis] - lo[axis]) / span[axis] - 1.0
-    np.clip(out, -1.0, 1.0, out=out)
+            clamped = np.clip(raw[:, axis], lo[axis], hi[axis])
+            out[:, axis] = 2.0 * (clamped - lo[axis]) / span[axis] - 1.0
     return PositionTrack(data=out)
 
 

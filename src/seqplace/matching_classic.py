@@ -9,12 +9,18 @@ nearest-neighbor retrieval in delta-descriptor space.
 Distances are computed in blocks of query rows, one GEMM per block against
 a float64 operand of the reference; only `difference_matrix` stores every
 block. Every distance computation is one stream through a ring of block
-buffers: helper threads, the only ones that call BLAS, compute the GEMMs of
-the blocks ahead while the caller consumes the current one with elementwise
-work. Nearest-neighbor and delta matching keep each row's argmin and its
-distance, far less work than a GEMM, so they and `difference_matrix` run
-two helpers and keep two GEMMs in flight. `seqslam_match` runs one: its
-contrast and search keep pace with it. Both baselines sum windows of
+buffers: two helper threads, the only ones that call BLAS and each at one
+BLAS thread (`blas.one_thread`), compute the GEMMs of the blocks ahead
+while the caller consumes the current one with elementwise work.
+Nearest-neighbor and delta matching keep each row's argmin and its
+distance, far less work than a GEMM, so they and `difference_matrix` keep
+two GEMMs in flight, one per helper. `seqslam_match` keeps one block in
+flight, so its views alternate between two buffers: a third would raise a
+6000-column deploy's peak by 9 MB. When its caller had to wait for a block
+(at paper scale the contrast and search take about half as long as the
+GEMM), the helpers split the next block's GEMM at a reference-column seam
+and each fills one half of the block's buffer; a caller that keeps pace,
+as at 64-d, gets one GEMM per block. Both baselines sum windows of
 consecutive rows through one running-sum kernel, `descriptors._RunningSums`:
 delta matching computes the query's delta rows a block at a time and fills
 the reference operand the same way, so it holds no whole-query array and
@@ -39,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import one_thread
 from .dataset import DescriptorSequence, _row_squares, _Vetted
 from .descriptors import DeltaConfig, _delta_blocks, _RunningSums, unit_rows
 
@@ -59,9 +66,17 @@ def _block_rows(n_ref: int) -> int:
 # block starts on a multiple of its dgemm kernel's row tile (24 rows on the
 # SkylakeX kernel, where 16- or 256-row blocks change a few entries); 192 is
 # a multiple of 24 and of the smaller tiles (4, 8, 16) of other kernels. A
-# distance stream holds one block's buffer per helper thread, which fills it,
-# and one that the caller reads: 384 rows with one helper, 576 with two.
+# distance stream holds one block's buffer per block in flight and one that
+# the caller reads: 384 rows for seqslam, 576 for the nearest-frame streams.
 _DISTANCE_ROWS = 192
+
+# Reference columns per tile of the seam at which a seqslam stream splits a
+# block's GEMM between its two helpers. OpenBLAS gives every entry the bits
+# of the whole GEMM when the second half starts on a multiple of its dgemm
+# kernel's column tile: on the SkylakeX kernel any multiple of 8 kept every
+# bit of a 192 x 4096 x 3577 block, and a seam one column off changed
+# hundreds of entries. 64 is a multiple of every kernel's tile.
+_SEAM_COLUMNS = 64
 
 
 # The most velocities a SeqSLAM grid may hold. The search plans each velocity
@@ -160,7 +175,7 @@ def _row_blocks(n_rows: int, step: int):
         b0 = b1
 
 
-def _distance_blocks(query, reference, metric, keep=0, helpers=1):
+def _distance_blocks(query, reference, metric, keep=0, ahead=2):
     """_distances of query's rows, in blocks of _DISTANCE_ROWS, against
     reference's rows cast to float64 (and scaled to unit norm by unit_rows
     for the cosine metric)."""
@@ -174,10 +189,10 @@ def _distance_blocks(query, reference, metric, keep=0, helpers=1):
         b = reference.data.astype(np.float64)
     n_query = query.frame_count
     blocks = (query.data[b0:b1] for b0, b1 in _row_blocks(n_query, _DISTANCE_ROWS))
-    return _distances(blocks, n_query, b, metric, keep, helpers)
+    return _distances(blocks, n_query, b, metric, keep, ahead)
 
 
-def _distances(blocks, n_query, b, metric, keep=0, helpers=1):
+def _distances(blocks, n_query, b, metric, keep=0, ahead=2):
     """Yield (origin, rows): rows[i] holds the distances of query row
     origin + i to every row of the float64 reference operand b, whose rows
     have unit norm (or are zero) for the cosine metric. Each yield holds
@@ -187,21 +202,27 @@ def _distances(blocks, n_query, b, metric, keep=0, helpers=1):
     blocks yields the query's rows (float32, or any dtype the float64 cast
     is exact for) of each block of _row_blocks(n_query, _DISTANCE_ROWS), in
     order, so a source may compute them one block at a time; it may reuse
-    its scratch for the next block. Rows are views of a ring of
-    helpers + 1 buffers that the blocks take in turn. A consumer may
-    overwrite rows of the view, and the carried rows keep what it wrote:
-    they are copied into the next block's buffer once the consumer has
-    asked for that block.
+    its scratch for the next block. Rows are views of a ring of ahead + 1
+    buffers that the blocks take in turn. A consumer may overwrite rows of
+    the view, and the carried rows keep what it wrote: they are copied into
+    the next block's buffer once the consumer has asked for that block.
 
-    `helpers` threads, the only ones that call BLAS, compute each block's
-    GEMM and its elementwise finish up to `helpers` blocks ahead: while the
-    caller consumes block i, they compute blocks i + 1 to i + helpers and
-    the caller pulls the query rows of block i + helpers + 1 from blocks
-    into a ring of helpers + 1 float64 row buffers (for the cosine metric
-    normalized there by `unit_rows`). Every step is row-wise and each GEMM
-    takes the same operands whichever thread runs it, so the bits are
-    those of a whole-query cast. The helpers are gone once the stream
-    ends, raises or is closed.
+    Two helper threads, the only ones that call BLAS, compute each block's
+    GEMM and its elementwise finish up to `ahead` blocks ahead: while the
+    caller consumes block i, they compute blocks i + 1 to i + ahead and the
+    caller pulls the query rows of block i + ahead + 1 from blocks into a
+    ring of ahead + 1 float64 row buffers (for the cosine metric normalized
+    there by `unit_rows`). With ahead = 2 each helper runs one block. With
+    ahead = 1, when the caller had to wait for block i (i > 0: it always
+    waits for block 0), the two helpers split block i + 1 at a reference
+    column seam, a multiple of _SEAM_COLUMNS near R/2 (none when R <
+    2 * _SEAM_COLUMNS), and each fills its half of the block's view; a
+    caller that keeps pace gets one GEMM per block. Either way the buffers
+    do not depend on timing. Every step is row-wise and each GEMM takes the
+    same operands whichever thread runs it, and an entry's sum does not
+    change when the columns are cut at a seam, so the bits are those of a
+    whole-query cast. The helpers run at one BLAS thread (blas.one_thread)
+    and are gone once the stream ends, raises or is closed.
     """
     n_ref = b.shape[0]
     if metric == "cosine":
@@ -211,9 +232,12 @@ def _distances(blocks, n_query, b, metric, keep=0, helpers=1):
     bounds = list(_row_blocks(n_query, _DISTANCE_ROWS))
     starts = [max(b0 - keep, 0) for b0, _ in bounds]  # origin of each block's view
     most = min(_DISTANCE_ROWS + 1, n_query)  # rows of the largest block
-    slots = helpers + 1
+    slots = ahead + 1
     rows64 = np.empty((slots, most, b.shape[1]))
     views = np.empty((slots, min(keep + most, n_query), n_ref))
+    whole = [(0, n_ref)]
+    seam = _SEAM_COLUMNS * ((n_ref + _SEAM_COLUMNS) // (2 * _SEAM_COLUMNS))
+    halves = [(0, seam), (seam, n_ref)] if ahead == 1 and n_ref >= 2 * _SEAM_COLUMNS else whole
 
     def pull(i):
         """Block i's query rows in their slot of rows64, and for the
@@ -227,42 +251,50 @@ def _distances(blocks, n_query, b, metric, keep=0, helpers=1):
         a[...] = new
         return a, a_sq
 
-    def compute(i, a, a_sq):
-        """Block i's distances, in place in its slot of views; runs on a helper."""
+    def compute(i, a, a_sq, c0, c1):
+        """Columns [c0, c1) of block i's distances, in place in its slot of
+        views; runs on a helper."""
         b0, b1 = bounds[i]
-        block = views[i % slots, b0 - starts[i] : b1 - starts[i]]
-        np.matmul(a, b.T, out=block)
+        block = views[i % slots, b0 - starts[i] : b1 - starts[i], c0:c1]
+        np.matmul(a, b[c0:c1].T, out=block)
         if metric == "cosine":
             np.subtract(1.0, block, out=block)
             block[~a.any(axis=1), :] = 1.0
-            block[:, b_zero] = 1.0
+            block[:, b_zero[c0:c1]] = 1.0
             np.clip(block, 0.0, 2.0, out=block)
         else:
             # (|a|^2 + |b|^2) - 2ab, the formula's operations in its order,
             # a row at a time, so no block-sized temporary is held
             block *= 2.0
             for row, row_sq in zip(block, a_sq):
-                np.subtract(row_sq + b_sq, row, out=row)
+                np.subtract(row_sq + b_sq[c0:c1], row, out=row)
             np.clip(block, 0.0, None, out=block)
             np.sqrt(block, out=block)
 
-    with ThreadPoolExecutor(max_workers=helpers) as pool:
-        ahead = deque(pool.submit(compute, i, *pull(i)) for i in range(min(helpers, len(bounds))))
-        if helpers < len(bounds):
-            pulled = pull(helpers)
+    with one_thread(), ThreadPoolExecutor(max_workers=2) as pool:
+
+        def submit(i, parts, a, a_sq):
+            return [pool.submit(compute, i, a, a_sq, c0, c1) for c0, c1 in parts]
+
+        pending = deque(submit(i, whole, *pull(i)) for i in range(min(ahead, len(bounds))))
+        if ahead < len(bounds):
+            pulled = pull(ahead)
         for i, (b0, b1) in enumerate(bounds):
-            ahead.popleft().result()
+            running = pending.popleft()
+            waited = not all(part.done() for part in running)
+            for part in running:
+                part.result()
             rows = views[i % slots, : b1 - starts[i]]
             if i > 0:
                 # the carried rows leave block i - 1's buffer before the
-                # GEMM of block i + helpers may write there
+                # GEMM of block i + ahead may write there
                 prev = starts[i - 1]
                 rows[: b0 - starts[i]] = views[(i - 1) % slots, starts[i] - prev : b0 - prev]
-            if i + helpers < len(bounds):
-                ahead.append(pool.submit(compute, i + helpers, *pulled))
+            if i + ahead < len(bounds):
+                pending.append(submit(i + ahead, halves if waited and i > 0 else whole, *pulled))
             yield starts[i], rows
-            if i + helpers + 1 < len(bounds):
-                pulled = pull(i + helpers + 1)
+            if i + ahead + 1 < len(bounds):
+                pulled = pull(i + ahead + 1)
 
 
 def _nearest(blocks, n_query) -> tuple[np.ndarray, np.ndarray]:
@@ -288,7 +320,7 @@ def difference_matrix(
     vector gets distance 1. Euclidean is the plain L2 distance.
     """
     out = np.empty((query.frame_count, reference.frame_count))
-    with closing(_distance_blocks(query, reference, metric, helpers=2)) as blocks:
+    with closing(_distance_blocks(query, reference, metric)) as blocks:
         for origin, rows in blocks:
             out[origin : origin + len(rows)] = rows
     return DifferenceMatrix(data=_Vetted(out), metric=metric)
@@ -548,7 +580,7 @@ def seqslam_match(
     row_max = np.empty(n_query)
     done = 0  # rows [0, done) are enhanced
     keep = cfg.r_window + cfg.d_s - 1
-    with closing(_distance_blocks(query, reference, metric, keep=keep)) as blocks:
+    with closing(_distance_blocks(query, reference, metric, keep=keep, ahead=1)) as blocks:
         for origin, rows in blocks:
             b1 = origin + len(rows)
             # a row is complete once the rows up to r_window after it are in
@@ -568,7 +600,7 @@ def nearest_neighbor_match(
     query: DescriptorSequence, reference: DescriptorSequence, metric: str = "cosine"
 ) -> MatchReport:
     """Single-frame retrieval: per-query argmin of the difference matrix."""
-    blocks = _distance_blocks(query, reference, metric, helpers=2)
+    blocks = _distance_blocks(query, reference, metric)
     best, scores = _nearest(blocks, query.frame_count)
     return MatchReport(
         query_indices=np.arange(query.frame_count),
@@ -625,7 +657,7 @@ def delta_match(
     b = _delta_operand(reference.data, cfg.window)
     n_query = query.frame_count - cfg.window + 1
     query_rows = _delta_rows(query.data, cfg.window, list(_row_blocks(n_query, _DISTANCE_ROWS)))
-    best, scores = _nearest(_distances(query_rows, n_query, b, "cosine", helpers=2), n_query)
+    best, scores = _nearest(_distances(query_rows, n_query, b, "cosine"), n_query)
     half = cfg.window // 2
     return MatchReport(
         query_indices=np.arange(half, query.frame_count - half + 1),

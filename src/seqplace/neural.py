@@ -17,7 +17,9 @@ check uses run in float64. A checkpoint stores float32 weights and loads as
 float32, and lstm_match runs its projection, recurrence and head GEMMs at
 the parameters' dtype; only the softmax over the logits is taken in float64.
 lstm_match's caller and one helper pop its query blocks from the two ends
-of one deque and run each as one thread would, so they change no bit.
+of one deque and run each as one thread would, so they change no bit. They
+run their GEMMs at one BLAS thread (blas.one_thread), so a deploy gives the
+same bits at any OPENBLAS_NUM_THREADS; training runs at the caller's count.
 
 Checkpoints use the SPM1 container: magic "SPM1"; m, H, N, d_s as unsigned
 32-bit little-endian; then the two flat parameter buffers, the LSTM's
@@ -38,6 +40,7 @@ from typing import Callable
 
 import numpy as np
 
+from .blas import one_thread
 from .dataset import _NORM_BLOCK_BYTES, Traversal, _first_nonfinite, read_table, write_table
 from .descriptors import l2_normalize, unit_rows
 from .matching_classic import MatchReport, _block_rows, _row_blocks
@@ -553,6 +556,8 @@ def lstm_match(model: SequenceModel, query: Traversal, d_s: int,
     caller block empties the deque, which stops the helper; after a failing
     helper block the caller runs every block left. The error raised is the
     lowest failing block's either way, so it names the first bad query frame.
+    Both threads run at one BLAS thread (blas.one_thread), and the caller's
+    count is restored when the deploy returns or raises.
     """
     desc, n, places = query.descriptors, model.n, model.places
     if d_s < 1:
@@ -624,7 +629,7 @@ def lstm_match(model: SequenceModel, query: Traversal, d_s: int,
                 held = buffers()
             run(lo, hi, *held)
 
-    with ThreadPoolExecutor(max_workers=1) as helper:
+    with one_thread(), ThreadPoolExecutor(max_workers=1) as helper:
         second = helper.submit(work, blocks.pop if len(blocks) > 1 else [].pop)
         try:
             work(blocks.popleft)

@@ -1,5 +1,9 @@
 import argparse
 import ast
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -627,10 +631,39 @@ def test_match_deep_checks_the_reference_against_the_checkpoint(capsys, tmp_path
             capsys, *deep_match_argv(ds, ckpt, out, ref=other / "reference.spd1")
         )
         assert code == 3
+        assert f"{ckpt} against {other / 'reference.spd1'}: " in err
         assert "checkpoint has 40 places of descriptor dim 8" in err
         frames, dim = flags.get("frames", "40"), flags.get("dim", "8")
         assert f"reference has {frames} frames of dim {dim}" in err
     assert not out.exists()
+
+
+def test_match_gives_the_one_thread_bytes_at_two_blas_threads(capsys, tmp_path):
+    # on this pair every method's CSV differed between 1 and 2 BLAS threads
+    # while the deploys ran at the caller's count; each deploy now pins
+    # OpenBLAS to one thread, so a 2-thread process writes the 1-thread bytes
+    ds = synth_dataset(capsys, tmp_path, frames=500, dim=512, smoothness=0.5, noise=0.3, seed=1)
+    ckpt = tmp_path / "model.spm1"
+    assert run(capsys, *train_args(ds, ckpt, tmp_path / "curves.csv", epochs=0, hidden=32))[0] == 0
+    pair = ["--ref", str(ds / "reference.spd1"), "--query", str(ds / "query.spd1")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = ("import json, sys\nfrom seqplace.cli import main\n"
+              "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    written = {}
+    for threads in ("1", "2"):
+        outs = {method: tmp_path / f"{method}-{threads}.csv"
+                for method in ("seqslam", "delta", "deep")}
+        argvs = [["match", "--method", method, "--ds", "2", *pair, "--out", str(outs[method])]
+                 for method in ("seqslam", "delta")]
+        argvs.append(deep_match_argv(ds, ckpt, outs["deep"]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
+                              capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+        written[threads] = {method: path.read_bytes() for method, path in outs.items()}
+    for method, one in written["1"].items():
+        assert written["2"][method] == one, method
 
 
 def test_match_deep_refuses_a_bad_checkpoint_header(capsys, tmp_path):

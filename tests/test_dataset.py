@@ -259,6 +259,17 @@ def test_normalize_positions_foreign_bounds_clip():
     track = normalize_positions(np.array([[12.0, 5.0], [-3.0, 0.0]]), bounds=bounds)
     assert track.data.max() <= 1.0 and track.data.min() >= -1.0
     assert track.data[0, 0] == 1.0 and track.data[1, 0] == -1.0
+    # values far outside the bounds are clamped before the map, so nothing
+    # overflows; bounds whose doubled span overflows are refused
+    raw = np.array([[1.7e308, -1.7e308], [0.25, 1.0], [-1.7e308, 1.7e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        track = normalize_positions(raw, bounds=np.array([[0.0, -2.0], [1.0, 2.0]]))
+        assert track.data.tolist() == [[1.0, -1.0], [-0.5, 0.5], [-1.0, 1.0]]
+        for wide in ([[-1e308, 0.0], [1e308, 1.0]], [[0.0, 0.0], [1.0, np.inf]],
+                     [[0.0, np.nan], [1.0, 1.0]]):
+            with pytest.raises(ValueError, match="span too wide a range to normalize"):
+                normalize_positions(np.zeros((2, 2)), bounds=np.array(wide))
 
 
 def test_positions_file_roundtrip(tmp_path):

@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -399,12 +400,12 @@ def test_a_failing_block_source_reaches_the_caller_and_stops_the_helper(monkeypa
             yield query[b0:b1]
 
     threads = threading.active_count()
-    for helpers in (1, 2):  # the source fails with every helper's GEMM in flight
+    for ahead in (1, 2):  # the source fails with every helper's GEMM in flight
         for metric in METRICS:
             with pytest.raises(RuntimeError, match="the third block failed"):
-                stream = matching_classic._distances(source(), 20, b, metric, helpers=helpers)
+                stream = matching_classic._distances(source(), 20, b, metric, ahead=ahead)
                 matching_classic._nearest(stream, 20)
-            assert threading.active_count() == threads, (helpers, metric)
+            assert threading.active_count() == threads, (ahead, metric)
 
 
 def test_closing_the_stream_after_one_block_stops_the_helper(monkeypatch):
@@ -412,15 +413,140 @@ def test_closing_the_stream_after_one_block_stops_the_helper(monkeypatch):
     rng = np.random.default_rng(29)
     q, r = _seq(rng, 20, 4), _seq(rng, 9, 4)
     threads = threading.active_count()
-    for helpers in (1, 2):
+    for ahead in (1, 2):
         for metric in METRICS:
-            stream = matching_classic._distance_blocks(q, r, metric, keep=5, helpers=helpers)
+            stream = matching_classic._distance_blocks(q, r, metric, keep=5, ahead=ahead)
             origin, rows = next(stream)
             assert (origin, len(rows)) == (0, 3)
             # a pool starts its second helper only if the first is busy
-            assert threads < threading.active_count() <= threads + helpers, (helpers, metric)
+            assert threads < threading.active_count() <= threads + ahead, (ahead, metric)
             stream.close()
-            assert threading.active_count() == threads, (helpers, metric)
+            assert threading.active_count() == threads, (ahead, metric)
+
+
+class _Gemms(np.ndarray):
+    """A reference operand whose GEMMs log (thread, columns) as they start,
+    then call `hold(columns)` before they compute."""
+
+    log: list = []  # each test sets a fresh list
+    hold = None
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, _Gemms) else x for x in inputs)
+        if ufunc is np.matmul:
+            columns = inputs[1].shape[1]
+            _Gemms.log.append((threading.get_ident(), columns))
+            if _Gemms.hold is not None:
+                _Gemms.hold(columns)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def _slow_halves(monkeypatch, n_ref):
+    """Make every GEMM of a stream against n_ref reference rows take 50 ms,
+    so its caller always waits, and let a half-block GEMM compute only once
+    the other half has begun, so the halves must run at once."""
+    meet = threading.Barrier(2, timeout=5.0)
+
+    def hold(columns):
+        if columns < n_ref:
+            meet.wait()
+        time.sleep(0.05)
+
+    monkeypatch.setattr(_Gemms, "log", [])
+    monkeypatch.setattr(_Gemms, "hold", staticmethod(hold))
+
+
+def _operand(reference, metric):
+    """The float64 reference operand that _distance_blocks builds, as _Gemms."""
+    if metric == "cosine":
+        b, _ = matching_classic.unit_rows(reference, np.empty(reference.shape))
+    else:
+        b = reference.astype(np.float64)
+    return b.view(_Gemms)
+
+
+def _query_blocks(query):
+    return (query[b0:b1] for b0, b1 in matching_classic._row_blocks(len(query), 3))
+
+
+def test_a_waiting_caller_gets_each_later_block_from_two_gemms_at_once(monkeypatch):
+    # 20 queries in 7 blocks against 200 reference rows, seam at column 128:
+    # block 1 runs whole (the caller always waits for block 0), and the
+    # caller waits for every block after it, so the two helpers split each
+    # of blocks 2-6. The kept rows and the halves hold _blockwise's bits.
+    monkeypatch.setattr(matching_classic, "_DISTANCE_ROWS", 3)
+    rng = np.random.default_rng(34)
+    query = np.round(rng.standard_normal((20, 4)) * 2.0) / 2.0
+    reference = np.round(rng.standard_normal((200, 4)) * 2.0) / 2.0
+    query[[2, 11]] = 0.0
+    reference[[3, 150]] = 0.0
+    query, reference = query.astype(np.float32), reference.astype(np.float32)
+    threads = threading.active_count()
+    for metric in METRICS:
+        _slow_halves(monkeypatch, 200)
+        want = _blockwise(query, reference, metric)
+        stream = matching_classic._distances(_query_blocks(query), 20, _operand(reference, metric),
+                                             metric, keep=5, ahead=1)
+        for k, (origin, rows) in enumerate(stream):
+            assert origin == max(3 * k - 5, 0), (metric, k)
+            _assert_same_bits(rows, want[origin : origin + len(rows)], (metric, k))
+        widths = [columns for _, columns in _Gemms.log]
+        assert widths[:2] == [200, 200], (metric, widths)
+        assert sorted(widths[2:]) == [72] * 5 + [128] * 5, (metric, widths)
+        helpers = {thread for thread, _ in _Gemms.log}
+        assert len(helpers) == 2 and threading.get_ident() not in helpers, metric
+        assert threading.active_count() == threads, metric
+
+
+def test_a_stream_whose_consumer_lags_runs_one_gemm_per_block(monkeypatch):
+    # the GEMMs are done long before the consumer asks for the next block,
+    # so the caller never waits after block 0 and splits none
+    monkeypatch.setattr(matching_classic, "_DISTANCE_ROWS", 3)
+    rng = np.random.default_rng(35)
+    query = rng.standard_normal((20, 4)).astype(np.float32)
+    reference = rng.standard_normal((200, 4)).astype(np.float32)
+    for metric in METRICS:
+        monkeypatch.setattr(_Gemms, "log", [])
+        stream = matching_classic._distances(_query_blocks(query), 20, _operand(reference, metric),
+                                             metric, keep=5, ahead=1)
+        for _ in stream:
+            time.sleep(0.05)
+        blocks = len(list(matching_classic._row_blocks(20, 3)))
+        assert [columns for _, columns in _Gemms.log] == [200] * blocks, metric
+
+
+def test_a_failing_source_or_a_close_with_halves_in_flight_stops_both_helpers(monkeypatch):
+    # the caller waits for block 1, so block 2's halves are in flight when
+    # the source fails at block 3 or the consumer closes the stream
+    monkeypatch.setattr(matching_classic, "_DISTANCE_ROWS", 3)
+    rng = np.random.default_rng(36)
+    query = rng.standard_normal((20, 4)).astype(np.float32)
+    reference = rng.standard_normal((200, 4)).astype(np.float32)
+
+    def failing():
+        for k, block in enumerate(_query_blocks(query)):
+            if k == 3:
+                raise RuntimeError("the fourth block failed")
+            yield block
+
+    threads = threading.active_count()
+    for metric in METRICS:
+        _slow_halves(monkeypatch, 200)
+        stream = matching_classic._distances(failing(), 20, _operand(reference, metric), metric,
+                                             keep=5, ahead=1)
+        with pytest.raises(RuntimeError, match="the fourth block failed"):
+            matching_classic._nearest(stream, 20)
+        assert sorted(columns for _, columns in _Gemms.log) == [72, 128, 200, 200], metric
+        assert threading.active_count() == threads, metric
+
+        _slow_halves(monkeypatch, 200)
+        stream = matching_classic._distances(_query_blocks(query), 20,
+                                             _operand(reference, metric), metric, keep=5, ahead=1)
+        next(stream), next(stream)
+        assert threading.active_count() == threads + 2, metric
+        stream.close()
+        assert sorted(columns for _, columns in _Gemms.log) == [72, 128, 200, 200], metric
+        assert threading.active_count() == threads, metric
 
 
 def _blockwise(a, b, metric):
@@ -473,32 +599,28 @@ def test_nearest_streams_keep_every_bit_across_many_ring_seams(monkeypatch):
 def test_nearest_streams_run_two_gemms_at_once(monkeypatch):
     # each stream's first two GEMMs wait until both have begun, which takes
     # two helpers: with one, the barrier's timeout fails the stream
-    gemms, meet = [], None
-
-    class Meeting(np.ndarray):
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            if ufunc is np.matmul:
-                gemms.append(threading.get_ident())
-                if len(gemms) <= 2:
-                    meet.wait()
-            inputs = tuple(x.view(np.ndarray) if isinstance(x, Meeting) else x for x in inputs)
-            return getattr(ufunc, method)(*inputs, **kwargs)
-
     unit_rows = matching_classic.unit_rows
 
-    def meeting_rows(matrix, out):  # the cosine operands, as Meeting arrays
+    def meeting_rows(matrix, out):  # the cosine operands, as _Gemms arrays
         rows, normalized = unit_rows(matrix, out)
-        return rows.view(Meeting), normalized
+        return rows.view(_Gemms), normalized
+
+    def hold(columns):
+        if len(_Gemms.log) <= 2:
+            meet.wait()
 
     monkeypatch.setattr(matching_classic, "unit_rows", meeting_rows)
+    monkeypatch.setattr(_Gemms, "hold", staticmethod(hold))
     monkeypatch.setattr(matching_classic, "_DISTANCE_ROWS", 3)
     rng = np.random.default_rng(33)
     q, r = _seq(rng, 20, 4), _seq(rng, 9, 4)
     threads = threading.active_count()
     for match in (lambda: difference_matrix(q, r), lambda: nearest_neighbor_match(q, r),
                   lambda: delta_match(q, r, DeltaConfig(window=2))):
-        gemms, meet = [], threading.Barrier(2, timeout=5.0)
+        monkeypatch.setattr(_Gemms, "log", [])
+        meet = threading.Barrier(2, timeout=5.0)
         match()
+        gemms = [thread for thread, _ in _Gemms.log]
         assert len(gemms) > 2 and len(set(gemms[:2])) == 2, gemms
         assert threading.get_ident() not in gemms
         assert threading.active_count() == threads
