@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -30,6 +31,7 @@ from .dataset import (
     normalize_positions,
     read_descriptor_header,
     read_table,
+    refuse_rows,
     save_descriptor_file,
     splits_field,
     write_table,
@@ -72,25 +74,28 @@ def _require_file(path, what: str) -> str:
     return path
 
 
-def _read_config_flags(path) -> list[str]:
+def _read_config(path) -> list[tuple[str, str, str]]:
+    """(FILE:LINE, key, value) of each "key = value" line of a config file."""
     if not os.path.isfile(path):
         raise UsageError(f"config file not found: {path}")
-    flags: list[str] = []
+    settings = []
     for lineno, raw in ascii_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not sep or not key:
+        if not sep or not key.strip():
             raise UsageError(f"{path}:{lineno}: expected key = value")
-        flags.extend([f"--{key.replace('_', '-')}", value])
-    return flags
+        settings.append((f"{path}:{lineno}", key.strip(), value.strip()))
+    return settings
 
 
-def _inject_config(argv: list[str]) -> list[str]:
-    """Expand --config FILE into flags placed before the explicit ones."""
+def _apply_config(parser, argv: list[str]) -> tuple[list[str], dict[str, tuple[object, str]]]:
+    """Take --config FILE out of argv and make each of its settings a default
+    of the command's flag, so an explicit flag wins. Returns argv and, by
+    destination, each setting's value and FILE:LINE. A key that names none of
+    the command's flags (or, as argparse allows, a unique prefix of one), or a
+    value the flag refuses, raises UsageError naming FILE:LINE."""
     out = list(argv)
     for i, tok in enumerate(out):
         if tok == "--config":
@@ -104,8 +109,41 @@ def _inject_config(argv: list[str]) -> list[str]:
             del out[i : i + 1]
             break
     else:
-        return out
-    return out[:1] + _read_config_flags(path) + out[1:]
+        return out, {}
+    settings = _read_config(path)
+    [commands] = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    command = commands.get(out[0]) if out else None
+    if command is None:  # argparse names the missing or unknown command
+        return out, {}
+    options, applied = command._option_string_actions, {}
+    for where, key, text in settings:
+        flag = "--" + key.replace("_", "-")
+        names = [flag] if flag in options else [name for name in options if name.startswith(flag)]
+        if len(names) != 1 or options[names[0]].nargs == 0:
+            raise UsageError(f"{where}: {out[0]} has no flag {flag} that takes a value")
+        action = options[names[0]]
+        try:
+            value = text if action.type is None else action.type(text)
+        except ValueError:
+            raise UsageError(f"{where}: argument {names[0]}: invalid "
+                             f"{action.type.__name__} value: {text!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(f"{where}: argument {names[0]}: invalid choice: {text!r} "
+                             f"(choose from {', '.join(action.choices)})")
+        action.required = False
+        command.set_defaults(**{action.dest: value})
+        applied[action.dest] = (value, where)
+    return out, applied
+
+
+def _locate(message: str, located: dict[str, str]) -> str:
+    """message, prefixed with the FILE:LINE of the config setting in effect
+    for the first flag it names that has one."""
+    for flag in re.findall(r"--[a-z][a-z-]*", message):
+        where = located.get(flag[2:].replace("-", "_"))
+        if where is not None:
+            return f"{where}: {message}"
+    return message
 
 
 def _parse_drift(text: str | None) -> tuple[float, ...] | None:
@@ -204,7 +242,7 @@ def _check_domains(args) -> None:
         try:
             seqslam_method(**{k: v for k, v in vars(args).items() if k in _SEQSLAM_FLAGS})
         except ValueError as exc:
-            raise UsageError(str(exc)) from None
+            raise UsageError(f"--v-min, --v-max, --v-step: {exc}") from None
 
 
 def cmd_train(args) -> int:
@@ -255,6 +293,9 @@ def cmd_match(args) -> int:
             raise ValueError(f"{args.checkpoint} against {args.ref}: {exc}") from None
     else:
         reference, query = _load_pair(args)
+        if d_s > query.frame_count:  # no window of the query is that long
+            raise ValueError(f"--ds must be <= the {query.frame_count} frames of {args.query}, "
+                             f"got {d_s}")
         [method] = _build_methods([args.method], args)
         deploy, frames = method.prepare(reference, d_s), reference.frame_count
     if args.export_matrix is None:
@@ -277,9 +318,9 @@ def load_match_csv(path) -> tuple[MatchReport, dict[str, str]]:
     (queries, best, scores), meta, lines = read_table(path, _MATCH_HEADER, (int, int, float))
     if not lines:
         raise ValueError(f"{path}: no match rows")
-    bad = ~np.isfinite(scores)
-    if bad.any():
-        raise ValueError(f"{path}:{lines[int(np.argmax(bad))]}: non-finite score")
+    refuse_rows(path, lines, ((queries < 0, "negative query index"),
+                              (best < 0, "negative reference index"),
+                              (~np.isfinite(scores), "non-finite score")))
     polarity = meta.get("polarity")
     if polarity not in ("higher", "lower"):
         raise ValueError(f"{path}: missing or invalid '# polarity=' comment")
@@ -293,15 +334,18 @@ def cmd_eval(args) -> int:
     elif args.ds is not None:
         delta = tolerance_for(args.ds)
     elif "ds" not in meta:
-        raise UsageError("need --ds or --delta (match CSV lacks a '# ds=' comment)")
-    elif not meta["ds"].isdigit():
+        raise UsageError(f"need --ds or --delta ({args.matches} lacks a '# ds=' comment)")
+    elif not meta["ds"].isdigit() or int(meta["ds"]) < 1:
         raise ValueError(f"{args.matches}: malformed '# ds={meta['ds']}' comment")
     else:
         delta = tolerance_for(int(meta["ds"]))
     truth = None
     if args.ground_truth is not None:
         truth = load_ground_truth(_require_file(args.ground_truth, "ground-truth file"))
-    curve = pr_curve(report, delta, truth)
+    try:
+        curve = pr_curve(report, delta, truth)
+    except ValueError as exc:  # with delta >= 0, a query index the ground truth lacks
+        raise ValueError(f"{args.ground_truth}: {exc}") from None
     print(f"# delta={delta}")
     print(f"auc,{curve.auc!r}")
     if args.out_curve is not None:
@@ -472,24 +516,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
     try:
-        argv = _inject_config(argv)
+        argv, applied = _apply_config(parser, argv)
     except (UsageError, ValueError) as exc:  # ValueError: a config byte outside ASCII
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # the config settings that no explicit flag overrode
+    located = {dest: where for dest, (value, where) in applied.items()
+               if getattr(args, dest) is value}
     try:
         _check_domains(args)
         return int(args.func(args) or 0)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_locate(str(exc), located)}", file=sys.stderr)
         return 2
     except RUN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_locate(str(exc), located)}", file=sys.stderr)
         return 3
 
 

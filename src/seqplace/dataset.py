@@ -352,6 +352,14 @@ def read_table(path, header: str | None = None, fields=None) -> tuple[list, dict
         raise
 
 
+def refuse_rows(path, lines, checks) -> None:
+    """For each (mask over a table's rows, what) in turn, raise ValueError
+    naming path, the line of the first row the mask flags, and what."""
+    for bad, what in checks:
+        if bad.any():
+            raise ValueError(f"{path}:{lines[int(np.argmax(bad))]}: {what}")
+
+
 def _columns(cells: list[str], kinds) -> list:
     columns = []
     for j, kind in enumerate(kinds):

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import Traversal, read_table, write_table
+from .dataset import Traversal, read_table, refuse_rows, write_table
 from .descriptors import DeltaConfig
 from .matching_classic import MatchReport, SeqSlamConfig, delta_match, seqslam_match
 from . import neural
@@ -140,8 +140,11 @@ def load_pr_csv(path) -> PRCurve:
 
 
 def load_ground_truth(path) -> dict[int, int]:
-    """Alignment override: one "query_index,reference_index" row per query index."""
+    """Alignment override: one "query_index,reference_index" row per query index,
+    both >= 0."""
     (queries, refs), _, lines = read_table(path, fields=(int, int))
+    refuse_rows(path, lines, ((queries < 0, "negative query index"),
+                              (refs < 0, "negative reference index")))
     first: dict[int, int] = {}
     for q, lineno in zip(queries.tolist(), lines):
         if first.setdefault(q, lineno) != lineno:

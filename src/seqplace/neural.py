@@ -181,16 +181,12 @@ def param_items(lstm: LstmParams, head: HeadParams) -> list[tuple[str, np.ndarra
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators keyed like param_items.
-
-    adam_init builds m and v as views of two flat buffers each, laid out like
-    the model's LstmParams.flat and HeadParams.flat; adam_step updates those
-    buffers chunk by chunk through the views' common base.
-    """
+    """First/second moment accumulators as two Gradients, laid out like the
+    model's parameters; adam_step updates their flat buffers chunk by chunk."""
 
     step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: Gradients
+    v: Gradients
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -386,15 +382,7 @@ def _batch_gradients(model: SequenceModel, xs: np.ndarray, labels: np.ndarray, g
 
 
 def adam_init(model: SequenceModel) -> AdamState:
-    m, v = Gradients.zeros(model), Gradients.zeros(model)
-    return AdamState(
-        step=0, m=dict(param_items(m.lstm, m.head)), v=dict(param_items(v.lstm, v.head))
-    )
-
-
-def _flat_buffers(moment: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The LSTM and head buffers under the views of an adam_init moment dict."""
-    return moment["w_ii"].base, moment["head_w"].base
+    return AdamState(step=0, m=Gradients.zeros(model), v=Gradients.zeros(model))
 
 
 def adam_step(state: AdamState, model: SequenceModel, grads: Gradients, lr: float):
@@ -413,8 +401,8 @@ def adam_step(state: AdamState, model: SequenceModel, grads: Gradients, lr: floa
     buffers = zip(
         (model.lstm.flat, model.head.flat),
         (grads.lstm.flat, grads.head.flat),
-        _flat_buffers(state.m),
-        _flat_buffers(state.v),
+        (state.m.lstm.flat, state.m.head.flat),
+        (state.v.lstm.flat, state.v.head.flat),
     )
     scratch_a, scratch_b = np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)
     for p_flat, g_flat, m_flat, v_flat in buffers:

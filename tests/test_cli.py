@@ -2,6 +2,7 @@ import argparse
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -147,6 +148,10 @@ def test_extract(capsys, tmp_path):
     empty.mkdir()
     assert run(capsys, "extract", "--images", str(empty), "--out", str(out))[0] == 2
     assert run(capsys, "extract", "--images", str(tmp_path / "no"), "--out", str(out))[0] == 2
+    code, _, err = run(capsys, "extract", "--images", str(images), "--out", str(tmp_path / "odd.spd1"),
+                       "--width", "7", "--height", "4", "--patch", "2")
+    assert code == 2 and "width/height (7x4) must be divisible by patch_size (2)" in err
+    assert not (tmp_path / "odd.spd1").exists()
     (images / "bad.pgm").write_bytes(b"P5\n4 4\n255\nxx")
     code, _, err = run(
         capsys, "extract", "--images", str(images), "--out", str(out),
@@ -607,6 +612,136 @@ def test_a_mutated_checkpoint_or_positions_file_matches_finitely_or_names_it(cap
     assert not failed, failed
 
 
+def _mutated_text(rng, blob: bytes) -> tuple[str, bytes, str | None]:
+    """One seeded byte- or line-level mutation of a text file, its kind, and
+    the ":line: ..." an error must name after the path (a byte outside
+    ASCII), else None."""
+    lines = blob.splitlines(keepends=True)
+    at = int(rng.integers(len(lines)))
+    kind = ("edit", "truncate", "delete", "duplicate", "ascii", "crlf")[rng.integers(6)]
+    if kind == "edit":
+        mutated = bytearray(blob)
+        mutated[rng.integers(len(blob))] = int(rng.choice(list(b"0123456789.,-+=#ex \n\t\x00")))
+        return kind, bytes(mutated), None
+    if kind == "truncate":
+        return kind, blob[: rng.integers(len(blob))], None
+    if kind == "crlf":
+        return kind, blob.replace(b"\n", b"\r\n"), None
+    if kind == "delete":
+        del lines[at]
+    elif kind == "duplicate":
+        lines.insert(at, lines[at])
+    else:
+        col = int(rng.integers(len(lines[at])))
+        lines[at] = lines[at][:col] + bytes([rng.integers(128, 256)]) + lines[at][col + 1 :]
+        return kind, b"".join(lines), f":{at + 1}: a byte is not ASCII"
+    return kind, b"".join(lines), None
+
+
+# field values: refused in any column, refused only in an int column, and valid in both
+_REFUSED_FIELDS = (b"x", b"", b"nan", b"-inf", b"1e400", b"1,2")
+_INT_REFUSED_FIELDS = (b"-1", b"1.5", b"99999999999999999999")
+_FIELDS = _REFUSED_FIELDS + _INT_REFUSED_FIELDS + (b"0", b"7")
+
+
+def _mutated_table(rng, blob: bytes, kinds) -> tuple[str, bytes, str | None]:
+    """One seeded mutation of a text table whose rows have the column kinds:
+    a _mutated_text one, a field of a row or the value of a "# key=" comment;
+    with its kind and the ":line:" an error must name after the path when
+    the mutated field is one the row's column refuses."""
+    lines = blob.split(b"\n")  # the last "line" follows the final line break
+    rows = [i for i, line in enumerate(lines[:-1]) if line[:1].isdigit()]
+    comments = [i for i, line in enumerate(lines) if line.startswith(b"# ")]
+    kind = ("text", "field", "comment")[rng.integers(3 if comments else 2)]
+    if kind == "text":
+        return _mutated_text(rng, blob)
+    if kind == "comment":
+        at = comments[rng.integers(len(comments))]
+        value = (b"0", b"-1", b"x", b"", b"99999999999999999999", b"4", b"lower", b"higher")
+        lines[at] = lines[at].partition(b"=")[0] + b"=" + value[rng.integers(len(value))]
+        return kind, b"\n".join(lines), None
+    at = rows[rng.integers(len(rows))]
+    fields = lines[at].split(b",")
+    column = int(rng.integers(len(fields)))
+    fields[column] = _FIELDS[rng.integers(len(_FIELDS))]
+    lines[at] = b",".join(fields)
+    refused = fields[column] in _REFUSED_FIELDS + (_INT_REFUSED_FIELDS if kinds[column] is int else ())
+    return kind, b"\n".join(lines), f":{at + 1}:" if refused else None
+
+
+def _mutated_config(rng, blob: bytes) -> tuple[str, bytes, str | None]:
+    """One seeded mutation of a config file: a _mutated_text one, or the key
+    or value of a setting, with its kind and the ":line:" an error must name
+    after the path when the setting can be no flag's."""
+    lines = blob.split(b"\n")
+    settings = [i for i, line in enumerate(lines) if b"=" in line and not line.startswith(b"#")]
+    kind = ("text", "key", "value")[rng.integers(3)]
+    if kind == "text":
+        return _mutated_text(rng, blob)
+    at = settings[rng.integers(len(settings))]
+    key, _, value = lines[at].partition(b" = ")
+    values = (b"abc", b"", b"0", b"-1", b"nan", b"inf", b"1e400", b"99999999999999999999",
+              b"2", b"0.5", b"1_0", b"euclidean", b"seqslam")
+    if kind == "key":
+        key = (b"bogus", b"v", b"r_win", b"progress", b"ds_values")[rng.integers(5)]
+    else:
+        value = values[rng.integers(len(values))]
+    lines[at] = key + b" = " + value
+    refused = key in (b"bogus", b"v", b"progress", b"ds_values") or value in (b"abc", b"")
+    return kind, b"\n".join(lines), f":{at + 1}:" if refused else None
+
+
+def test_a_mutated_match_csv_ground_truth_or_config_runs_finitely_or_names_it(capsys, tmp_path):
+    # 120 seeded mutations each of a match CSV and a ground-truth file run
+    # through eval, and of a config file run through match: byte edits,
+    # truncations, deleted and repeated lines, bytes outside ASCII, CRLF line
+    # ends, refused and accepted fields and comment values, and unknown keys
+    # and bad values. Each run exits 0 with a finite AUC or CSV, or exits 2
+    # or 3 naming the mutated file (and the line of a refused field or
+    # setting); a config that lost a line may instead leave a flag unset,
+    # which is refused by name. No warning escapes
+    ds = synth_dataset(capsys, tmp_path, noise="0.2")
+    pair = ["--ref", str(ds / "reference.spd1"), "--query", str(ds / "query.spd1")]
+    matches, truth, config, out = (tmp_path / name for name in ("m.csv", "gt.csv", "run.cfg", "o.csv"))
+    assert run(capsys, "match", "--method", "seqslam", "--ds", "4", *pair, "--out", str(matches))[0] == 0
+    truth.write_text("".join(f"{q},{q}\n" for q in range(40)))
+    config.write_text("# seqslam at d_s=4\nmethod = seqslam\nds = 4\nmetric = cosine\n"
+                      "v_min = 0.8\nv_max = 1.2\nv_step = 0.04\nr_window = 10\n")
+    eval_argv = ["eval", "--matches", str(matches)]
+    rng = np.random.default_rng(44)
+    trials = (
+        [(matches, lambda r, b: _mutated_table(r, b, (int, int, float)), eval_argv)] * 120
+        + [(truth, lambda r, b: _mutated_table(r, b, (int, int)),
+            eval_argv + ["--ground-truth", str(truth)])] * 120
+        + [(config, _mutated_config, ["match", "--config", str(config), *pair, "--out", str(out)])] * 120
+    )
+    failed = []
+    for path, mutate, argv in trials:
+        original = path.read_bytes()
+        kind, blob, where = mutate(rng, original)
+        path.write_bytes(blob)
+        out.unlink(missing_ok=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, *argv)
+        if code == 0 and path == config:
+            ok = np.isfinite(load_match_csv(out)[0].scores).all()
+        elif code == 0:
+            auc = [line for line in stdout.splitlines() if line.startswith("auc,")]
+            ok = len(auc) == 1 and np.isfinite(float(auc[0][4:]))
+        elif where is not None:
+            ok = code in (2, 3) and f"{path}{where}" in err
+        elif path == config:
+            located = re.search(re.escape(f"{path}:") + r"\d+: ", err) is not None
+            ok = code in (2, 3) and (located or "required" in err)
+        else:
+            ok = code in (2, 3) and str(path) in err
+        if not ok:
+            failed.append((path.name, kind, blob[:60], code, err))
+        path.write_bytes(original)
+    assert not failed, failed
+
+
 def deep_match_argv(ds, ckpt, out, ref=None):
     return [
         "match", "--method", "deep",
@@ -883,6 +1018,66 @@ def test_eval_names_the_file_of_a_bad_ds_comment_or_repeated_query(capsys, tmp_p
     assert f"{gt}:2: query index 0 repeats line 1" in err
 
 
+# a six-row match CSV: three comment lines and a header, then query q on line q + 5
+@pytest.mark.parametrize("old, new, truth, code, message", [
+    ("# ds=2\n", "# ds=0\n", None, 3, "{csv}: malformed '# ds=0' comment"),
+    ("# ds=2\n", "", None, 2, "need --ds or --delta ({csv} lacks a '# ds=' comment)"),
+    ("2,2,0.5", "2,-1,0.5", None, 3, "{csv}:7: negative reference index"),
+    ("2,2,0.5", "-1,2,0.5", None, 3, "{csv}:7: negative query index"),
+    ("", "", "0,0\n", 3, "{gt}: ground truth missing query indices [1, 2, 3, 4, 5]"),
+    ("", "", "0,0\n1,-1\n", 3, "{gt}:2: negative reference index"),
+    ("", "", "0,0\n-1,1\n", 3, "{gt}:2: negative query index"),
+])
+def test_eval_names_the_file_of_a_bad_row_ds_comment_or_ground_truth(
+        capsys, tmp_path, old, new, truth, code, message):
+    csv, gt = tmp_path / "m.csv", tmp_path / "gt.csv"
+    write_match_csv(csv, range(6), [0.5] * 6)
+    csv.write_text(csv.read_text().replace(old, new))
+    argv = ["eval", "--matches", str(csv)]
+    if truth is not None:
+        gt.write_text(truth)
+        argv += ["--ground-truth", str(gt)]
+    got, out, err = run(capsys, *argv)
+    assert got == code and out == ""
+    assert message.format(csv=csv, gt=gt) in err, err
+
+
+# a config's values outside their domains are cases of
+# test_a_numeric_flag_outside_its_domain_is_a_usage_error
+@pytest.mark.parametrize("line, message", [
+    ("ds = abc", "argument --ds: invalid int value: 'abc'"),
+    ("ds = 41", "--ds must be <= the 40 frames of"),
+    ("bogus = 1", "match has no flag --bogus that takes a value"),
+    ("progress = 1", "match has no flag --progress that takes a value"),
+    ("metric = manhattan", "argument --metric: invalid choice: 'manhattan'"),
+])
+def test_a_refused_config_value_names_its_file_and_line(capsys, tmp_path, line, message):
+    ds = synth_dataset(capsys, tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# seqslam\nmethod = seqslam\n{line}\n")
+    argv = ["match", "--config", str(cfg), "--ref", str(ds / "reference.spd1"),
+            "--query", str(ds / "query.spd1"), "--out", str(tmp_path / "m.csv")]
+    code, out, err = run(capsys, *argv, *([] if line.startswith("ds ") else ["--ds", "2"]))
+    assert code == (3 if line == "ds = 41" else 2) and out == ""
+    assert f"error: {cfg}:3: {message}" in err, err
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_a_config_value_that_a_flag_overrides_is_not_named(capsys, tmp_path):
+    ds = synth_dataset(capsys, tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("method = seqslam\nds = 2\nr_win = 3\n")  # a unique prefix, as argparse allows
+    argv = ["match", "--config", str(cfg), "--ref", str(ds / "reference.spd1"),
+            "--query", str(ds / "query.spd1"), "--out", str(tmp_path / "m.csv")]
+    assert run(capsys, *argv)[0] == 0
+    code, _, err = run(capsys, *argv, "--ds", "0")
+    assert code == 2 and "error: --ds must be >= 1, got 0" in err and str(cfg) not in err
+    code, _, err = run(capsys, *argv, "--ds", "abc")
+    assert code == 2 and "argument --ds: invalid int value: 'abc'" in err and str(cfg) not in err
+    cfg.write_text("ds = 0\n")
+    assert run(capsys, *argv, "--method", "seqslam", "--ds", "2")[0] == 0
+
+
 def test_sweep(capsys, tmp_path):
     ds = synth_dataset(capsys, tmp_path, noise="0.2")
     out = tmp_path / "sweep.csv"
@@ -1128,6 +1323,10 @@ def command_argv(ds, out, command):
     # from 0.8 to 1.2 in steps of 0.4 / 10001: one velocity above the cap
     ("match", ["--v-step", repr(0.4 / 10001)], "has 10002 velocities, more than 10001"),
     ("match", ["--v-step", "5e-324"], "has inf velocities, more than 10001"),
+    # a config file's value is named by its FILE:LINE
+    ("eval", ["--config", "ds = 0"], "--ds must be >= 1, got 0"),
+    ("match", ["--config", "v_max = 0.5"], "--v-min must be <= --v-max, got 0.8 > 0.5"),
+    ("match", ["--config", "v_step = 1e-9"], "--v-min, --v-max, --v-step: the velocity grid"),
 ])
 def test_a_numeric_flag_outside_its_domain_is_a_usage_error(capsys, tmp_path, command, flags, message):
     ds = synth_dataset(capsys, tmp_path)
@@ -1137,6 +1336,7 @@ def test_a_numeric_flag_outside_its_domain_is_a_usage_error(capsys, tmp_path, co
     if flags[0] == "--config":  # the flag arrives through a config file
         (tmp_path / "flags.cfg").write_text(flags[1] + "\n")
         flags[1] = str(tmp_path / "flags.cfg")
+        message = f"{flags[1]}:1: {message}"
     code, out, err = run(capsys, *command_argv(ds, tmp_path / "bad", command), *flags)
     assert code == 2 and message in err, (code, err)
     assert out == "" and not any((tmp_path / "bad").iterdir())

@@ -289,6 +289,9 @@ def test_positions_file_errors_name_lines(tmp_path):
     path.write_text("0.0,abc\n")
     with pytest.raises(ValueError, match=":1"):
         load_positions_file(path)
+    path.write_text("# a comment and a blank line\n\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: no position rows")):
+        load_positions_file(path)
     for value in ("nan", "-inf", "1e400"):
         path.write_text(f"0.0,0.0\n1.0,2.0\n3.0,{value}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: non-finite position value")):

@@ -1,4 +1,5 @@
 import ast
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -319,6 +320,12 @@ def test_thumbnail_crop_rule_centers():
         thumbnail_descriptor(np.ones((4, 16), dtype=np.uint8), cfg)
 
 
+def test_thumbnail_refuses_an_image_that_is_not_a_nonempty_grid():
+    for shape in ((8,), (0, 8), (8, 0), (8, 8, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"H x W grayscale image, got shape {shape}")):
+            thumbnail_descriptor(np.zeros(shape, dtype=np.uint8), ThumbnailConfig(8, 8, 2))
+
+
 def test_thumbnail_config_validation():
     with pytest.raises(ValueError):
         ThumbnailConfig(width=30, height=32, patch_size=8)
@@ -356,3 +363,7 @@ def test_read_pgm_rejects_bad_files(tmp_path):
     path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
     with pytest.raises(ValueError, match="8-bit"):
         read_pgm(path)
+    for header in (b"P5\n2 x\n255\n", b"P5\n2.5 2\n255\n", b"P5\n2 2\n25a\n"):
+        path.write_bytes(header + bytes(4))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: malformed PGM header"):
+            read_pgm(path)

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import time
@@ -78,6 +79,11 @@ def test_difference_matrix_symmetry_and_validation():
         difference_matrix(q, r, "manhattan")
     with pytest.raises(ValueError):
         DifferenceMatrix(data=np.array([[np.inf]]), metric="cosine")
+    for shape in ((3,), (0, 3), (3, 0), (2, 2, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"must be Q x R, got shape {shape}")):
+            DifferenceMatrix(data=np.zeros(shape), metric="cosine")
+    with pytest.raises(ValueError, match="metric must be one of"):
+        DifferenceMatrix(data=np.ones((2, 3)), metric="manhattan")
     # a caller's array is copied: it stays writable and unshared
     mine = np.ones((2, 3))
     held = DifferenceMatrix(data=mine, metric="cosine").data
@@ -180,6 +186,19 @@ def test_velocity_grid_default_is_eleven_steps():
     assert np.all(np.diff(grid) > 0.0)
     single = velocity_grid(SeqSlamConfig(v_min=1.0, v_max=1.0, v_step=0.04))
     assert len(single) == 1 and single[0] == 1.0
+
+
+@pytest.mark.parametrize("field, message", [
+    ({"d_s": 0}, "d_s must be >= 1"),
+    ({"v_min": 0.0}, "need 0 < v_min <= v_max"),
+    ({"v_min": 1.3}, "need 0 < v_min <= v_max"),
+    ({"v_step": 0.0}, "v_step must be > 0"),
+    ({"v_step": -0.04}, "v_step must be > 0"),
+    ({"r_window": 0}, "r_window must be >= 1"),
+])
+def test_seqslam_config_refuses_each_field_outside_its_domain(field, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SeqSlamConfig(**field)
 
 
 def test_seqslam_config_refuses_a_grid_above_the_cap():

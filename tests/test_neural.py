@@ -5,6 +5,7 @@ import time
 import tracemalloc
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -115,6 +116,15 @@ def test_lstm_forward_validates_shapes():
         lstm_forward(model.lstm, np.zeros((2, 5)), np.zeros(3), np.zeros(4))
 
 
+def test_lstm_match_refuses_an_out_of_another_shape():
+    model = init_model(n=3, places=5, d_s=2, hidden=4, seed=0)
+    rng = np.random.default_rng(4)
+    query = Traversal("q", DescriptorSequence(rng.standard_normal((4, 3))), PositionTrack(np.zeros((4, 2))))
+    for shape in ((5, 4), (4, 6), (20,)):
+        with pytest.raises(ValueError, match=re.escape(f"out must be 4 x 5, got shape {shape}")):
+            neural.lstm_match(model, query, 2, np.empty(shape))
+
+
 def test_cross_entropy_direct_formula_and_gradient():
     logits = np.array([0.5, -1.0, 2.0])
     loss, dlogits = cross_entropy_loss(logits, 2)
@@ -203,13 +213,17 @@ def test_adam_identical_streams_identical_parameters():
         assert np.array_equal(a, b)
 
 
-def _reference_adam_init(model) -> AdamState:
-    """Moments as separate arrays, one per tensor view."""
+def _reference_adam_init(model) -> SimpleNamespace:
+    """AdamState's step and hyperparameters, with the moments as separate
+    arrays, one per tensor view."""
     items = param_items(model.lstm, model.head)
-    return AdamState(
+    return SimpleNamespace(
         step=0,
         m={name: np.zeros_like(arr) for name, arr in items},
         v={name: np.zeros_like(arr) for name, arr in items},
+        beta1=AdamState.beta1,
+        beta2=AdamState.beta2,
+        eps=AdamState.eps,
     )
 
 
@@ -254,22 +268,18 @@ def test_adam_matches_per_tensor_reference_across_chunk_seams(monkeypatch, chunk
         assert np.array_equal(model.lstm.flat, reference.lstm.flat)
         assert np.array_equal(model.head.flat, reference.head.flat)
         for moments, ref_moments in ((state.m, ref_state.m), (state.v, ref_state.v)):
-            for name, arr in ref_moments.items():
-                assert np.array_equal(moments[name], arr), name
+            for name, arr in param_items(moments.lstm, moments.head):
+                assert np.array_equal(arr, ref_moments[name]), name
     assert state.step == ref_state.step == 5
-    # the moment dicts are views tiling two flat buffers laid out like the model's
-    names = [name for name, _ in param_items(model.lstm, model.head)]
-    for moments, ref_moments in ((state.m, ref_state.m), (state.v, ref_state.v)):
-        lstm_flat, head_flat = moments["w_ii"].base, moments["head_w"].base
-        assert lstm_flat.shape == model.lstm.flat.shape
-        assert head_flat.shape == model.head.flat.shape
-        for name in names:
-            assert moments[name].base is (head_flat if name.startswith("head") else lstm_flat)
-        assert np.array_equal(
-            np.concatenate([lstm_flat, head_flat]),
-            np.concatenate([ref_moments[name].ravel() for name in names]),
-        )
-    assert state.m["w_ii"].base is not state.v["w_ii"].base
+    # m and v are distinct Gradients laid out like the model
+    assert isinstance(state.m, Gradients) and isinstance(state.v, Gradients)
+    for moments in (state.m, state.v):
+        assert moments.lstm.flat.shape == model.lstm.flat.shape
+        assert moments.head.flat.shape == model.head.flat.shape
+        assert moments.lstm.flat.dtype == moments.head.flat.dtype == model.lstm.flat.dtype
+    flats = [state.m.lstm.flat, state.m.head.flat, state.v.lstm.flat, state.v.head.flat]
+    flats += [model.lstm.flat, model.head.flat]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(flats) for b in flats[i + 1 :])
 
 
 def _traced_peak(step, state, model, grads) -> int:

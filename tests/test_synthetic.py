@@ -32,6 +32,9 @@ def test_config_validation():
         SynthConfig(path="spiral")
     with pytest.raises(ValueError):
         SynthConfig(dim=4, drift=(1.0, 2.0))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="drift contains non-finite values"):
+            SynthConfig(dim=2, drift=(1.0, bad))
 
 
 def test_same_seed_bitwise_identical():
