@@ -1,16 +1,16 @@
-"""One BLAS thread for the length of a deploy.
+"""One BLAS thread for the length of a deploy or a training run.
 
 OpenBLAS splits a GEMM differently at two threads than at one, so some
 entries change in their last bit with OPENBLAS_NUM_THREADS. Every deploy
-(the distance streams of `matching_classic` and `neural.lstm_match`) runs
-its GEMMs inside `one_thread()`, so a deploy gives the bits of one BLAS
-thread at any thread count, and its two threads do not each start a BLAS
-thread per core. Training runs outside it, at the caller's count.
+(the distance streams of `matching_classic` and `neural.lstm_match`) and
+`neural.train` run their GEMMs inside `one_thread()`, so they give the bits
+of one BLAS thread at any thread count, and their two threads do not each
+start a BLAS thread per core.
 
-The count is process-wide: the first deploy in saves it and sets 1, and
-the last one out restores it, also when a deploy raises or its stream is
-closed. Code that calls BLAS on another thread while a deploy runs gets
-one thread too; two concurrent deploys in one process share the pin. Only
+The count is process-wide: the first run in saves it and sets 1, and the
+last one out restores it, also when a run raises or its stream is closed.
+Code that calls BLAS on another thread while a run is inside gets one
+thread too; two concurrent runs in one process share the pin. Only
 OpenBLAS is pinned: the library is found through /proc/self/maps, and
 where no OpenBLAS setter is found (another BLAS, or no /proc), one_thread
 does nothing.
@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from functools import cache
 
 _lock = threading.Lock()
-_inside = 0  # deploys inside one_thread
+_inside = 0  # runs inside one_thread
 _saved = 1  # the count the first of them found
 
 

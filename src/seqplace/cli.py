@@ -297,7 +297,10 @@ def cmd_match(args) -> int:
             raise ValueError(f"--ds must be <= the {query.frame_count} frames of {args.query}, "
                              f"got {d_s}")
         [method] = _build_methods([args.method], args)
-        deploy, frames = method.prepare(reference, d_s), reference.frame_count
+        try:
+            deploy, frames = method.prepare(reference, d_s), reference.frame_count
+        except ValueError as exc:  # the reference is too short for d_s
+            raise ValueError(f"--ds {d_s} against --ref {args.ref}: {exc}") from None
     if args.export_matrix is None:
         report = deploy(query)
     else:  # the deploy fills the matrix in the float32 that SPD1 stores

@@ -206,8 +206,14 @@ def delta_window_for(d_s: int) -> int:
 
 
 def delta_method() -> Method:
+    """Delta matching, one delta_match per deploy; prepare raises ValueError
+    if the reference is shorter than d_s's delta window."""
+
     def prepare(reference: Traversal, d_s: int) -> Deploy:
         cfg = DeltaConfig(window=delta_window_for(d_s))
+        if reference.frame_count < cfg.window:
+            raise ValueError(f"the reference has {reference.frame_count} frames, fewer than "
+                             f"the delta window of {cfg.window} frames for d_s={d_s}")
 
         def deploy(query: Traversal) -> MatchReport:
             return delta_match(query.descriptors, reference.descriptors, cfg)

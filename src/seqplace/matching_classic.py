@@ -79,6 +79,12 @@ _DISTANCE_ROWS = 192
 _SEAM_COLUMNS = 64
 
 
+def _seam(n_cols: int) -> int:
+    """Where a GEMM of n_cols output columns is cut in two: the multiple of
+    _SEAM_COLUMNS nearest n_cols / 2 (0 when n_cols < _SEAM_COLUMNS)."""
+    return _SEAM_COLUMNS * ((n_cols + _SEAM_COLUMNS) // (2 * _SEAM_COLUMNS))
+
+
 # The most velocities a SeqSLAM grid may hold. The search plans each velocity
 # in one pass over (d_s - 1) x R reference columns, about 0.23 ms at R = 4096
 # and d_s = 10 on one core, so 10001 velocities plan in about 2.3 s, as long
@@ -130,7 +136,7 @@ class SeqSlamConfig:
         count = _grid_size(self)
         if count > _MAX_VELOCITIES:
             raise ValueError(f"the velocity grid from {self.v_min} to {self.v_max} in steps of "
-                             f"{self.v_step} has {count:.0f} velocities, more than {_MAX_VELOCITIES}")
+                             f"{self.v_step} has {count:g} velocities, more than {_MAX_VELOCITIES}")
 
 
 @dataclass(frozen=True)
@@ -236,7 +242,7 @@ def _distances(blocks, n_query, b, metric, keep=0, ahead=2):
     rows64 = np.empty((slots, most, b.shape[1]))
     views = np.empty((slots, min(keep + most, n_query), n_ref))
     whole = [(0, n_ref)]
-    seam = _SEAM_COLUMNS * ((n_ref + _SEAM_COLUMNS) // (2 * _SEAM_COLUMNS))
+    seam = _seam(n_ref)
     halves = [(0, seam), (seam, n_ref)] if ahead == 1 and n_ref >= 2 * _SEAM_COLUMNS else whole
 
     def pull(i):

@@ -17,9 +17,13 @@ check uses run in float64. A checkpoint stores float32 weights and loads as
 float32, and lstm_match runs its projection, recurrence and head GEMMs at
 the parameters' dtype; only the softmax over the logits is taken in float64.
 lstm_match's caller and one helper pop its query blocks from the two ends
-of one deque and run each as one thread would, so they change no bit. They
-run their GEMMs at one BLAS thread (blas.one_thread), so a deploy gives the
-same bits at any OPENBLAS_NUM_THREADS; training runs at the caller's count.
+of one deque and run each as one thread would, so they change no bit.
+train's caller and one helper share each step of a large model: the helper
+writes one half of the projection, recurrence and dW_x GEMMs, each cut at
+a column seam that keeps every bit (_gemm), and adds the dW_h terms in the
+step order while the caller goes on with the BPTT. Both run their GEMMs at
+one BLAS thread (blas.one_thread), so training and deploys give the same
+bits at any OPENBLAS_NUM_THREADS.
 
 Checkpoints use the SPM1 container: magic "SPM1"; m, H, N, d_s as unsigned
 32-bit little-endian; then the two flat parameter buffers, the LSTM's
@@ -43,7 +47,7 @@ import numpy as np
 from .blas import one_thread
 from .dataset import _NORM_BLOCK_BYTES, Traversal, _first_nonfinite, read_table, write_table
 from .descriptors import l2_normalize, unit_rows
-from .matching_classic import MatchReport, _block_rows, _row_blocks
+from .matching_classic import MatchReport, _block_rows, _row_blocks, _seam
 from .rng import RandomStream
 
 SPM1_MAGIC = b"SPM1"
@@ -56,6 +60,27 @@ _CHECKPOINT_DTYPE = np.dtype("<f4")
 # the two scratch arrays, 768 KiB in all, so a chunk stays in L2 between its
 # operations (fastest of 2^12-2^18 at H=512 on a Xeon with 2 MiB L2 per core)
 _ADAM_CHUNK = 1 << 14
+
+# W_x entries from which train shares each step's large GEMMs between the
+# caller and one helper thread, each at one BLAS thread (see _gemm). Below
+# this size (W_x is 256 x 66 on sweep-aliased) a step is too short to
+# share: there, a second thread running Adam's other half took a step from
+# 0.49 to 0.56 ms. At train-h512's shape (W_x 2048 x 4098) the helper took
+# one epoch from 78-79 to 94-98 windows/s.
+_SPLIT_ENTRIES = 1 << 20
+
+# The GEMMs _gemm cuts: an output of at least _CUT_COLUMNS columns, two
+# rows or more, and at least _CUT_MADDS multiply-adds in each half. Cut at
+# a multiple of 64 columns (matching_classic._seam), every one of the 5014
+# such GEMMs tried, up to 320 x 4098 x 4098 (rows x inner x columns), kept
+# every bit of the whole on OpenBLAS's SkylakeX dgemm; a row cut did not.
+# Smaller cuts changed bits where a half fell to the small-matrix kernel
+# (up to 10^6 multiply-adds), or where the whole had 193-383 columns, not a
+# multiple of 8, and so two column blocks of the blocked kernel (1183
+# entries of a 64 x 512 x 300 product). A one-row product is a GEMV, which
+# was not checked.
+_CUT_COLUMNS = 384
+_CUT_MADDS = 1 << 20
 
 # Queries per projection GEMM of lstm_match, and the cap of _activity_rows.
 # OpenBLAS repacks W_x per call: at paper scale, H=512 and 1 BLAS thread,
@@ -204,10 +229,32 @@ class TrainingCurves:
         return len(self.losses)
 
 
-def _project(lstm: LstmParams, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
+          helper: ThreadPoolExecutor | None = None) -> np.ndarray:
+    """a @ b into out (allocated if None). With a helper, a GEMM large enough
+    (see _CUT_COLUMNS) is cut at _seam(n) of its n output columns: the
+    caller writes the columns before it and the helper the rest, which
+    leaves every bit as one GEMM gives it. A failing half raises here."""
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    (rows, inner), n = a.shape, out.shape[1]
+    cut = _seam(n)
+    if (helper is None or rows < 2 or n < _CUT_COLUMNS
+            or rows * inner * min(cut, n - cut) < _CUT_MADDS):
+        return np.matmul(a, b, out=out)
+    second = helper.submit(np.matmul, a, b[:, cut:], out=out[:, cut:])
+    try:
+        np.matmul(a, b[:, :cut], out=out[:, :cut])
+    finally:
+        second.result()
+    return out
+
+
+def _project(lstm: LstmParams, xs: np.ndarray, out: np.ndarray | None = None,
+             helper: ThreadPoolExecutor | None = None) -> np.ndarray:
     """Input-side gate pre-activations x W_x^T + b of all rows of xs, one GEMM
-    (into out, rows x 4H, if given)."""
-    proj = np.matmul(xs.reshape(-1, xs.shape[-1]), lstm.w_x.T, out=out)
+    (into out, rows x 4H, if given; cut in two with a helper, see _gemm)."""
+    proj = _gemm(xs.reshape(-1, xs.shape[-1]), lstm.w_x.T, out, helper)
     proj += lstm.b
     return proj.reshape(xs.shape[:-1] + (proj.shape[1],))
 
@@ -219,11 +266,12 @@ def _gate_blocks(a: np.ndarray):
 
 
 def _recur(lstm: LstmParams, steps, h: np.ndarray | None = None, c: np.ndarray | None = None,
-           keep: bool = False):
+           keep: bool = False, helper: ThreadPoolExecutor | None = None):
     """Run the recurrence over steps, an iterable of B x 4H projections, from
     state (h, c), or from the zero state if h is None; returns h_T and, if
     keep, the tape _backward needs. Arithmetic runs at the parameters' dtype.
-    A tape that starts from the zero state records its first h_prev as None."""
+    A tape that starts from the zero state records its first h_prev as None.
+    With a helper, each h W_h^T is cut in two (see _gemm)."""
     # sigmoid(a) = tanh(a / 2) / 2 + 1 / 2, so one tanh activates all four
     # gates: scale is 1/2 on the sigmoid gates i, f, o and 1 on g
     scale = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=lstm.flat.dtype), lstm.hidden_dim)
@@ -236,7 +284,7 @@ def _recur(lstm: LstmParams, steps, h: np.ndarray | None = None, c: np.ndarray |
             c = np.zeros((proj.shape[0], lstm.hidden_dim), dtype=proj.dtype)
             gates = proj.copy()
         else:
-            gates = h @ lstm.w_h.T
+            gates = _gemm(h, lstm.w_h.T, helper=helper)
             gates += proj
         gates *= scale
         np.tanh(gates, out=gates)
@@ -253,33 +301,50 @@ def _recur(lstm: LstmParams, steps, h: np.ndarray | None = None, c: np.ndarray |
 
 
 def _backward(model: SequenceModel, xs: np.ndarray, tape, h_last: np.ndarray,
-              dlogits: np.ndarray, grads: Gradients) -> None:
+              dlogits: np.ndarray, grads: Gradients,
+              helper: ThreadPoolExecutor | None = None) -> None:
     """Overwrite grads with the gradients of sum(dlogits * logits), where
-    _recur turned inputs xs (steps, B, m) into h_last and tape."""
+    _recur turned inputs xs (steps, B, m) into h_last and tape.
+
+    With a helper, it adds each step's term to dW_h, in the step order,
+    while the caller goes on to the step before, and the dW_x GEMM is cut
+    in two (see _gemm); grads are complete when this returns."""
     lstm = model.lstm
+
+    def add_w_h(da_t, h_prev):
+        grads.lstm.w_h += da_t.T @ h_prev
+
     np.matmul(dlogits.T, h_last, out=grads.head.w)
     np.sum(dlogits, axis=0, out=grads.head.b)
     dh = dlogits @ model.head.w
     dc = np.zeros_like(dh)
     da = np.empty((len(tape),) + tape[0][2].shape)
     grads.lstm.w_h[...] = 0.0
-    for t in reversed(range(len(tape))):
-        h_prev, c_prev, gates, tc = tape[t]
-        i, f, g, o = _gate_blocks(gates)
-        da_i, da_f, da_g, da_o = _gate_blocks(da[t])
-        dc = dc + dh * o * (1.0 - tc * tc)
-        da_i[...] = dc * g * i * (1.0 - i)
-        da_f[...] = dc * c_prev * f * (1.0 - f)
-        da_g[...] = dc * i * (1.0 - g * g)
-        da_o[...] = dh * tc * o * (1.0 - o)
-        if h_prev is not None:  # the zero state adds nothing to dW_h
-            grads.lstm.w_h += da[t].T @ h_prev
-        if t > 0:  # the first step's dh and dc would never be read
-            dh = da[t] @ lstm.w_h
-            dc = dc * f
-    da = da.reshape(-1, da.shape[-1])
-    np.matmul(da.T, xs.reshape(-1, xs.shape[-1]), out=grads.lstm.w_x)
-    np.sum(da, axis=0, out=grads.lstm.b)
+    added = []  # the helper's dW_h terms, which it adds in the order they come
+    try:
+        for t in reversed(range(len(tape))):
+            h_prev, c_prev, gates, tc = tape[t]
+            i, f, g, o = _gate_blocks(gates)
+            da_i, da_f, da_g, da_o = _gate_blocks(da[t])
+            dc = dc + dh * o * (1.0 - tc * tc)
+            da_i[...] = dc * g * i * (1.0 - i)
+            da_f[...] = dc * c_prev * f * (1.0 - f)
+            da_g[...] = dc * i * (1.0 - g * g)
+            da_o[...] = dh * tc * o * (1.0 - o)
+            if h_prev is not None:  # the zero state adds nothing to dW_h
+                if helper is None:
+                    add_w_h(da[t], h_prev)
+                else:
+                    added.append(helper.submit(add_w_h, da[t], h_prev))
+            if t > 0:  # the first step's dh and dc would never be read
+                dh = da[t] @ lstm.w_h
+                dc = dc * f
+        da = da.reshape(-1, da.shape[-1])
+        _gemm(da.T, xs.reshape(-1, xs.shape[-1]), grads.lstm.w_x, helper)
+        np.sum(da, axis=0, out=grads.lstm.b)
+    finally:
+        for term in added:
+            term.result()
 
 
 def lstm_forward(params: LstmParams, inputs: np.ndarray, h0: np.ndarray, c0: np.ndarray):
@@ -370,14 +435,17 @@ def model_backward(model: SequenceModel, window: np.ndarray, label: int, cache) 
     return grads
 
 
-def _batch_gradients(model: SequenceModel, xs: np.ndarray, labels: np.ndarray, grads: Gradients):
+def _batch_gradients(model: SequenceModel, xs: np.ndarray, labels: np.ndarray, grads: Gradients,
+                     helper: ThreadPoolExecutor | None = None):
     """Write the gradients of the mean loss of windows xs (d_s, B, m) into
-    grads unless a loss is non-finite; returns the losses and logits."""
-    h_last, tape = _recur(model.lstm, _project(model.lstm, xs), keep=True)
+    grads unless a loss is non-finite; returns the losses and logits. A
+    helper takes part of the projection, recurrence and backward GEMMs."""
+    proj = _project(model.lstm, xs, helper=helper)
+    h_last, tape = _recur(model.lstm, proj, keep=True, helper=helper)
     logits = h_last @ model.head.w.T + model.head.b
     losses, dlogits = _cross_entropy_batch(logits, labels)
     if np.isfinite(losses).all():
-        _backward(model, xs, tape, h_last, dlogits / len(labels), grads)
+        _backward(model, xs, tape, h_last, dlogits / len(labels), grads, helper)
     return losses, logits
 
 
@@ -471,6 +539,13 @@ def train(
     curves are bitwise reproducible; wall seconds are not. progress, if
     given, is called after each epoch with (epoch, epochs, loss, accuracy,
     seconds), the epoch counted from 0 as in the curves.
+
+    The epochs run at one BLAS thread (blas.one_thread), so the bits do not
+    depend on OPENBLAS_NUM_THREADS, and the caller's count is restored when
+    train returns or raises. From _SPLIT_ENTRIES W_x entries on, one helper
+    thread takes part of each step's large GEMMs (see _batch_gradients);
+    Adam and the elementwise work stay on the caller. The helper is gone
+    once train returns or raises.
     """
     desc = l2_normalize(reference.descriptors)
     n_frames = reference.frame_count
@@ -483,31 +558,35 @@ def train(
     state = adam_init(model)
     grads = Gradients.zeros(model)
     curves = TrainingCurves(losses=[], accuracies=[], seconds=[])
-    for epoch in range(epochs):
-        tick = time.perf_counter()
-        rng.shuffle(order)
-        loss_sum = 0.0
-        hits = 0
-        for bi, lo in enumerate(range(0, len(order), batch_size)):
-            frames = order[lo : lo + batch_size] + np.arange(d_s)[:, None]
-            xs = np.concatenate([desc.data[frames], reference.positions.data[frames]], axis=-1)
-            ys = frames[-1]
-            losses, logits = _batch_gradients(model, xs, ys, grads)
-            if not np.isfinite(losses).all():
-                raise TrainingError(epoch, bi)
-            loss_sum += float(losses.sum())
-            hits += int((np.argmax(logits, axis=1) == ys).sum())
-            if clip_norm is not None:
-                norm = np.sqrt(grads.lstm.flat @ grads.lstm.flat + grads.head.flat @ grads.head.flat)
-                if norm > clip_norm:
-                    grads.lstm.flat *= clip_norm / norm
-                    grads.head.flat *= clip_norm / norm
-            adam_step(state, model, grads, lr)
-        curves.losses.append(loss_sum / len(order))
-        curves.accuracies.append(hits / len(order))
-        curves.seconds.append(time.perf_counter() - tick)
-        if progress is not None:
-            progress(epoch, epochs, curves.losses[-1], curves.accuracies[-1], curves.seconds[-1])
+    with one_thread(), ThreadPoolExecutor(max_workers=1) as pool:
+        helper = pool if model.lstm.w_x.size >= _SPLIT_ENTRIES else None
+        for epoch in range(epochs):
+            tick = time.perf_counter()
+            rng.shuffle(order)
+            loss_sum = 0.0
+            hits = 0
+            for bi, lo in enumerate(range(0, len(order), batch_size)):
+                frames = order[lo : lo + batch_size] + np.arange(d_s)[:, None]
+                xs = np.concatenate([desc.data[frames], reference.positions.data[frames]], axis=-1)
+                ys = frames[-1]
+                losses, logits = _batch_gradients(model, xs, ys, grads, helper)
+                if not np.isfinite(losses).all():
+                    raise TrainingError(epoch, bi)
+                loss_sum += float(losses.sum())
+                hits += int((np.argmax(logits, axis=1) == ys).sum())
+                if clip_norm is not None:
+                    norm = np.sqrt(grads.lstm.flat @ grads.lstm.flat
+                                   + grads.head.flat @ grads.head.flat)
+                    if norm > clip_norm:
+                        grads.lstm.flat *= clip_norm / norm
+                        grads.head.flat *= clip_norm / norm
+                adam_step(state, model, grads, lr)
+            curves.losses.append(loss_sum / len(order))
+            curves.accuracies.append(hits / len(order))
+            curves.seconds.append(time.perf_counter() - tick)
+            if progress is not None:
+                progress(epoch, epochs, curves.losses[-1], curves.accuracies[-1],
+                         curves.seconds[-1])
     return model, curves
 
 

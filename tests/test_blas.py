@@ -75,6 +75,31 @@ def test_every_deploy_runs_at_one_blas_thread_and_restores_the_count(openblas, m
     assert get() == 2
 
 
+def test_train_runs_at_one_blas_thread_and_restores_the_count(openblas, monkeypatch):
+    get, put = openblas
+    put(2)
+    rng = np.random.default_rng(43)
+    reference = Traversal("r", DescriptorSequence(rng.standard_normal((30, 6)).astype(np.float32)),
+                          PositionTrack(rng.uniform(-1.0, 1.0, (30, 2))))
+    counts = []
+    neural.train(reference, d_s=2, epochs=3, hidden=4, progress=lambda *_: counts.append(get()))
+    assert counts == [1, 1, 1]
+    assert get() == 2
+
+    gradients, calls = neural._batch_gradients, []
+
+    def non_finite_in_epoch_1(*args):
+        losses, logits = gradients(*args)
+        calls.append(get())
+        return losses * (np.nan if len(calls) > 1 else 1.0), logits
+
+    monkeypatch.setattr(neural, "_batch_gradients", non_finite_in_epoch_1)
+    with pytest.raises(neural.TrainingError, match="epoch 1, batch 0"):
+        neural.train(reference, d_s=2, epochs=3, hidden=4, batch_size=29)
+    assert calls == [1, 1]
+    assert get() == 2
+
+
 def test_one_thread_does_nothing_without_an_openblas_setter(monkeypatch):
     monkeypatch.setattr(blas, "_openblas", lambda: None)
     with blas.one_thread():

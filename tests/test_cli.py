@@ -801,6 +801,38 @@ def test_match_gives_the_one_thread_bytes_at_two_blas_threads(capsys, tmp_path):
         assert written["2"][method] == one, method
 
 
+def test_train_and_a_deep_sweep_give_the_one_thread_bytes_at_two_blas_threads(capsys, tmp_path):
+    # W_x is 1024 x 1024, the size from which train shares its GEMMs with a
+    # helper thread. While train ran at the caller's count, this pair's
+    # checkpoint and curves differed between 1 and 2 BLAS threads; train now
+    # pins one thread and cuts GEMMs only at column seams
+    ds = synth_dataset(capsys, tmp_path, frames=300, dim=1022, smoothness=0.5, noise=0.3, seed=1)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = ("import json, sys\nfrom seqplace.cli import main\n"
+              "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    pair = ["--ref", str(ds / "reference.spd1"), "--query", str(ds / "query.spd1"),
+            "--ref-positions", str(ds / "reference_positions.txt"),
+            "--query-positions", str(ds / "query_positions.txt")]
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        deep = {"epochs": "3", "hidden": "256", "lr": "0.1"}
+        argvs = [train_args(ds, out / "model.spm1", out / "curves.csv", **deep),
+                 ["sweep", *pair, "--methods", "deep", "--ds-values", "2", "--out",
+                  str(out / "sweep.csv"), *(f for k, v in deep.items() for f in (f"--{k}", v))]]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
+                              capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+        curves = neural.load_curves_csv(out / "curves.csv")
+        written[threads] = ((out / "model.spm1").read_bytes(), curves.losses,
+                            curves.accuracies, (out / "sweep.csv").read_bytes())
+    for name, one, two in zip(("checkpoint", "losses", "accuracies", "sweep"), *written.values()):
+        assert two == one, name
+
+
 def test_match_deep_refuses_a_bad_checkpoint_header(capsys, tmp_path):
     ds = synth_dataset(capsys, tmp_path)
     ckpt = tmp_path / "model.spm1"
@@ -1061,6 +1093,29 @@ def test_a_refused_config_value_names_its_file_and_line(capsys, tmp_path, line, 
     assert code == (3 if line == "ds = 41" else 2) and out == ""
     assert f"error: {cfg}:3: {message}" in err, err
     assert not (tmp_path / "m.csv").exists()
+
+
+def test_match_delta_names_a_reference_shorter_than_its_delta_window(capsys, tmp_path):
+    # d_s = 3 needs a delta window of 4 frames; delta_match's own refusal of
+    # a 3-frame reference named neither the file nor the flag
+    ds = synth_dataset(capsys, tmp_path)
+    short = tmp_path / "short.spd1"
+    save_descriptor_file(DescriptorSequence(load_descriptor_file(ds / "reference.spd1").data[:3]),
+                         short)
+    out = tmp_path / "m.csv"
+    code, _, err = run(capsys, "match", "--method", "delta", "--ds", "3", "--ref", str(short),
+                       "--query", str(ds / "query.spd1"), "--out", str(out))
+    assert code == 3 and not out.exists()
+    assert (f"error: --ds 3 against --ref {short}: the reference has 3 frames, fewer than "
+            "the delta window of 4 frames for d_s=3") in err
+    cfg = tmp_path / "run.cfg"
+    for d_s, code in ((2, 0), (4, 3)):  # a window of 2 fits
+        cfg.write_text(f"method = delta\nds = {d_s}\n")
+        got, _, err = run(capsys, "match", "--config", str(cfg), "--ref", str(short),
+                          "--query", str(ds / "query.spd1"), "--out", str(out))
+        assert got == code and out.exists() == (code == 0), err
+        out.unlink(missing_ok=True)
+    assert f"error: {cfg}:2: --ds 4 against --ref {short}: the reference has 3 frames" in err
 
 
 def test_a_config_value_that_a_flag_overrides_is_not_named(capsys, tmp_path):

@@ -238,12 +238,14 @@ def test_ds_sweep_records_failures_and_sorts():
 
 def test_ds_sweep_records_domain_errors(capsys):
     pair = generate(SynthConfig(frames=6, dim=4, smoothness=0.5, seed=0))
-    # d_s=8 needs a delta window of 8 frames; the route has 6
+    # d_s=8 needs a delta window of 8 frames; the route has 6, which the
+    # delta method's prepare refuses before any deploy
     cells = ds_sweep([delta_method()], [1, 8], [pair])
     assert cells[0].auc is not None and cells[0].error is None
     failed = cells[1]
     assert failed.auc is None
-    assert failed.error == "ValueError: both sequences need >= 8 frames (got 6 and 6)"
+    assert failed.error == ("ValueError: the reference has 6 frames, fewer than the delta "
+                            "window of 8 frames for d_s=8")
     err = capsys.readouterr().err.splitlines()
     assert err == [f"sweep: delta d_s=8 {pair.query.name} failed: {failed.error}"]
 

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import threading
 import time
 import tracemalloc
@@ -318,8 +319,8 @@ def test_clip_norm_bounds_the_gradient_adam_receives(monkeypatch):
     raw, seen = [], []
     batch_gradients, step = neural._batch_gradients, neural.adam_step
 
-    def recording_batch(model, xs, labels, grads):
-        out = batch_gradients(model, xs, labels, grads)
+    def recording_batch(model, xs, labels, grads, helper=None):
+        out = batch_gradients(model, xs, labels, grads, helper)
         raw.append(_grad_norm(grads))
         return out
 
@@ -444,9 +445,9 @@ def test_train_gathers_the_batches_of_a_float64_reference_copy_bit_for_bit(monke
     seen = []
     real_gradients = neural._batch_gradients
 
-    def gradients(model, xs, labels, grads):
+    def gradients(model, xs, labels, grads, helper=None):
         seen.append((xs.copy(), labels.copy()))
-        return real_gradients(model, xs, labels, grads)
+        return real_gradients(model, xs, labels, grads, helper)
 
     monkeypatch.setattr(neural, "_batch_gradients", gradients)
     train(reference, d_s=d_s, epochs=epochs, rng_seed=seed, hidden=hidden, batch_size=batch_size)
@@ -1006,3 +1007,65 @@ def test_two_workers_keep_every_bit_of_one(tmp_path, monkeypatch):
         runs.append(run)
     assert all(run == runs[-1] for run in runs)
     assert {thread for rows, thread in projected if rows == 4096} == {caller}
+
+
+class _CountingPool(neural.ThreadPoolExecutor):
+    """train's helper pool, recording each task it is given; the task whose
+    index is fail_at raises instead of running."""
+
+    tasks: list = []
+    fail_at = None
+
+    def submit(self, fn, /, *args, **kwargs):
+        index = len(self.tasks)
+        self.tasks.append(getattr(fn, "__name__", fn))
+        if index == self.fail_at:
+            def fn(*args, **kwargs):
+                raise RuntimeError(f"helper task {index} failed")
+        return super().submit(fn, *args, **kwargs)
+
+
+def test_a_forced_split_keeps_every_bit_of_the_one_thread_training(monkeypatch):
+    # 4H = 520 and m = 452 are not multiples of 64; W_x is far below the
+    # split size, which is lowered to it. 68 windows make batches of 32, 32
+    # and 4, so the 4-window batch's recurrence GEMMs are too small to cut
+    # and the second split run switches threads every microsecond
+    rng = np.random.default_rng(41)
+    reference = _tiny_traversal(rng, 70, 450)
+    monkeypatch.setattr(neural, "ThreadPoolExecutor", _CountingPool)
+    runs, interval = [], sys.getswitchinterval()
+    for entries, switch in ((None, interval), (1, interval), (1, 1e-6)):
+        monkeypatch.setattr(neural, "_SPLIT_ENTRIES", entries or neural._SPLIT_ENTRIES)
+        monkeypatch.setattr(_CountingPool, "tasks", [])
+        sys.setswitchinterval(switch)
+        try:
+            model, curves = train(reference, d_s=3, epochs=2, hidden=130, clip_norm=1.0)
+        finally:
+            sys.setswitchinterval(interval)
+        runs.append((model.lstm.flat.tobytes(), model.head.flat.tobytes(),
+                     curves.losses, curves.accuracies))
+        if entries is None:  # W_x has 58760 entries: no helper
+            assert _CountingPool.tasks == []
+        else:  # per epoch, each 32-window batch cuts its projection, its 2
+            # recurrence GEMMs and dW_x, the 4-window batch its projection and
+            # dW_x, and every batch adds 2 dW_h terms on the helper
+            assert _CountingPool.tasks.count("matmul") == 2 * (2 * 4 + 2)
+            assert _CountingPool.tasks.count("add_w_h") == 2 * 3 * 2
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("fail_at", range(6))
+def test_a_failing_helper_task_reaches_the_caller(monkeypatch, fail_at):
+    # the tasks of the first batch: the projection's half, the recurrence's
+    # two, the dW_h terms of steps 2 and 1, and the dW_x half
+    monkeypatch.setattr(neural, "_SPLIT_ENTRIES", 1)
+    monkeypatch.setattr(_CountingPool, "tasks", [])
+    monkeypatch.setattr(_CountingPool, "fail_at", fail_at)
+    monkeypatch.setattr(neural, "ThreadPoolExecutor", _CountingPool)
+    reference = _tiny_traversal(np.random.default_rng(42), 40, 450)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"^helper task {fail_at} failed$"):
+        train(reference, d_s=3, epochs=1, hidden=130)
+    assert threading.active_count() == threads
+    first_batch = ["matmul"] * 3 + ["add_w_h"] * 2 + ["matmul"]
+    assert _CountingPool.tasks[: fail_at + 1] == first_batch[: fail_at + 1]
