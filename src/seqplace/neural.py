@@ -66,7 +66,7 @@ _ADAM_CHUNK = 1 << 14
 # this size (W_x is 256 x 66 on sweep-aliased) a step is too short to
 # share: there, a second thread running Adam's other half took a step from
 # 0.49 to 0.56 ms. At train-h512's shape (W_x 2048 x 4098) the helper took
-# one epoch from 78-79 to 94-98 windows/s.
+# one epoch from 64 to 88 windows/s on a 2-core Xeon.
 _SPLIT_ENTRIES = 1 << 20
 
 # The GEMMs _gemm cuts: an output of at least _CUT_COLUMNS columns, two
