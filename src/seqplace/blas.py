@@ -1,4 +1,5 @@
-"""One BLAS thread for the length of a deploy or a training run.
+"""One BLAS thread for the length of a deploy or a training run, and the
+one rule for where a GEMM may be cut in two without changing a bit.
 
 OpenBLAS splits a GEMM differently at two threads than at one, so some
 entries change in their last bit with OPENBLAS_NUM_THREADS. Every deploy
@@ -26,6 +27,21 @@ from functools import cache
 _lock = threading.Lock()
 _inside = 0  # runs inside one_thread
 _saved = 1  # the count the first of them found
+
+# Where a GEMM may be cut in two (cut): at a multiple of _SEAM_COLUMNS, for
+# two rows or more, at least _CUT_COLUMNS output columns and _CUT_MADDS
+# multiply-adds in each half. OpenBLAS gives every entry the bits of the
+# whole when the second half starts on a multiple of its dgemm kernel's
+# column tile, and 64 is a multiple of every kernel's tile. On the SkylakeX
+# kernel each of the 5014 such cuts tried, up to 320 x 4098 x 4098 (rows x
+# inner x columns), kept every bit; a seam one column off, or a row cut, did
+# not. Smaller cuts changed bits where a half fell to the small-matrix
+# kernel (up to 10^6 multiply-adds), or where the whole had 193-383 columns,
+# not a multiple of 8, and so two column blocks (1183 entries of a 64 x 512
+# x 300 product). A one-row product is a GEMV, which was not checked.
+_SEAM_COLUMNS = 64
+_CUT_COLUMNS = 384
+_CUT_MADDS = 1 << 20
 
 
 @cache
@@ -73,3 +89,13 @@ def one_thread():
             _inside -= 1
             if _inside == 0:
                 put(_saved)
+
+
+def cut(rows: int, inner: int, cols: int) -> int | None:
+    """The seam at which a rows x inner x cols GEMM may be cut in two with
+    every bit of the whole kept: the multiple of _SEAM_COLUMNS nearest
+    cols / 2, or None where a cut may change bits (see _CUT_COLUMNS)."""
+    seam = _SEAM_COLUMNS * ((cols + _SEAM_COLUMNS) // (2 * _SEAM_COLUMNS))
+    if rows < 2 or cols < _CUT_COLUMNS or rows * inner * min(seam, cols - seam) < _CUT_MADDS:
+        return None
+    return seam

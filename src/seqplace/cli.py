@@ -297,6 +297,10 @@ def cmd_match(args) -> int:
             raise ValueError(f"--ds must be <= the {query.frame_count} frames of {args.query}, "
                              f"got {d_s}")
         [method] = _build_methods([args.method], args)
+        if method.window(d_s) > query.frame_count:  # delta's is d_s rounded up to even
+            raise ValueError(f"--ds {d_s} against --query {args.query}: the query has "
+                             f"{query.frame_count} frames, fewer than the {args.method} window "
+                             f"of {method.window(d_s)} frames for d_s={d_s}")
         try:
             deploy, frames = method.prepare(reference, d_s), reference.frame_count
         except ValueError as exc:  # the reference is too short for d_s

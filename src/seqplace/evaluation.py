@@ -171,11 +171,12 @@ class Method:
     so a prepared matcher holds no float64 copy of the reference between
     deploys. Only the returned deploy callable is benchmarked. Traversals
     arrive as stored on disk; each matcher, and neural.train, scales rows
-    itself.
+    itself. window(d_s) is the fewest frames a traversal needs at d_s.
     """
 
     name: str
     prepare: Callable[[Traversal, int], Deploy]
+    window: Callable[[int], int] = lambda d_s: d_s
 
 
 def seqslam_method(
@@ -220,7 +221,7 @@ def delta_method() -> Method:
 
         return deploy
 
-    return Method(name="delta", prepare=prepare)
+    return Method(name="delta", prepare=prepare, window=delta_window_for)
 
 
 def trained_method(model: neural.SequenceModel) -> Method:

@@ -18,9 +18,9 @@ two GEMMs in flight, one per helper. `seqslam_match` keeps one block in
 flight, so its views alternate between two buffers: a third would raise a
 6000-column deploy's peak by 9 MB. When its caller had to wait for a block
 (at paper scale the contrast and search take about half as long as the
-GEMM), the helpers split the next block's GEMM at a reference-column seam
-and each fills one half of the block's buffer; a caller that keeps pace,
-as at 64-d, gets one GEMM per block. Both baselines sum windows of
+GEMM), the helpers split the next block's GEMM at a bit-keeping seam where
+`blas.cut` allows one, each filling one half of the block's buffer; a
+caller that keeps pace gets one GEMM per block. Both baselines sum windows of
 consecutive rows through one running-sum kernel, `descriptors._RunningSums`:
 delta matching computes the query's delta rows a block at a time and fills
 the reference operand the same way, so it holds no whole-query array and
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blas import one_thread
+from .blas import cut, one_thread
 from .dataset import DescriptorSequence, _row_squares, _Vetted
 from .descriptors import DeltaConfig, _delta_blocks, _RunningSums, unit_rows
 
@@ -69,21 +69,6 @@ def _block_rows(n_ref: int) -> int:
 # distance stream holds one block's buffer per block in flight and one that
 # the caller reads: 384 rows for seqslam, 576 for the nearest-frame streams.
 _DISTANCE_ROWS = 192
-
-# Reference columns per tile of the seam at which a seqslam stream splits a
-# block's GEMM between its two helpers. OpenBLAS gives every entry the bits
-# of the whole GEMM when the second half starts on a multiple of its dgemm
-# kernel's column tile: on the SkylakeX kernel any multiple of 8 kept every
-# bit of a 192 x 4096 x 3577 block, and a seam one column off changed
-# hundreds of entries. 64 is a multiple of every kernel's tile.
-_SEAM_COLUMNS = 64
-
-
-def _seam(n_cols: int) -> int:
-    """Where a GEMM of n_cols output columns is cut in two: the multiple of
-    _SEAM_COLUMNS nearest n_cols / 2 (0 when n_cols < _SEAM_COLUMNS)."""
-    return _SEAM_COLUMNS * ((n_cols + _SEAM_COLUMNS) // (2 * _SEAM_COLUMNS))
-
 
 # The most velocities a SeqSLAM grid may hold. The search plans each velocity
 # in one pass over (d_s - 1) x R reference columns, about 0.23 ms at R = 4096
@@ -220,15 +205,15 @@ def _distances(blocks, n_query, b, metric, keep=0, ahead=2):
     ring of ahead + 1 float64 row buffers (for the cosine metric normalized
     there by `unit_rows`). With ahead = 2 each helper runs one block. With
     ahead = 1, when the caller had to wait for block i (i > 0: it always
-    waits for block 0), the two helpers split block i + 1 at a reference
-    column seam, a multiple of _SEAM_COLUMNS near R/2 (none when R <
-    2 * _SEAM_COLUMNS), and each fills its half of the block's view; a
-    caller that keeps pace gets one GEMM per block. Either way the buffers
-    do not depend on timing. Every step is row-wise and each GEMM takes the
-    same operands whichever thread runs it, and an entry's sum does not
-    change when the columns are cut at a seam, so the bits are those of a
-    whole-query cast. The helpers run at one BLAS thread (blas.one_thread)
-    and are gone once the stream ends, raises or is closed.
+    waits for block 0), the two helpers split block i + 1 at the reference
+    column that blas.cut gives for its shape, if any, and each fills its
+    half of the block's view; a caller that keeps pace gets one GEMM per
+    block. Which blocks are split depends on timing, but the buffers do not:
+    every step is row-wise, each GEMM takes the same operands whichever
+    thread runs it, and blas.cut allows only cuts that keep every bit of the
+    whole GEMM, so the bits are those of a whole-query cast. The helpers run
+    at one BLAS thread (blas.one_thread) and are gone once the stream ends,
+    raises or is closed.
     """
     n_ref = b.shape[0]
     if metric == "cosine":
@@ -241,9 +226,6 @@ def _distances(blocks, n_query, b, metric, keep=0, ahead=2):
     slots = ahead + 1
     rows64 = np.empty((slots, most, b.shape[1]))
     views = np.empty((slots, min(keep + most, n_query), n_ref))
-    whole = [(0, n_ref)]
-    seam = _seam(n_ref)
-    halves = [(0, seam), (seam, n_ref)] if ahead == 1 and n_ref >= 2 * _SEAM_COLUMNS else whole
 
     def pull(i):
         """Block i's query rows in their slot of rows64, and for the
@@ -279,10 +261,12 @@ def _distances(blocks, n_query, b, metric, keep=0, ahead=2):
 
     with one_thread(), ThreadPoolExecutor(max_workers=2) as pool:
 
-        def submit(i, parts, a, a_sq):
+        def submit(i, split, a, a_sq):
+            seam = cut(len(a), b.shape[1], n_ref) if split else None
+            parts = [(0, n_ref)] if seam is None else [(0, seam), (seam, n_ref)]
             return [pool.submit(compute, i, a, a_sq, c0, c1) for c0, c1 in parts]
 
-        pending = deque(submit(i, whole, *pull(i)) for i in range(min(ahead, len(bounds))))
+        pending = deque(submit(i, False, *pull(i)) for i in range(min(ahead, len(bounds))))
         if ahead < len(bounds):
             pulled = pull(ahead)
         for i, (b0, b1) in enumerate(bounds):
@@ -297,7 +281,7 @@ def _distances(blocks, n_query, b, metric, keep=0, ahead=2):
                 prev = starts[i - 1]
                 rows[: b0 - starts[i]] = views[(i - 1) % slots, starts[i] - prev : b0 - prev]
             if i + ahead < len(bounds):
-                pending.append(submit(i + ahead, halves if waited and i > 0 else whole, *pulled))
+                pending.append(submit(i + ahead, ahead == 1 and waited and i > 0, *pulled))
             yield starts[i], rows
             if i + ahead + 1 < len(bounds):
                 pulled = pull(i + ahead + 1)

@@ -19,11 +19,11 @@ the parameters' dtype; only the softmax over the logits is taken in float64.
 lstm_match's caller and one helper pop its query blocks from the two ends
 of one deque and run each as one thread would, so they change no bit.
 train's caller and one helper share each step of a large model: the helper
-writes one half of the projection, recurrence and dW_x GEMMs, each cut at
-a column seam that keeps every bit (_gemm), and adds the dW_h terms in the
-step order while the caller goes on with the BPTT. Both run their GEMMs at
-one BLAS thread (blas.one_thread), so training and deploys give the same
-bits at any OPENBLAS_NUM_THREADS.
+writes one half of the projection, recurrence and dW_x GEMMs, each cut
+where blas.cut allows at a seam that keeps every bit (_gemm), and adds the
+dW_h terms in the step order while the caller goes on with the BPTT. Both
+run their GEMMs at one BLAS thread (blas.one_thread), so training and
+deploys give the same bits at any OPENBLAS_NUM_THREADS.
 
 Checkpoints use the SPM1 container: magic "SPM1"; m, H, N, d_s as unsigned
 32-bit little-endian; then the two flat parameter buffers, the LSTM's
@@ -44,10 +44,10 @@ from typing import Callable
 
 import numpy as np
 
-from .blas import one_thread
+from .blas import cut, one_thread
 from .dataset import _NORM_BLOCK_BYTES, Traversal, _first_nonfinite, read_table, write_table
 from .descriptors import l2_normalize, unit_rows
-from .matching_classic import MatchReport, _block_rows, _row_blocks, _seam
+from .matching_classic import MatchReport, _block_rows, _row_blocks
 from .rng import RandomStream
 
 SPM1_MAGIC = b"SPM1"
@@ -62,25 +62,12 @@ _CHECKPOINT_DTYPE = np.dtype("<f4")
 _ADAM_CHUNK = 1 << 14
 
 # W_x entries from which train shares each step's large GEMMs between the
-# caller and one helper thread, each at one BLAS thread (see _gemm). Below
-# this size (W_x is 256 x 66 on sweep-aliased) a step is too short to
-# share: there, a second thread running Adam's other half took a step from
-# 0.49 to 0.56 ms. At train-h512's shape (W_x 2048 x 4098) the helper took
-# one epoch from 64 to 88 windows/s on a 2-core Xeon.
+# caller and one helper thread, each at one BLAS thread (see _gemm). On
+# sweep-aliased's shape (W_x 256 x 66) blas.cut refuses every GEMM, and a
+# helper that only added the dW_h terms took 20 epochs from 0.72-0.74 s to
+# 0.80-0.81 s on a 2-core Xeon. At train-h512's shape (W_x 2048 x 4098) the
+# helper took one epoch from 64 to 88 windows/s.
 _SPLIT_ENTRIES = 1 << 20
-
-# The GEMMs _gemm cuts: an output of at least _CUT_COLUMNS columns, two
-# rows or more, and at least _CUT_MADDS multiply-adds in each half. Cut at
-# a multiple of 64 columns (matching_classic._seam), every one of the 5014
-# such GEMMs tried, up to 320 x 4098 x 4098 (rows x inner x columns), kept
-# every bit of the whole on OpenBLAS's SkylakeX dgemm; a row cut did not.
-# Smaller cuts changed bits where a half fell to the small-matrix kernel
-# (up to 10^6 multiply-adds), or where the whole had 193-383 columns, not a
-# multiple of 8, and so two column blocks of the blocked kernel (1183
-# entries of a 64 x 512 x 300 product). A one-row product is a GEMV, which
-# was not checked.
-_CUT_COLUMNS = 384
-_CUT_MADDS = 1 << 20
 
 # Queries per projection GEMM of lstm_match, and the cap of _activity_rows.
 # OpenBLAS repacks W_x per call: at paper scale, H=512 and 1 BLAS thread,
@@ -231,20 +218,18 @@ class TrainingCurves:
 
 def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
           helper: ThreadPoolExecutor | None = None) -> np.ndarray:
-    """a @ b into out (allocated if None). With a helper, a GEMM large enough
-    (see _CUT_COLUMNS) is cut at _seam(n) of its n output columns: the
-    caller writes the columns before it and the helper the rest, which
-    leaves every bit as one GEMM gives it. A failing half raises here."""
+    """a @ b into out (allocated if None). With a helper, a GEMM that
+    blas.cut allows is cut at its seam: the caller writes the columns before
+    it and the helper the rest, which leaves every bit as one GEMM gives it.
+    A failing half raises here."""
     if out is None:
         out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-    (rows, inner), n = a.shape, out.shape[1]
-    cut = _seam(n)
-    if (helper is None or rows < 2 or n < _CUT_COLUMNS
-            or rows * inner * min(cut, n - cut) < _CUT_MADDS):
+    seam = None if helper is None else cut(*a.shape, out.shape[1])
+    if seam is None:
         return np.matmul(a, b, out=out)
-    second = helper.submit(np.matmul, a, b[:, cut:], out=out[:, cut:])
+    second = helper.submit(np.matmul, a, b[:, seam:], out=out[:, seam:])
     try:
-        np.matmul(a, b[:, :cut], out=out[:, :cut])
+        np.matmul(a, b[:, :seam], out=out[:, :seam])
     finally:
         second.result()
     return out

@@ -132,3 +132,24 @@ def test_overlapping_deploys_share_one_pin(monkeypatch):
         sys.setswitchinterval(interval)
     assert seen == {1}
     assert count[0] == 4 and blas._inside == 0
+
+
+def test_cut_refuses_one_row_193_to_383_columns_and_small_halves():
+    assert blas.cut(1, 4096, 4096) is None  # a GEMV
+    assert blas.cut(2, 4096, 4096) == 2048
+    for columns in range(193, 384):
+        assert blas.cut(320, 4098, columns) is None, columns
+    # each half needs 2^20 multiply-adds: rows x inner x the smaller half
+    assert blas.cut(8, 64, 4096) == 2048  # 8 x 64 x 2048 = 2^20
+    assert blas.cut(8, 63, 4096) is None
+    assert blas.cut(32, 130, 520) == 256  # a recurrence GEMM of H = 130
+    assert blas.cut(32, 127, 520) is None
+    assert blas.cut(24, 64, 512) is None  # a 24-row distance block of 64-d
+
+
+def test_cut_takes_the_multiple_of_64_nearest_half_the_columns():
+    for columns in range(384, 5000):
+        seam = blas.cut(192, 4096, columns)
+        assert seam % 64 == 0 and abs(seam - columns / 2) <= 32, columns
+        assert min(abs(seam + 64 - columns / 2), abs(seam - 64 - columns / 2)) >= 32, columns
+    assert blas.cut(192, 4096, 3577) == 1792  # paper scale

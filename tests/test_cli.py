@@ -1118,6 +1118,28 @@ def test_match_delta_names_a_reference_shorter_than_its_delta_window(capsys, tmp
     assert f"error: {cfg}:2: --ds 4 against --ref {short}: the reference has 3 frames" in err
 
 
+def test_match_delta_names_a_query_shorter_than_its_delta_window(capsys, tmp_path):
+    # --ds 3 fits a 3-frame query, but its delta window of 4 frames does not;
+    # delta_match's own refusal named neither the file nor the flag
+    ds = synth_dataset(capsys, tmp_path)
+    short = tmp_path / "short.spd1"
+    save_descriptor_file(DescriptorSequence(load_descriptor_file(ds / "query.spd1").data[:3]),
+                         short)
+    out = tmp_path / "m.csv"
+    pair = ["--ref", str(ds / "reference.spd1"), "--query", str(short)]
+    code, _, err = run(capsys, "match", "--method", "delta", "--ds", "3", *pair, "--out", str(out))
+    assert code == 3 and not out.exists()
+    assert (f"error: --ds 3 against --query {short}: the query has 3 frames, fewer than "
+            "the delta window of 4 frames for d_s=3") in err
+    cfg = tmp_path / "run.cfg"
+    for d_s, code in ((2, 0), (3, 3)):  # a window of 2 fits
+        cfg.write_text(f"method = delta\nds = {d_s}\n")
+        got, _, err = run(capsys, "match", "--config", str(cfg), *pair, "--out", str(out))
+        assert got == code and out.exists() == (code == 0), err
+        out.unlink(missing_ok=True)
+    assert f"error: {cfg}:2: --ds 3 against --query {short}: the query has 3 frames" in err
+
+
 def test_a_config_value_that_a_flag_overrides_is_not_named(capsys, tmp_path):
     ds = synth_dataset(capsys, tmp_path)
     cfg = tmp_path / "run.cfg"

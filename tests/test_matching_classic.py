@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from oracles import seqslam_oracle
 
-from seqplace import dataset, matching_classic
+from seqplace import blas, dataset, matching_classic
 from seqplace.dataset import DescriptorSequence
 from seqplace.descriptors import DeltaConfig, delta_transform
 from seqplace.matching_classic import (
@@ -479,6 +479,15 @@ def _slow_halves(monkeypatch, n_ref):
     monkeypatch.setattr(_Gemms, "hold", staticmethod(hold))
 
 
+def _cut_small(monkeypatch):
+    """Let blas.cut split the 3 x 4 x 200 GEMMs of the streams below at
+    column 128. Cuts that small may change bits, so the rule refuses them;
+    these tests use values whose sums are exact in any order, or compare no
+    distances."""
+    monkeypatch.setattr(blas, "_CUT_COLUMNS", 128)
+    monkeypatch.setattr(blas, "_CUT_MADDS", 1)
+
+
 def _operand(reference, metric):
     """The float64 reference operand that _distance_blocks builds, as _Gemms."""
     if metric == "cosine":
@@ -498,6 +507,7 @@ def test_a_waiting_caller_gets_each_later_block_from_two_gemms_at_once(monkeypat
     # caller waits for every block after it, so the two helpers split each
     # of blocks 2-6. The kept rows and the halves hold _blockwise's bits.
     monkeypatch.setattr(matching_classic, "_DISTANCE_ROWS", 3)
+    _cut_small(monkeypatch)
     rng = np.random.default_rng(34)
     query = np.round(rng.standard_normal((20, 4)) * 2.0) / 2.0
     reference = np.round(rng.standard_normal((200, 4)) * 2.0) / 2.0
@@ -542,6 +552,7 @@ def test_a_failing_source_or_a_close_with_halves_in_flight_stops_both_helpers(mo
     # the caller waits for block 1, so block 2's halves are in flight when
     # the source fails at block 3 or the consumer closes the stream
     monkeypatch.setattr(matching_classic, "_DISTANCE_ROWS", 3)
+    _cut_small(monkeypatch)
     rng = np.random.default_rng(36)
     query = rng.standard_normal((20, 4)).astype(np.float32)
     reference = rng.standard_normal((200, 4)).astype(np.float32)
@@ -570,6 +581,32 @@ def test_a_failing_source_or_a_close_with_halves_in_flight_stops_both_helpers(mo
         stream.close()
         assert sorted(columns for _, columns in _Gemms.log) == [72, 128, 200, 200], metric
         assert threading.active_count() == threads, metric
+
+
+@pytest.mark.parametrize("n_ref", [300, 512])
+def test_a_waiting_caller_gets_the_bits_of_whole_gemms_at_any_reference_length(
+        monkeypatch, n_ref):
+    # 600 queries in blocks of 192, 192, 192 and 24 rows, and the caller
+    # waits for every block. A seam at column 128 of 300 changed entries, so
+    # blas.cut splits no block there; of 512 it splits block 2 at column
+    # 256, and its 24-row block 3 is too small to split. The stream runs at
+    # one BLAS thread, and so does the whole-GEMM reference
+    rng = np.random.default_rng(37)
+    query = rng.standard_normal((600, 64)).astype(np.float32)
+    reference = rng.standard_normal((n_ref, 64)).astype(np.float32)
+    bounds = list(matching_classic._row_blocks(600, matching_classic._DISTANCE_ROWS))
+    assert [b1 - b0 for b0, b1 in bounds] == [192, 192, 192, 24]
+    splits = [] if n_ref == 300 else [256, 256]
+    for metric in METRICS:
+        _slow_halves(monkeypatch, n_ref)
+        with blas.one_thread():
+            want = _blockwise(query, reference, metric)
+        stream = matching_classic._distances((query[b0:b1] for b0, b1 in bounds), 600,
+                                             _operand(reference, metric), metric, ahead=1)
+        for k, (origin, rows) in enumerate(stream):
+            _assert_same_bits(rows, want[origin : origin + len(rows)], (metric, k))
+        widths = sorted(columns for _, columns in _Gemms.log)
+        assert widths == splits + [n_ref] * (4 - len(splits) // 2), (metric, widths)
 
 
 def _blockwise(a, b, metric):
