@@ -379,11 +379,16 @@ def _build_methods(names: list[str], args):
 
 
 def _load_pair(args, need_positions: bool = False) -> tuple[Traversal, Traversal]:
-    """Reference and query, descriptors as stored; positions when given, else zeros."""
+    """Reference and query, descriptors as stored; positions when given, else
+    zeros. A ValueError if their descriptor dims differ, before any method runs."""
     if need_positions and (args.ref_positions is None or args.query_positions is None):
         raise UsageError("deep method needs --ref-positions and --query-positions")
     reference = _load_traversal(args.ref, args.ref_positions)
-    return reference, _load_traversal(args.query, args.query_positions)
+    query = _load_traversal(args.query, args.query_positions)
+    if query.descriptors.dim != reference.descriptors.dim:
+        raise ValueError(f"--ref {args.ref} has descriptor dim {reference.descriptors.dim} "
+                         f"but --query {args.query} has {query.descriptors.dim}")
+    return reference, query
 
 
 def cmd_sweep(args) -> int:

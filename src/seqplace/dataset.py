@@ -37,8 +37,9 @@ class DescriptorFileError(ValueError):
         self.offset = offset
 
 
-# Bytes of one block of rows that _row_squares casts to float64 and that
-# descriptors.unit_rows normalizes.
+# Bytes of the float64 block of rows that _row_squares casts at a time, so the
+# scratch of every row norm the package takes (the normalized check,
+# descriptors.unit_rows and the euclidean distances).
 _NORM_BLOCK_BYTES = 1 << 20
 
 

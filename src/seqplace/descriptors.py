@@ -51,30 +51,20 @@ class DeltaConfig:
 def unit_rows(matrix: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
     """Rows of matrix scaled to unit norm, and whether none of them was zero.
 
-    The rows are cast into out (a new array of matrix's dtype if None; out
-    may be matrix itself) and normalized there, one block of
-    dataset._NORM_BLOCK_BYTES of out at a time. Each row is measured and
-    divided on its own in out's dtype, so the bits are those of dividing
-    the whole cast matrix by its row norms, whatever the block size. Zero
-    rows come out +0.0.
+    out is a new array of matrix's dtype if None, and may be matrix itself.
+    Each row's float64 norm comes from dataset._row_squares, and the row is
+    divided by it in float64 and rounded to out's dtype, so the bits are
+    those of dividing the whole matrix cast to float64 by its row norms.
+    Zero rows come out +0.0.
     """
     if out is None:
         out = np.empty_like(matrix)
-    step = max(1, dataset._NORM_BLOCK_BYTES // (out.itemsize * out.shape[1]))
-    normalized = True
-    for r0 in range(0, len(out), step):
-        rows = slice(r0, r0 + step)
-        block = out[rows]
-        if out is not matrix:
-            block[...] = matrix[rows]
-        norms = np.linalg.norm(block, axis=1)
-        zero = norms == 0.0
-        if zero.any():
-            normalized = False
-            block[zero] = 0.0
-            norms[zero] = 1.0
-        block /= norms[:, None]
-    return out, normalized
+    norms = np.sqrt(dataset._row_squares(matrix))
+    zero = norms == 0.0
+    norms[zero] = 1.0
+    np.divide(matrix, norms[:, None], out=out)
+    out[zero] = 0.0
+    return out, not zero.any()
 
 
 def l2_normalize(seq: DescriptorSequence) -> DescriptorSequence:
@@ -82,11 +72,12 @@ def l2_normalize(seq: DescriptorSequence) -> DescriptorSequence:
 
     Zero rows stay zero; if any exist the result's normalized flag is False.
     Already-flagged input is returned unchanged so renormalizing cannot
-    perturb bytes that are on disk.
+    perturb bytes that are on disk. The rows go straight into the float32
+    array the result keeps.
     """
     if seq.normalized:
         return seq
-    out, normalized = unit_rows(seq.data, np.empty(seq.data.shape))
+    out, normalized = unit_rows(seq.data, np.empty(seq.data.shape, dtype=np.float32))
     return DescriptorSequence(data=_Vetted(out, unit=True), normalized=normalized)
 
 

@@ -235,9 +235,8 @@ def _distances(blocks, n_query, b, metric, keep=0, ahead=2):
         new = next(blocks)
         if metric == "cosine":
             return unit_rows(new, a)[0], None
-        a_sq = np.square(new, out=a, dtype=np.float64).sum(axis=1)  # a is scratch here
         a[...] = new
-        return a, a_sq
+        return a, _row_squares(new)
 
     def compute(i, a, a_sq, c0, c1):
         """Columns [c0, c1) of block i's distances, in place in its slot of
@@ -602,23 +601,22 @@ def nearest_neighbor_match(
 
 def _delta_rows(data: np.ndarray, window: int, bounds):
     """Yield the rows of delta_transform(data) for each (b0, b1) of bounds
-    (see _delta_blocks), rounded to float32 as a DescriptorSequence rounds
-    them, in a float64 block."""
+    (see _delta_blocks), as the float32 of its DescriptorSequence, in one
+    float32 block reused for every yield."""
+    rows = np.empty((max(b1 - b0 for b0, b1 in bounds), data.shape[1]), dtype=np.float32)
     for raw in _delta_blocks(data, window, bounds):
-        unit_rows(raw, raw)
-        raw[...] = raw.astype(np.float32)
-        yield raw
+        yield unit_rows(raw, rows[: len(raw)])[0]
 
 
 def _delta_operand(data: np.ndarray, window: int) -> np.ndarray:
     """The cosine operand of _distances for delta_transform(data)'s rows,
-    filled a block of rows at a time."""
+    each block of them scaled by unit_rows into its own rows."""
     n = data.shape[0] - window + 1
     b = np.empty((n, data.shape[1]))
     bounds = list(_row_blocks(n, _DISTANCE_ROWS))
     for (b0, b1), rows in zip(bounds, _delta_rows(data, window, bounds)):
-        b[b0:b1] = rows
-    return unit_rows(b, b)[0]
+        unit_rows(rows, b[b0:b1])
+    return b
 
 
 def delta_match(
@@ -632,10 +630,10 @@ def delta_match(
     The result is bit for bit that of delta_transform on both sides, then
     nearest_neighbor_match, without either transform's whole arrays. Both
     sides are delta rows computed a block at a time, each of which takes
-    delta_transform's steps and then the distance GEMM's: unit_rows,
-    rounding to float32, unit_rows again. The reference's rows fill its
-    float64 operand; the query's stream into the distance blocks, so the
-    query side holds only block-sized scratch.
+    delta_transform's steps and then the distance GEMM's: unit_rows into
+    float32, then unit_rows again into float64. The reference's rows are
+    scaled into their rows of its float64 operand; the query's stream into
+    the distance blocks, so the query side holds only block-sized scratch.
     """
     if query.frame_count < cfg.window or reference.frame_count < cfg.window:
         raise ValueError(

@@ -621,8 +621,9 @@ def lstm_match(model: SequenceModel, query: Traversal, d_s: int,
         raise ValueError(f"out must be {n_query} x {places}, got shape {out.shape}")
     span = d_s - 1 + min(_QUERY_ROWS + 1, n_query)  # frames of the largest block
     in_place = out is not None and out.dtype == np.float64
-    # an unflagged query's frames are scaled one unit_rows chunk at a time;
-    # the two workers' chunks together fit one _NORM_BLOCK_BYTES
+    # an unflagged query's frames are scaled one unit_rows chunk at a time
+    # into a float32 scratch; the two workers' chunks, cast to float64 by
+    # _row_squares, together fit one _NORM_BLOCK_BYTES
     chunk = min(max(1, _NORM_BLOCK_BYTES // (16 * n)), span)
     best_ref, scores = np.empty(n_query, dtype=np.int64), np.empty(n_query)
     blocks = deque(_row_blocks(n_query, _QUERY_ROWS))
@@ -633,7 +634,7 @@ def lstm_match(model: SequenceModel, query: Traversal, d_s: int,
         return (np.empty((span, n + 2), dtype=dtype),
                 np.empty((span, 4 * model.lstm.hidden_dim), dtype=dtype), logits,
                 None if in_place else np.empty(logits.shape),
-                None if desc.normalized else np.empty((chunk, n)))
+                None if desc.normalized else np.empty((chunk, n), dtype=np.float32))
 
     def run(lo, hi, frames, proj, logits, scratch, unit):
         """Queries [lo, hi) into best_ref, scores and out."""
@@ -642,11 +643,10 @@ def lstm_match(model: SequenceModel, query: Traversal, d_s: int,
         x = frames[: hi - first]
         if unit is None:
             x[:, :n] = desc.data[first:hi]
-        else:  # rounded to float32 first, as l2_normalize stores its rows
+        else:  # in float32 first, as l2_normalize stores its rows
             for r0 in range(first, hi, chunk):
                 rows = desc.data[r0 : min(r0 + chunk, hi)]
-                scaled, _ = unit_rows(rows, unit[: len(rows)])
-                x[r0 - first : r0 - first + len(rows), :n] = scaled.astype(np.float32)
+                x[r0 - first : r0 - first + len(rows), :n] = unit_rows(rows, unit[: len(rows)])[0]
         x[:, n:] = query.positions.data[first:hi]
         # proj[i + k] is step k of query lo + i's window, so a step is a slice
         _project(model.lstm, x, out=proj[pad : pad + hi - first])

@@ -1285,6 +1285,36 @@ def test_bench_deploys_a_shorter_query(capsys, tmp_path):
         assert stdout.strip().split(",")[::2] == [method, "30"]
 
 
+@pytest.mark.parametrize("command", ["match", "bench", "sweep"])
+def test_a_pair_of_other_descriptor_dims_is_refused_before_any_method_runs(
+        capsys, tmp_path, monkeypatch, command):
+    # match and bench said only "descriptor dims differ: 16 vs 8", while
+    # sweep trained its deep cells, failed every cell and exited 0
+    wide, narrow = synth_dataset(capsys, tmp_path, "wide", dim=16), synth_dataset(capsys, tmp_path)
+    trained = []
+    monkeypatch.setattr(neural, "train", lambda *args, **kwargs: trained.append(args))
+    out = tmp_path / "out.csv"
+    argv = {
+        "match": ["--method", "seqslam", "--ds", "2"],
+        "bench": ["--method", "deep", "--ds", "2", "--reps", "1"],
+        "sweep": ["--methods", "deep,seqslam", "--ds-values", "2"],
+    }[command]
+    for ref, query in ((wide, narrow), (narrow, wide)):
+        code, stdout, err = run(
+            capsys, command, *argv, "--ref", str(ref / "reference.spd1"),
+            "--query", str(query / "query.spd1"), "--out", str(out),
+            *([] if command == "match" else [
+                "--ref-positions", str(ref / "reference_positions.txt"),
+                "--query-positions", str(query / "query_positions.txt"),
+                "--epochs", "2", "--hidden", "8"]),
+        )
+        dims = (16, 8) if ref is wide else (8, 16)
+        assert code == 3 and not stdout and not out.exists()
+        assert err == (f"error: --ref {ref / 'reference.spd1'} has descriptor dim {dims[0]} but "
+                       f"--query {query / 'query.spd1'} has {dims[1]}\n")
+    assert not trained
+
+
 def test_sweep_rejects_repeated_methods_and_ds_values(capsys, tmp_path):
     ds = synth_dataset(capsys, tmp_path)
     base = [

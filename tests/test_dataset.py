@@ -238,6 +238,38 @@ def test_position_track_bounds():
     assert track.frame_count == 2
 
 
+def test_a_descriptor_matrix_that_is_not_two_dimensional_is_refused():
+    for shape in ((4,), (2, 3, 4), (0, 3), (3, 0)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"descriptor matrix must be T x n with T,n >= 1, got shape {shape}")):
+            DescriptorSequence(data=np.ones(shape, dtype=np.float32))
+
+
+def test_position_arrays_that_are_not_t_by_two_are_refused(tmp_path):
+    for shape in ((4,), (4, 3), (0, 2), (2, 2, 2)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"position track must be T x 2, got shape {shape}")):
+            PositionTrack(data=np.zeros(shape))
+        with pytest.raises(ValueError, match=re.escape(
+                f"raw positions must be T x 2, got shape {shape}")):
+            position_bounds(np.zeros(shape))
+    for shape in ((4,), (4, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"positions must be T x 2, got shape {shape}")):
+            save_positions_file(np.zeros(shape), tmp_path / "pos.txt")
+    assert not (tmp_path / "pos.txt").exists()
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="raw positions contain non-finite values"):
+            position_bounds(np.array([[0.0, 1.0], [value, 2.0]]))
+
+
+def test_normalize_positions_refuses_bounds_that_are_not_two_by_two():
+    raw = np.array([[0.0, 1.0], [2.0, 3.0]])
+    for bounds in (np.zeros(4), np.zeros((2, 3)), np.zeros((3, 2)), np.zeros((1, 2, 2))):
+        with pytest.raises(ValueError, match=re.escape(
+                "bounds must be a 2 x 2 (min row, max row) array")):
+            normalize_positions(raw, bounds=bounds)
+
+
 def test_traversal_requires_equal_frame_counts():
     desc = DescriptorSequence(data=np.ones((3, 2), dtype=np.float32))
     with pytest.raises(ValueError):

@@ -141,11 +141,13 @@ def test_one_running_sum_kernel_carries_every_window_sum():
 
 
 def _masked_division(matrix):
-    norms = np.linalg.norm(matrix, axis=1)
+    # in float64, then rounded to matrix's dtype
+    wide = matrix.astype(np.float64)
+    norms = np.linalg.norm(wide, axis=1)
     nonzero = norms > 0.0
-    want = np.zeros_like(matrix)
-    want[nonzero] = matrix[nonzero] / norms[nonzero, None]
-    return want
+    want = np.zeros_like(wide)
+    want[nonzero] = wide[nonzero] / norms[nonzero, None]
+    return want.astype(matrix.dtype)
 
 
 def test_unit_rows_equals_masked_division_exactly(monkeypatch):
@@ -159,8 +161,8 @@ def test_unit_rows_equals_masked_division_exactly(monkeypatch):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
             assert normalized == (not zero_rows)
-    # cast into a wider out, in place, and zero rows of -0.0, in blocks of
-    # 1 row, 3 rows and the whole matrix
+    # cast into a wider out, in place, and zero rows of -0.0, with norms
+    # summed in blocks of 1 row, 3 rows and the whole matrix
     matrix = rng.standard_normal((7, 5)).astype(np.float32)
     matrix[[1, 4]] = -0.0
     matrix[2, 3] = -0.0
@@ -172,7 +174,7 @@ def test_unit_rows_equals_masked_division_exactly(monkeypatch):
             (matrix, np.empty(wide.shape), _masked_division(wide)),
             (in_place, in_place, _masked_division(wide)),
         ):
-            monkeypatch.setattr(dataset, "_NORM_BLOCK_BYTES", want.itemsize * 5 * block_rows)
+            monkeypatch.setattr(dataset, "_NORM_BLOCK_BYTES", 8 * 5 * block_rows)
             got, normalized = unit_rows(source, out)
             assert out is None or got is out
             assert got.dtype == want.dtype and not normalized
@@ -198,6 +200,22 @@ def test_normalizers_hold_one_float64_copy():
         finally:
             tracemalloc.stop()
         assert peak < bound * size, (label, peak / size)
+
+
+def test_l2_normalize_writes_its_float32_rows_with_no_float64_copy():
+    # the rows go straight into the float32 array the result keeps: half a
+    # float64 copy, the norms and _row_squares' block; a float64 result and
+    # its float32 copy held 1.5 float64 copies
+    rng = np.random.default_rng(26)
+    seq = DescriptorSequence(data=rng.standard_normal((2000, 1024)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        unit = l2_normalize(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert unit.normalized and unit.data.dtype == np.float32
+    assert peak < 0.75 * 8 * seq.data.size, peak / (8 * seq.data.size)
 
 
 def test_delta_cancels_constant_shift():

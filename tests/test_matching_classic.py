@@ -891,6 +891,17 @@ def test_delta_match_needs_equal_descriptor_dims():
         delta_match(_seq(rng, 12, 4), _seq(rng, 12, 6), DeltaConfig(window=4))
 
 
+def test_delta_match_refuses_sides_shorter_than_its_window():
+    # Method.window and the delta prepare refuse these first; delta_match
+    # itself must too, naming both frame counts
+    rng = np.random.default_rng(8)
+    cfg = DeltaConfig(window=6)
+    for frames in ((5, 12), (12, 5), (3, 3)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"both sequences need >= 6 frames (got {frames[0]} and {frames[1]})")):
+            delta_match(_seq(rng, frames[0], 4), _seq(rng, frames[1], 4), cfg)
+
+
 def test_match_report_validation():
     with pytest.raises(ValueError):
         MatchReport(

@@ -115,6 +115,12 @@ def test_lstm_forward_validates_shapes():
         lstm_forward(model.lstm, np.zeros((2, 4)), np.zeros(4), np.zeros(4))
     with pytest.raises(ValueError):
         lstm_forward(model.lstm, np.zeros((2, 5)), np.zeros(3), np.zeros(4))
+    with pytest.raises(ValueError, match="need at least one step"):
+        lstm_forward(model.lstm, np.zeros((0, 5)), np.zeros(4), np.zeros(4))
+    for shape in ((2, 4), (2, 6), (5,)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"window must be d_s x 5 (descriptor then 2-d position), got shape {shape}")):
+            model_forward(model, np.zeros(shape))
 
 
 def test_lstm_match_refuses_an_out_of_another_shape():
