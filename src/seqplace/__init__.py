@@ -10,6 +10,7 @@ evaluates everything under one tolerance-based precision-recall protocol.
 from .dataset import (
     DescriptorFileError,
     DescriptorSequence,
+    MatchReport,
     PositionTrack,
     SequenceWindow,
     Traversal,
@@ -31,7 +32,6 @@ from .descriptors import (
 )
 from .matching_classic import (
     DifferenceMatrix,
-    MatchReport,
     SeqSlamConfig,
     contrast_enhance,
     delta_match,

@@ -3,11 +3,11 @@
 Every command is flag-driven, optionally seeded by a line-oriented
 "key = value" config file (explicit flags win on conflict), and exits 0 on
 success, 2 on usage errors, 3 on runtime failures (evaluation.RUN_ERRORS).
-Every command runs on one thread of its own, besides a deploy's helper
-threads: one that computes a seqslam deploy's distance GEMMs a block ahead,
-two that keep two of a delta deploy's GEMMs in flight, or one that takes a
-deep deploy's query blocks from the back of the deque whose front the
-calling thread takes. Only NumPy's BLAS may start more.
+Every command runs on one thread of its own, at one BLAS thread inside each
+deploy and training run (blas.one_thread), besides their helper threads: two
+per distance stream of a seqslam or delta deploy (seqslam's split a block's
+GEMM when the caller waited), one that takes a deep deploy's query blocks,
+and, from neural._SPLIT_ENTRIES W_x entries on, one per training run.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 from . import neural
 from .dataset import (
     DescriptorSequence,
+    MatchReport,
     PositionTrack,
     Traversal,
     _Vetted,
@@ -52,7 +53,6 @@ from .evaluation import (
     tolerance_for,
     trained_deploy,
 )
-from .matching_classic import MatchReport
 from .synthetic import SynthConfig, generate, generate_revisit, write_dataset
 
 METHODS = ("seqslam", "delta", "deep")
@@ -287,6 +287,9 @@ def cmd_match(args) -> int:
         # the LSTM needs only the reference's frame count and dim: its header
         frames, dim = read_descriptor_header(_require_file(args.ref, "descriptor file"))
         query = _load_traversal(args.query, args.query_positions)
+        if query.descriptors.dim != model.n:
+            raise ValueError(f"--query {args.query} has descriptor dim {query.descriptors.dim} "
+                             f"but --checkpoint {args.checkpoint} has {model.n}")
         try:
             deploy = trained_deploy(model, frames, dim, d_s)
         except ValueError as exc:  # the model and the reference do not fit

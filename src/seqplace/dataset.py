@@ -37,10 +37,58 @@ class DescriptorFileError(ValueError):
         self.offset = offset
 
 
-# Bytes of the float64 block of rows that _row_squares casts at a time, so the
-# scratch of every row norm the package takes (the normalized check,
-# descriptors.unit_rows and the euclidean distances).
-_NORM_BLOCK_BYTES = 1 << 20
+# Bytes of one block of float64 rows. Every pass that works row by row (row
+# norms, delta rows, SeqSLAM's contrast and search, the softmax, the deep
+# deploy's unit rows) sizes its scratch in these blocks through _block_rows,
+# so it stays in a core's L2 cache while a whole Q x R matrix does not.
+_BLOCK_BYTES = 1 << 19
+
+
+def _block_rows(width: int) -> int:
+    """Rows of width float64 entries in one _BLOCK_BYTES block, at least 1."""
+    return max(1, _BLOCK_BYTES // (8 * width))
+
+
+def _row_blocks(n_rows: int, step: int):
+    """(b0, b1) of the blocks of step rows that cover [0, n_rows) in order. A
+    block never has a single row unless n_rows is 1: a last block of one row
+    joins the one before, since numpy hands a one-row product to GEMV, which
+    sums in another order than GEMM."""
+    b0 = 0
+    while b0 < n_rows:
+        b1 = n_rows if n_rows - b0 <= step + 1 else b0 + step
+        yield b0, b1
+        b0 = b1
+
+
+@dataclass(frozen=True)
+class MatchReport:
+    """Per-query best reference frame with its score.
+
+    higher_is_better records the score polarity so the evaluator can sweep
+    thresholds uniformly across heuristic (distance) and learned
+    (probability) matchers.
+    """
+
+    query_indices: np.ndarray
+    best_ref: np.ndarray
+    scores: np.ndarray
+    higher_is_better: bool
+
+    def __post_init__(self):
+        qi = np.array(self.query_indices, dtype=np.int64)
+        br = np.array(self.best_ref, dtype=np.int64)
+        sc = np.array(self.scores, dtype=np.float64)
+        if not (qi.shape == br.shape == sc.shape) or qi.ndim != 1 or qi.size == 0:
+            raise ValueError("report fields must be equal-length nonempty 1-d arrays")
+        if (br < 0).any():
+            raise ValueError("reference indices must be >= 0")
+        for name, arr in (("query_indices", qi), ("best_ref", br), ("scores", sc)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return len(self.query_indices)
 
 
 def _row_squares(data: np.ndarray) -> np.ndarray:
@@ -50,8 +98,9 @@ def _row_squares(data: np.ndarray) -> np.ndarray:
     (x * x).sum(axis=1) over the whole matrix x cast to float64.
     """
     sums = np.empty(data.shape[0])
-    step = max(1, min(len(data), _NORM_BLOCK_BYTES // (8 * data.shape[1])))
-    cast = np.empty((step, data.shape[1]))  # one buffer for every block, so no block allocates
+    step = _block_rows(data.shape[1])
+    # one buffer for every block, so no block allocates
+    cast = np.empty((min(step, len(data)), data.shape[1]))
     for r0 in range(0, data.shape[0], step):
         rows = data[r0 : r0 + step]
         sums[r0 : r0 + step] = np.square(rows, out=cast[: len(rows)], dtype=np.float64).sum(axis=1)

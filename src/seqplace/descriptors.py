@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dataset
-from .dataset import DescriptorSequence, _Vetted
+from .dataset import DescriptorSequence, _block_rows, _row_blocks, _row_squares, _Vetted
 
 
 @dataclass(frozen=True)
@@ -52,14 +51,14 @@ def unit_rows(matrix: np.ndarray, out: np.ndarray | None = None) -> tuple[np.nda
     """Rows of matrix scaled to unit norm, and whether none of them was zero.
 
     out is a new array of matrix's dtype if None, and may be matrix itself.
-    Each row's float64 norm comes from dataset._row_squares, and the row is
+    Each row's float64 norm comes from _row_squares, and the row is
     divided by it in float64 and rounded to out's dtype, so the bits are
     those of dividing the whole matrix cast to float64 by its row norms.
     Zero rows come out +0.0.
     """
     if out is None:
         out = np.empty_like(matrix)
-    norms = np.sqrt(dataset._row_squares(matrix))
+    norms = np.sqrt(_row_squares(matrix))
     zero = norms == 0.0
     norms[zero] = 1.0
     np.divide(matrix, norms[:, None], out=out)
@@ -190,8 +189,7 @@ def delta_raw(data: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"need at least {window} frames, got {frames}")
     n = frames - window + 1
     raw = np.empty((n, data.shape[1]))
-    step = max(1, dataset._NORM_BLOCK_BYTES // (8 * data.shape[1]))
-    bounds = [(b0, min(b0 + step, n)) for b0 in range(0, n, step)]
+    bounds = list(_row_blocks(n, _block_rows(data.shape[1])))
     for (b0, b1), rows in zip(bounds, _delta_blocks(data, window, bounds)):
         raw[b0:b1] = rows
     return raw, np.arange(half, frames - half + 1)

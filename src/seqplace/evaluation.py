@@ -18,9 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import Traversal, read_table, refuse_rows, write_table
+from .dataset import MatchReport, Traversal, read_table, refuse_rows, write_table
 from .descriptors import DeltaConfig
-from .matching_classic import MatchReport, SeqSlamConfig, delta_match, seqslam_match
+from .matching_classic import SeqSlamConfig, delta_match, seqslam_match
 from . import neural
 
 _PR_HEADER = "threshold,precision,recall"

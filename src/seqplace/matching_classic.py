@@ -46,20 +46,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blas import cut, one_thread
-from .dataset import DescriptorSequence, _row_squares, _Vetted
+from .dataset import (DescriptorSequence, MatchReport, _block_rows, _row_blocks, _row_squares,
+                      _Vetted)
 from .descriptors import DeltaConfig, _delta_blocks, _RunningSums, unit_rows
 
 METRICS = ("cosine", "euclidean")
-
-# Bytes of one block of query rows in a Q x R float64 array. The blocked
-# SeqSLAM stages keep a few arrays of this size, so they stay in a core's
-# L2 cache while the full matrix does not.
-_BLOCK_BYTES = 1 << 19
-
-
-def _block_rows(n_ref: int) -> int:
-    return max(1, _BLOCK_BYTES // (8 * n_ref))
-
 
 # Query rows per GEMM of a distance computation. With one BLAS thread,
 # OpenBLAS gives every entry the bits of one whole-matrix GEMM only when each
@@ -122,48 +113,6 @@ class SeqSlamConfig:
         if count > _MAX_VELOCITIES:
             raise ValueError(f"the velocity grid from {self.v_min} to {self.v_max} in steps of "
                              f"{self.v_step} has {count:g} velocities, more than {_MAX_VELOCITIES}")
-
-
-@dataclass(frozen=True)
-class MatchReport:
-    """Per-query best reference frame with its score.
-
-    higher_is_better records the score polarity so the evaluator can sweep
-    thresholds uniformly across heuristic (distance) and learned
-    (probability) matchers.
-    """
-
-    query_indices: np.ndarray
-    best_ref: np.ndarray
-    scores: np.ndarray
-    higher_is_better: bool
-
-    def __post_init__(self):
-        qi = np.array(self.query_indices, dtype=np.int64)
-        br = np.array(self.best_ref, dtype=np.int64)
-        sc = np.array(self.scores, dtype=np.float64)
-        if not (qi.shape == br.shape == sc.shape) or qi.ndim != 1 or qi.size == 0:
-            raise ValueError("report fields must be equal-length nonempty 1-d arrays")
-        if (br < 0).any():
-            raise ValueError("reference indices must be >= 0")
-        for name, arr in (("query_indices", qi), ("best_ref", br), ("scores", sc)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return len(self.query_indices)
-
-
-def _row_blocks(n_rows: int, step: int):
-    """(b0, b1) of the blocks of step rows that cover [0, n_rows) in order. A
-    block never has a single row unless n_rows is 1: a last block of one row
-    joins the one before, since numpy hands a one-row product to GEMV, which
-    sums in another order than GEMM."""
-    b0 = 0
-    while b0 < n_rows:
-        b1 = n_rows if n_rows - b0 <= step + 1 else b0 + step
-        yield b0, b1
-        b0 = b1
 
 
 def _distance_blocks(query, reference, metric, keep=0, ahead=2):

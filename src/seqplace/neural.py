@@ -45,9 +45,9 @@ from typing import Callable
 import numpy as np
 
 from .blas import cut, one_thread
-from .dataset import _NORM_BLOCK_BYTES, Traversal, _first_nonfinite, read_table, write_table
+from .dataset import (MatchReport, Traversal, _block_rows, _first_nonfinite, _row_blocks,
+                      read_table, write_table)
 from .descriptors import l2_normalize, unit_rows
-from .matching_classic import MatchReport, _block_rows, _row_blocks
 from .rng import RandomStream
 
 SPM1_MAGIC = b"SPM1"
@@ -621,10 +621,9 @@ def lstm_match(model: SequenceModel, query: Traversal, d_s: int,
         raise ValueError(f"out must be {n_query} x {places}, got shape {out.shape}")
     span = d_s - 1 + min(_QUERY_ROWS + 1, n_query)  # frames of the largest block
     in_place = out is not None and out.dtype == np.float64
-    # an unflagged query's frames are scaled one unit_rows chunk at a time
-    # into a float32 scratch; the two workers' chunks, cast to float64 by
-    # _row_squares, together fit one _NORM_BLOCK_BYTES
-    chunk = min(max(1, _NORM_BLOCK_BYTES // (16 * n)), span)
+    # an unflagged query's frames are scaled into a float32 scratch one
+    # unit_rows chunk at a time, one block when _row_squares casts it to float64
+    chunk = min(_block_rows(n), span)
     best_ref, scores = np.empty(n_query, dtype=np.int64), np.empty(n_query)
     blocks = deque(_row_blocks(n_query, _QUERY_ROWS))
 

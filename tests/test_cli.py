@@ -121,6 +121,19 @@ def test_config_flag_with_an_equals_sign_or_without_a_file(capsys, tmp_path):
     assert code == 2 and "--config needs a file argument" in err
 
 
+def test_a_config_file_without_a_command_leaves_argparse_to_name_it(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("frames = 12\n")
+    for argv, message in (
+        (["--config", str(cfg)], "the following arguments are required: command"),
+        ([f"--config={cfg}"], "the following arguments are required: command"),
+        (["--config", str(cfg), "frobnicate"], "invalid choice: 'frobnicate'"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert err.startswith("usage: ") and message in err, argv
+
+
 def _write_pgm(path, image):
     path.write_bytes(
         b"P5\n" + f"{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii") + image.tobytes()
@@ -771,6 +784,18 @@ def test_match_deep_checks_the_reference_against_the_checkpoint(capsys, tmp_path
         frames, dim = flags.get("frames", "40"), flags.get("dim", "8")
         assert f"reference has {frames} frames of dim {dim}" in err
     assert not out.exists()
+
+
+def test_match_deep_names_a_query_of_another_dim_and_the_checkpoint(capsys, tmp_path):
+    # lstm_match said only "query descriptor dim 16 != model dim 8"
+    ds, wide = synth_dataset(capsys, tmp_path), synth_dataset(capsys, tmp_path, "wide", dim=16)
+    ckpt = tmp_path / "model.spm1"
+    assert run(capsys, *train_args(ds, ckpt, tmp_path / "curves.csv", epochs=0, hidden=8))[0] == 0
+    out = tmp_path / "m.csv"
+    code, stdout, err = run(capsys, *deep_match_argv(wide, ckpt, out, ref=ds / "reference.spd1"))
+    assert code == 3 and not stdout and not out.exists()
+    assert err == (f"error: --query {wide / 'query.spd1'} has descriptor dim 16 but "
+                   f"--checkpoint {ckpt} has 8\n")
 
 
 def test_match_gives_the_one_thread_bytes_at_two_blas_threads(capsys, tmp_path):

@@ -168,7 +168,7 @@ def test_normalized_check_uses_whole_matrix_norms(monkeypatch):
     whole = np.linalg.norm(data.astype(np.float64), axis=1)
     bad = int(np.argmax(np.abs(whole - 1.0)))
     for block_rows in (1, 3, 4, 11):
-        monkeypatch.setattr(dataset, "_NORM_BLOCK_BYTES", 8 * 7 * block_rows)
+        monkeypatch.setattr(dataset, "_BLOCK_BYTES", 8 * 7 * block_rows)
         assert np.array_equal(dataset._row_norms(data), whole), block_rows
         cast = data.astype(np.float64)
         assert np.array_equal(dataset._row_squares(data), (cast * cast).sum(axis=1)), block_rows
@@ -182,7 +182,7 @@ def test_normalized_check_uses_whole_matrix_norms(monkeypatch):
 def test_load_descriptor_file_copies_the_payload_once(tmp_path, monkeypatch, normalized):
     # norm blocks far smaller than the payload (raising=False: the bound
     # below is what a loader without blocks must fail)
-    monkeypatch.setattr(dataset, "_NORM_BLOCK_BYTES", 1 << 15, raising=False)
+    monkeypatch.setattr(dataset, "_BLOCK_BYTES", 1 << 15, raising=False)
     seq = _random_sequence(np.random.default_rng(24), 400, 256, normalized)
     path = tmp_path / "seq.spd1"
     save_descriptor_file(seq, path)
@@ -204,7 +204,7 @@ def test_load_descriptor_file_copies_the_payload_once(tmp_path, monkeypatch, nor
 def test_load_descriptor_file_reads_into_the_array_it_keeps(tmp_path, monkeypatch, normalized):
     # the shape and norm blocks of the test above: the payload goes from the
     # file into the sequence's own array, with no bytes object or second copy
-    monkeypatch.setattr(dataset, "_NORM_BLOCK_BYTES", 1 << 15)
+    monkeypatch.setattr(dataset, "_BLOCK_BYTES", 1 << 15)
     seq = _random_sequence(np.random.default_rng(24), 400, 256, normalized)
     path = tmp_path / "seq.spd1"
     save_descriptor_file(seq, path)

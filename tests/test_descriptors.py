@@ -174,7 +174,7 @@ def test_unit_rows_equals_masked_division_exactly(monkeypatch):
             (matrix, np.empty(wide.shape), _masked_division(wide)),
             (in_place, in_place, _masked_division(wide)),
         ):
-            monkeypatch.setattr(dataset, "_NORM_BLOCK_BYTES", 8 * 5 * block_rows)
+            monkeypatch.setattr(dataset, "_BLOCK_BYTES", 8 * 5 * block_rows)
             got, normalized = unit_rows(source, out)
             assert out is None or got is out
             assert got.dtype == want.dtype and not normalized
@@ -183,39 +183,25 @@ def test_unit_rows_equals_masked_division_exactly(monkeypatch):
 
 
 def test_normalizers_hold_one_float64_copy():
-    # float64 rows are normalized where they are computed: l2_normalize
-    # holds its float64 result and the float32 copy, delta_transform its
-    # window means and deltas while they are computed
+    # float64 rows are normalized where they are computed. l2_normalize
+    # writes its rows straight into the float32 array the result keeps: half
+    # a float64 copy, the norms and _row_squares' block. delta_transform
+    # holds its window means and deltas while they are computed.
     rng = np.random.default_rng(26)
     seq = DescriptorSequence(data=rng.standard_normal((2000, 1024)).astype(np.float32))
     size = 8 * seq.data.size
     for label, normalize, bound in (
-        ("l2_normalize", l2_normalize, 1.75),
-        ("delta_transform", lambda s: delta_transform(s, DeltaConfig(window=4)), 2.25),
+        ("l2_normalize", l2_normalize, 0.75),
+        ("delta_transform", lambda s: delta_transform(s, DeltaConfig(window=4))[0], 2.25),
     ):
         tracemalloc.start()
         try:
-            normalize(seq)
+            result = normalize(seq)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert result.normalized and result.data.dtype == np.float32, label
         assert peak < bound * size, (label, peak / size)
-
-
-def test_l2_normalize_writes_its_float32_rows_with_no_float64_copy():
-    # the rows go straight into the float32 array the result keeps: half a
-    # float64 copy, the norms and _row_squares' block; a float64 result and
-    # its float32 copy held 1.5 float64 copies
-    rng = np.random.default_rng(26)
-    seq = DescriptorSequence(data=rng.standard_normal((2000, 1024)).astype(np.float32))
-    tracemalloc.start()
-    try:
-        unit = l2_normalize(seq)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert unit.normalized and unit.data.dtype == np.float32
-    assert peak < 0.75 * 8 * seq.data.size, peak / (8 * seq.data.size)
 
 
 def test_delta_cancels_constant_shift():

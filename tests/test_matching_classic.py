@@ -147,7 +147,7 @@ def test_contrast_enhance_equals_whole_column_prefix_sums_bit_for_bit(monkeypatc
         coarse = rng.choice(np.array([-0.0, 0.0, 0.5, 1.0]), size=(rows, cols))
         for block_rows in (None, 1, 3, 7, 16):
             if block_rows is not None:
-                monkeypatch.setattr(matching_classic, "_BLOCK_BYTES", 8 * cols * block_rows)
+                monkeypatch.setattr(dataset, "_BLOCK_BYTES", 8 * cols * block_rows)
             for data in (mixed, coarse):
                 matrix = DifferenceMatrix(data=data, metric="cosine")
                 for win in (1, 2, 9, rows, rows + 5):
@@ -268,7 +268,7 @@ def test_blocked_stages_match_oracles_across_block_seams(monkeypatch):
     matrix = DifferenceMatrix(data=data, metric="cosine")
     whole = contrast_enhance(matrix, 9).data  # one block holds every row
     for block_rows in (1, 3, 7, 16):
-        monkeypatch.setattr(matching_classic, "_BLOCK_BYTES", 8 * cols * block_rows)
+        monkeypatch.setattr(dataset, "_BLOCK_BYTES", 8 * cols * block_rows)
         for win in (1, 4, 9):
             got = contrast_enhance(matrix, win).data
             assert np.allclose(got, _enhance_oracle(data, win), atol=1e-9)
@@ -362,7 +362,7 @@ def test_seqslam_match_equals_the_stages_bit_for_bit(monkeypatch):
         # defaults, then blocks shorter than r_window and than d_s
         for run_rows, block_rows in ((None, None), (1, 1), (2, 3), (5, 7)):
             if run_rows is not None:
-                monkeypatch.setattr(matching_classic, "_BLOCK_BYTES", 8 * refs * run_rows)
+                monkeypatch.setattr(dataset, "_BLOCK_BYTES", 8 * refs * run_rows)
                 monkeypatch.setattr(matching_classic, "_DISTANCE_ROWS", block_rows)
             for metric in METRICS:
                 label = (frames, refs, d_s, run_rows, block_rows, metric)
@@ -392,7 +392,8 @@ def test_seqslam_match_keeps_every_bit_across_many_buffer_swaps(monkeypatch):
     r = DescriptorSequence(data=reference.astype(np.float32))
     cfg = SeqSlamConfig(d_s=5, r_window=8)  # keep = 12 rows
     monkeypatch.setattr(matching_classic, "_DISTANCE_ROWS", 3)
-    monkeypatch.setattr(dataset, "_NORM_BLOCK_BYTES", 8 * 4 * 2)  # reference norms in 2-row blocks
+    # reference norms in 2-row blocks, contrast and search runs of one row
+    monkeypatch.setattr(dataset, "_BLOCK_BYTES", 8 * 4 * 2)
     assert len(list(matching_classic._row_blocks(130, 3))) - 1 >= 40
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -742,10 +743,10 @@ def test_contrast_prefix_moves_keep_every_bit_over_long_runs(monkeypatch):
     for run_rows in (1, 2, 5):
         for r_window in (3, 10, 40):
             label = (run_rows, r_window)
-            monkeypatch.setattr(matching_classic, "_BLOCK_BYTES", 8 * cols * run_rows)
+            monkeypatch.setattr(dataset, "_BLOCK_BYTES", 8 * cols * run_rows)
             _assert_same_bits(contrast_enhance(matrix, r_window).data,
                               _enhance_cumsum(data, r_window), label)
-            monkeypatch.setattr(matching_classic, "_BLOCK_BYTES", 8 * len(r.data) * run_rows)
+            monkeypatch.setattr(dataset, "_BLOCK_BYTES", 8 * len(r.data) * run_rows)
             cfg = SeqSlamConfig(d_s=3, r_window=r_window)
             enhanced = contrast_enhance(difference_matrix(q, r), r_window).data
             want = seqslam_search(DifferenceMatrix(data=enhanced, metric="cosine"), cfg)
