@@ -5,9 +5,10 @@ Every command is flag-driven, optionally seeded by a line-oriented
 success, 2 on usage errors, 3 on runtime failures (evaluation.RUN_ERRORS).
 Every command runs on one thread of its own, at one BLAS thread inside each
 deploy and training run (blas.one_thread), besides their helper threads: two
-per distance stream of a seqslam or delta deploy (seqslam's split a block's
-GEMM when the caller waited), one that takes a deep deploy's query blocks,
-and, from neural._SPLIT_ENTRIES W_x entries on, one per training run.
+per delta deploy and per seqslam deploy of matching_classic._WIDE_DIM or
+more descriptor dims, one per narrower seqslam deploy, one that takes a deep
+deploy's query blocks, and, from neural._SPLIT_ENTRIES W_x entries on, one
+per training run.
 """
 
 from __future__ import annotations
@@ -296,18 +297,9 @@ def cmd_match(args) -> int:
             raise ValueError(f"{args.checkpoint} against {args.ref}: {exc}") from None
     else:
         reference, query = _load_pair(args)
-        if d_s > query.frame_count:  # no window of the query is that long
-            raise ValueError(f"--ds must be <= the {query.frame_count} frames of {args.query}, "
-                             f"got {d_s}")
         [method] = _build_methods([args.method], args)
-        if method.window(d_s) > query.frame_count:  # delta's is d_s rounded up to even
-            raise ValueError(f"--ds {d_s} against --query {args.query}: the query has "
-                             f"{query.frame_count} frames, fewer than the {args.method} window "
-                             f"of {method.window(d_s)} frames for d_s={d_s}")
-        try:
-            deploy, frames = method.prepare(reference, d_s), reference.frame_count
-        except ValueError as exc:  # the reference is too short for d_s
-            raise ValueError(f"--ds {d_s} against --ref {args.ref}: {exc}") from None
+        _check_ds(args, method, d_s, reference, query)
+        deploy, frames = method.prepare(reference, d_s), reference.frame_count
     if args.export_matrix is None:
         report = deploy(query)
     else:  # the deploy fills the matrix in the float32 that SPD1 stores
@@ -394,6 +386,21 @@ def _load_pair(args, need_positions: bool = False) -> tuple[Traversal, Traversal
     return reference, query
 
 
+def _check_ds(args, method, d_s: int, reference: Traversal, query: Traversal) -> None:
+    """Refuse, naming --ds and the file, a query or reference shorter than
+    method's window at d_s: before method.prepare, where a deep method trains."""
+    if d_s > query.frame_count:  # no window of the query is that long
+        raise ValueError(f"--ds must be <= the {query.frame_count} frames of {args.query}, "
+                         f"got {d_s}")
+    window = method.window(d_s)  # delta's is d_s rounded up to even
+    for flag, path, side, traversal in (("--query", args.query, "query", query),
+                                        ("--ref", args.ref, "reference", reference)):
+        if window > traversal.frame_count:
+            raise ValueError(f"--ds {d_s} against {flag} {path}: the {side} has "
+                             f"{traversal.frame_count} frames, fewer than the {method.name} "
+                             f"window of {window} frames for d_s={d_s}")
+
+
 def cmd_sweep(args) -> int:
     names = [n.strip() for n in args.methods.split(",") if n.strip()]
     if not names:
@@ -419,9 +426,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    pair = _load_pair(args, need_positions=(args.method == "deep"))
-    method = _build_methods([args.method], args)[0]
-    result = benchmark(method, pair, args.ds, repetitions=args.reps)
+    reference, query = _load_pair(args, need_positions=(args.method == "deep"))
+    [method] = _build_methods([args.method], args)
+    _check_ds(args, method, args.ds, reference, query)
+    result = benchmark(method, (reference, query), args.ds, repetitions=args.reps)
     print(f"{result.method},{result.seconds!r},{result.frames}")
     if args.out is not None:
         save_bench_csv([result], args.out)

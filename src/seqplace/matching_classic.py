@@ -6,34 +6,31 @@ standardizes the Q x R difference matrix with a local contrast window, then
 sweeps constant-velocity lines through it; delta matching is
 nearest-neighbor retrieval in delta-descriptor space.
 
-Distances are computed in blocks of query rows, one GEMM per block against
-a float64 operand of the reference; only `difference_matrix` stores every
-block. Every distance computation is one stream through a ring of block
-buffers: two helper threads, the only ones that call BLAS and each at one
+Distances are computed in blocks of query rows, one whole GEMM per block
+against a float64 operand of the reference; only `difference_matrix` stores
+every block. Every distance computation is one stream through a ring of
+block buffers: helper threads, the only ones that call BLAS and each at one
 BLAS thread (`blas.one_thread`), compute the GEMMs of the blocks ahead
 while the caller consumes the current one with elementwise work.
 Nearest-neighbor and delta matching keep each row's argmin and its
 distance, far less work than a GEMM, so they and `difference_matrix` keep
-two GEMMs in flight, one per helper. `seqslam_match` keeps one block in
-flight, so its views alternate between two buffers: a third would raise a
-6000-column deploy's peak by 9 MB. When its caller had to wait for a block
-(at paper scale the contrast and search take about half as long as the
-GEMM), the helpers split the next block's GEMM at a bit-keeping seam where
-`blas.cut` allows one, each filling one half of the block's buffer; a
-caller that keeps pace gets one GEMM per block. Both baselines sum windows of
-consecutive rows through one running-sum kernel, `descriptors._RunningSums`:
-delta matching computes the query's delta rows a block at a time and fills
-the reference operand the same way, so it holds no whole-query array and
-no delta-transformed copy of either side. `seqslam_match` streams the
-blocks through both SeqSLAM stages, which share one view (rows, origin) in
-which rows[i] is row origin + i: a distance block after the
-r_window + d_s - 1 rows before it. A run of rows is enhanced in place once
-every row its windows reach is in the view, then searched in the view,
-which still holds the d_s - 1 enhanced rows before the run. Besides the two
-buffers its views alternate between, the stream holds the contrast window's
-running sums and the Q row maxima, and no Q x R array.
-`contrast_enhance` and `seqslam_search` drive the same two stages over a
-whole matrix, so the stream gives their results bit for bit.
+two GEMMs in flight, one per helper. `seqslam_match` picks its blocks in
+flight from the descriptor dim, never from timing: two from _WIDE_DIM on,
+where a GEMM outlasts a block's contrast and search, else one, in two
+buffers, as a third would raise a 6000 x 64 deploy's peak by 9 MB. Both
+baselines sum windows of consecutive rows through one running-sum kernel,
+`descriptors._RunningSums`: delta matching computes the query's delta rows
+a block at a time and fills the reference operand the same way, so it holds
+no whole-query array and no delta-transformed copy of either side.
+`seqslam_match` streams the blocks through both SeqSLAM stages, which share
+one view (rows, origin) in which rows[i] is row origin + i: a distance
+block after the r_window + d_s - 1 rows before it. A run of rows is
+enhanced in place once every row its windows reach is in the view, then
+searched in the view, which still holds the d_s - 1 enhanced rows before
+the run. Besides the ring of buffers its views take in turn, the stream
+holds the contrast window's running sums and the Q row maxima, and no Q x R
+array. `contrast_enhance` and `seqslam_search` drive the same two stages
+over a whole matrix, so the stream gives their results bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blas import cut, one_thread
+from .blas import one_thread
 from .dataset import (DescriptorSequence, MatchReport, _block_rows, _row_blocks, _row_squares,
                       _Vetted)
 from .descriptors import DeltaConfig, _delta_blocks, _RunningSums, unit_rows
@@ -58,8 +55,15 @@ METRICS = ("cosine", "euclidean")
 # SkylakeX kernel, where 16- or 256-row blocks change a few entries); 192 is
 # a multiple of 24 and of the smaller tiles (4, 8, 16) of other kernels. A
 # distance stream holds one block's buffer per block in flight and one that
-# the caller reads: 384 rows for seqslam, 576 for the nearest-frame streams.
+# the caller reads: 384 rows for seqslam below _WIDE_DIM, 576 for the others.
 _DISTANCE_ROWS = 192
+
+# The least descriptor dim at which seqslam_match keeps two distance GEMMs in
+# flight, not one. At 3577 x 3577 and 1 BLAS thread (seconds, one / two) two
+# won at d_s = 2 from 1024-d on (.56/.46, 2048-d 1.06/.69, 4096-d 1.91/1.18),
+# tied at d_s = 10 at 1024-2048-d (.83/.85, .98/1.01) and won at 4096-d
+# (1.90/1.54); at 256-d they lost (.23/.24, .66/.71) and hold one more buffer.
+_WIDE_DIM = 1024
 
 # The most velocities a SeqSLAM grid may hold. The search plans each velocity
 # in one pass over (d_s - 1) x R reference columns, about 0.23 ms at R = 4096
@@ -147,22 +151,17 @@ def _distances(blocks, n_query, b, metric, keep=0, ahead=2):
     the view, and the carried rows keep what it wrote: they are copied into
     the next block's buffer once the consumer has asked for that block.
 
-    Two helper threads, the only ones that call BLAS, compute each block's
-    GEMM and its elementwise finish up to `ahead` blocks ahead: while the
-    caller consumes block i, they compute blocks i + 1 to i + ahead and the
-    caller pulls the query rows of block i + ahead + 1 from blocks into a
-    ring of ahead + 1 float64 row buffers (for the cosine metric normalized
-    there by `unit_rows`). With ahead = 2 each helper runs one block. With
-    ahead = 1, when the caller had to wait for block i (i > 0: it always
-    waits for block 0), the two helpers split block i + 1 at the reference
-    column that blas.cut gives for its shape, if any, and each fills its
-    half of the block's view; a caller that keeps pace gets one GEMM per
-    block. Which blocks are split depends on timing, but the buffers do not:
-    every step is row-wise, each GEMM takes the same operands whichever
-    thread runs it, and blas.cut allows only cuts that keep every bit of the
-    whole GEMM, so the bits are those of a whole-query cast. The helpers run
-    at one BLAS thread (blas.one_thread) and are gone once the stream ends,
-    raises or is closed.
+    `ahead` helper threads, the only ones that call BLAS, compute each
+    block's whole GEMM and its elementwise finish up to `ahead` blocks
+    ahead: while the caller consumes block i, they compute blocks i + 1 to
+    i + ahead, one each, and the caller pulls the query rows of block
+    i + ahead + 1 from blocks into a ring of ahead + 1 float64 row buffers
+    (for the cosine metric normalized there by `unit_rows`). Which helper
+    runs which block depends on timing, but the buffers do not: every step
+    is row-wise and each GEMM takes the same operands whichever thread runs
+    it, so the bits are those of a whole-query cast. The helpers run at one
+    BLAS thread (blas.one_thread) and are gone once the stream ends, raises
+    or is closed.
     """
     n_ref = b.shape[0]
     if metric == "cosine":
@@ -187,41 +186,31 @@ def _distances(blocks, n_query, b, metric, keep=0, ahead=2):
         a[...] = new
         return a, _row_squares(new)
 
-    def compute(i, a, a_sq, c0, c1):
-        """Columns [c0, c1) of block i's distances, in place in its slot of
-        views; runs on a helper."""
+    def compute(i, a, a_sq):
+        """Block i's distances, in place in its slot of views; runs on a helper."""
         b0, b1 = bounds[i]
-        block = views[i % slots, b0 - starts[i] : b1 - starts[i], c0:c1]
-        np.matmul(a, b[c0:c1].T, out=block)
+        block = views[i % slots, b0 - starts[i] : b1 - starts[i]]
+        np.matmul(a, b.T, out=block)
         if metric == "cosine":
             np.subtract(1.0, block, out=block)
             block[~a.any(axis=1), :] = 1.0
-            block[:, b_zero[c0:c1]] = 1.0
+            block[:, b_zero] = 1.0
             np.clip(block, 0.0, 2.0, out=block)
         else:
             # (|a|^2 + |b|^2) - 2ab, the formula's operations in its order,
             # a row at a time, so no block-sized temporary is held
             block *= 2.0
             for row, row_sq in zip(block, a_sq):
-                np.subtract(row_sq + b_sq[c0:c1], row, out=row)
+                np.subtract(row_sq + b_sq, row, out=row)
             np.clip(block, 0.0, None, out=block)
             np.sqrt(block, out=block)
 
-    with one_thread(), ThreadPoolExecutor(max_workers=2) as pool:
-
-        def submit(i, split, a, a_sq):
-            seam = cut(len(a), b.shape[1], n_ref) if split else None
-            parts = [(0, n_ref)] if seam is None else [(0, seam), (seam, n_ref)]
-            return [pool.submit(compute, i, a, a_sq, c0, c1) for c0, c1 in parts]
-
-        pending = deque(submit(i, False, *pull(i)) for i in range(min(ahead, len(bounds))))
+    with one_thread(), ThreadPoolExecutor(max_workers=ahead) as pool:
+        pending = deque(pool.submit(compute, i, *pull(i)) for i in range(min(ahead, len(bounds))))
         if ahead < len(bounds):
             pulled = pull(ahead)
         for i, (b0, b1) in enumerate(bounds):
-            running = pending.popleft()
-            waited = not all(part.done() for part in running)
-            for part in running:
-                part.result()
+            pending.popleft().result()
             rows = views[i % slots, : b1 - starts[i]]
             if i > 0:
                 # the carried rows leave block i - 1's buffer before the
@@ -229,7 +218,7 @@ def _distances(blocks, n_query, b, metric, keep=0, ahead=2):
                 prev = starts[i - 1]
                 rows[: b0 - starts[i]] = views[(i - 1) % slots, starts[i] - prev : b0 - prev]
             if i + ahead < len(bounds):
-                pending.append(submit(i + ahead, ahead == 1 and waited and i > 0, *pulled))
+                pending.append(pool.submit(compute, i + ahead, *pulled))
             yield starts[i], rows
             if i + ahead + 1 < len(bounds):
                 pulled = pull(i + ahead + 1)
@@ -518,7 +507,8 @@ def seqslam_match(
     row_max = np.empty(n_query)
     done = 0  # rows [0, done) are enhanced
     keep = cfg.r_window + cfg.d_s - 1
-    with closing(_distance_blocks(query, reference, metric, keep=keep, ahead=1)) as blocks:
+    ahead = 2 if query.dim >= _WIDE_DIM else 1
+    with closing(_distance_blocks(query, reference, metric, keep, ahead)) as blocks:
         for origin, rows in blocks:
             b1 = origin + len(rows)
             # a row is complete once the rows up to r_window after it are in

@@ -1310,6 +1310,52 @@ def test_bench_deploys_a_shorter_query(capsys, tmp_path):
         assert stdout.strip().split(",")[::2] == [method, "30"]
 
 
+def bench_argv(ds, *flags):
+    return ["bench", "--reps", "1", "--ref", str(ds / "reference.spd1"),
+            "--query", str(ds / "query.spd1"),
+            "--ref-positions", str(ds / "reference_positions.txt"),
+            "--query-positions", str(ds / "query_positions.txt"),
+            "--epochs", "2", "--hidden", "8", *flags]
+
+
+@pytest.mark.parametrize("method", ["seqslam", "delta", "deep"])
+def test_bench_names_a_ds_longer_than_the_query_before_it_prepares(
+        capsys, tmp_path, monkeypatch, method):
+    # bench said "need at least d_s=20 query frames, got 12" for seqslam and
+    # that the reference was shorter than the delta window for delta, naming
+    # neither the flag nor the file, and a deep bench trained first
+    ds = synth_dataset(capsys, tmp_path, frames=12)
+    trained = []
+    monkeypatch.setattr(neural, "train", lambda *args, **kwargs: trained.append(args))
+    code, out, err = run(capsys, *bench_argv(ds, "--method", method, "--ds", "20"))
+    assert code == 3 and out == "" and trained == []
+    assert f"error: --ds must be <= the 12 frames of {ds / 'query.spd1'}, got 20" in err, err
+
+
+@pytest.mark.parametrize("method", ["seqslam", "delta", "deep"])
+def test_bench_names_a_reference_shorter_than_the_method_window(
+        capsys, tmp_path, monkeypatch, method):
+    # d_s = 3 is a window of 3 frames (4 for delta) that a 2-frame reference
+    # cannot hold; match names the reference the same way
+    ds = synth_dataset(capsys, tmp_path)
+    reference = ds / "reference.spd1"
+    save_descriptor_file(DescriptorSequence(load_descriptor_file(reference).data[:2]), reference)
+    positions = ds / "reference_positions.txt"
+    save_positions_file(load_positions_file(positions)[:2], positions)
+    trained = []
+    monkeypatch.setattr(neural, "train", lambda *args, **kwargs: trained.append(args))
+    window = 4 if method == "delta" else 3
+    argvs = [bench_argv(ds, "--method", method, "--ds", "3")]
+    if method != "deep":  # a deep match checks the checkpoint's route instead
+        argvs.append(["match", "--method", method, "--ds", "3", "--ref", str(reference),
+                      "--query", str(ds / "query.spd1"), "--out", str(tmp_path / "m.csv")])
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and trained == [], err
+        assert (f"error: --ds 3 against --ref {reference}: the reference has 2 frames, fewer "
+                f"than the {method} window of {window} frames for d_s=3") in err, err
+
+
 @pytest.mark.parametrize("command", ["match", "bench", "sweep"])
 def test_a_pair_of_other_descriptor_dims_is_refused_before_any_method_runs(
         capsys, tmp_path, monkeypatch, command):

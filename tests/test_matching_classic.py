@@ -465,30 +465,6 @@ class _Gemms(np.ndarray):
         return getattr(ufunc, method)(*inputs, **kwargs)
 
 
-def _slow_halves(monkeypatch, n_ref):
-    """Make every GEMM of a stream against n_ref reference rows take 50 ms,
-    so its caller always waits, and let a half-block GEMM compute only once
-    the other half has begun, so the halves must run at once."""
-    meet = threading.Barrier(2, timeout=5.0)
-
-    def hold(columns):
-        if columns < n_ref:
-            meet.wait()
-        time.sleep(0.05)
-
-    monkeypatch.setattr(_Gemms, "log", [])
-    monkeypatch.setattr(_Gemms, "hold", staticmethod(hold))
-
-
-def _cut_small(monkeypatch):
-    """Let blas.cut split the 3 x 4 x 200 GEMMs of the streams below at
-    column 128. Cuts that small may change bits, so the rule refuses them;
-    these tests use values whose sums are exact in any order, or compare no
-    distances."""
-    monkeypatch.setattr(blas, "_CUT_COLUMNS", 128)
-    monkeypatch.setattr(blas, "_CUT_MADDS", 1)
-
-
 def _operand(reference, metric):
     """The float64 reference operand that _distance_blocks builds, as _Gemms."""
     if metric == "cosine":
@@ -500,36 +476,6 @@ def _operand(reference, metric):
 
 def _query_blocks(query):
     return (query[b0:b1] for b0, b1 in matching_classic._row_blocks(len(query), 3))
-
-
-def test_a_waiting_caller_gets_each_later_block_from_two_gemms_at_once(monkeypatch):
-    # 20 queries in 7 blocks against 200 reference rows, seam at column 128:
-    # block 1 runs whole (the caller always waits for block 0), and the
-    # caller waits for every block after it, so the two helpers split each
-    # of blocks 2-6. The kept rows and the halves hold _blockwise's bits.
-    monkeypatch.setattr(matching_classic, "_DISTANCE_ROWS", 3)
-    _cut_small(monkeypatch)
-    rng = np.random.default_rng(34)
-    query = np.round(rng.standard_normal((20, 4)) * 2.0) / 2.0
-    reference = np.round(rng.standard_normal((200, 4)) * 2.0) / 2.0
-    query[[2, 11]] = 0.0
-    reference[[3, 150]] = 0.0
-    query, reference = query.astype(np.float32), reference.astype(np.float32)
-    threads = threading.active_count()
-    for metric in METRICS:
-        _slow_halves(monkeypatch, 200)
-        want = _blockwise(query, reference, metric)
-        stream = matching_classic._distances(_query_blocks(query), 20, _operand(reference, metric),
-                                             metric, keep=5, ahead=1)
-        for k, (origin, rows) in enumerate(stream):
-            assert origin == max(3 * k - 5, 0), (metric, k)
-            _assert_same_bits(rows, want[origin : origin + len(rows)], (metric, k))
-        widths = [columns for _, columns in _Gemms.log]
-        assert widths[:2] == [200, 200], (metric, widths)
-        assert sorted(widths[2:]) == [72] * 5 + [128] * 5, (metric, widths)
-        helpers = {thread for thread, _ in _Gemms.log}
-        assert len(helpers) == 2 and threading.get_ident() not in helpers, metric
-        assert threading.active_count() == threads, metric
 
 
 def test_a_stream_whose_consumer_lags_runs_one_gemm_per_block(monkeypatch):
@@ -549,65 +495,28 @@ def test_a_stream_whose_consumer_lags_runs_one_gemm_per_block(monkeypatch):
         assert [columns for _, columns in _Gemms.log] == [200] * blocks, metric
 
 
-def test_a_failing_source_or_a_close_with_halves_in_flight_stops_both_helpers(monkeypatch):
-    # the caller waits for block 1, so block 2's halves are in flight when
-    # the source fails at block 3 or the consumer closes the stream
-    monkeypatch.setattr(matching_classic, "_DISTANCE_ROWS", 3)
-    _cut_small(monkeypatch)
-    rng = np.random.default_rng(36)
-    query = rng.standard_normal((20, 4)).astype(np.float32)
-    reference = rng.standard_normal((200, 4)).astype(np.float32)
-
-    def failing():
-        for k, block in enumerate(_query_blocks(query)):
-            if k == 3:
-                raise RuntimeError("the fourth block failed")
-            yield block
-
-    threads = threading.active_count()
-    for metric in METRICS:
-        _slow_halves(monkeypatch, 200)
-        stream = matching_classic._distances(failing(), 20, _operand(reference, metric), metric,
-                                             keep=5, ahead=1)
-        with pytest.raises(RuntimeError, match="the fourth block failed"):
-            matching_classic._nearest(stream, 20)
-        assert sorted(columns for _, columns in _Gemms.log) == [72, 128, 200, 200], metric
-        assert threading.active_count() == threads, metric
-
-        _slow_halves(monkeypatch, 200)
-        stream = matching_classic._distances(_query_blocks(query), 20,
-                                             _operand(reference, metric), metric, keep=5, ahead=1)
-        next(stream), next(stream)
-        assert threading.active_count() == threads + 2, metric
-        stream.close()
-        assert sorted(columns for _, columns in _Gemms.log) == [72, 128, 200, 200], metric
-        assert threading.active_count() == threads, metric
-
-
 @pytest.mark.parametrize("n_ref", [300, 512])
 def test_a_waiting_caller_gets_the_bits_of_whole_gemms_at_any_reference_length(
         monkeypatch, n_ref):
-    # 600 queries in blocks of 192, 192, 192 and 24 rows, and the caller
-    # waits for every block. A seam at column 128 of 300 changed entries, so
-    # blas.cut splits no block there; of 512 it splits block 2 at column
-    # 256, and its 24-row block 3 is too small to split. The stream runs at
-    # one BLAS thread, and so does the whole-GEMM reference
+    # 600 queries in blocks of 192, 192, 192 and 24 rows, and every GEMM
+    # takes 50 ms, so the caller waits for every block; each GEMM is still
+    # one whole block, n_ref columns wide. The stream runs at one BLAS
+    # thread, and so does the whole-GEMM reference
     rng = np.random.default_rng(37)
     query = rng.standard_normal((600, 64)).astype(np.float32)
     reference = rng.standard_normal((n_ref, 64)).astype(np.float32)
     bounds = list(matching_classic._row_blocks(600, matching_classic._DISTANCE_ROWS))
     assert [b1 - b0 for b0, b1 in bounds] == [192, 192, 192, 24]
-    splits = [] if n_ref == 300 else [256, 256]
+    monkeypatch.setattr(_Gemms, "hold", staticmethod(lambda columns: time.sleep(0.05)))
     for metric in METRICS:
-        _slow_halves(monkeypatch, n_ref)
+        monkeypatch.setattr(_Gemms, "log", [])
         with blas.one_thread():
             want = _blockwise(query, reference, metric)
         stream = matching_classic._distances((query[b0:b1] for b0, b1 in bounds), 600,
                                              _operand(reference, metric), metric, ahead=1)
         for k, (origin, rows) in enumerate(stream):
             _assert_same_bits(rows, want[origin : origin + len(rows)], (metric, k))
-        widths = sorted(columns for _, columns in _Gemms.log)
-        assert widths == splits + [n_ref] * (4 - len(splits) // 2), (metric, widths)
+        assert [columns for _, columns in _Gemms.log] == [n_ref] * 4, metric
 
 
 def _blockwise(a, b, metric):
@@ -659,7 +568,8 @@ def test_nearest_streams_keep_every_bit_across_many_ring_seams(monkeypatch):
 
 def test_nearest_streams_run_two_gemms_at_once(monkeypatch):
     # each stream's first two GEMMs wait until both have begun, which takes
-    # two helpers: with one, the barrier's timeout fails the stream
+    # two helpers: with one, the barrier's timeout fails the stream. seqslam
+    # runs two from a descriptor dim of _WIDE_DIM on
     unit_rows = matching_classic.unit_rows
 
     def meeting_rows(matrix, out):  # the cosine operands, as _Gemms arrays
@@ -673,11 +583,13 @@ def test_nearest_streams_run_two_gemms_at_once(monkeypatch):
     monkeypatch.setattr(matching_classic, "unit_rows", meeting_rows)
     monkeypatch.setattr(_Gemms, "hold", staticmethod(hold))
     monkeypatch.setattr(matching_classic, "_DISTANCE_ROWS", 3)
+    monkeypatch.setattr(matching_classic, "_WIDE_DIM", 4)
     rng = np.random.default_rng(33)
     q, r = _seq(rng, 20, 4), _seq(rng, 9, 4)
     threads = threading.active_count()
     for match in (lambda: difference_matrix(q, r), lambda: nearest_neighbor_match(q, r),
-                  lambda: delta_match(q, r, DeltaConfig(window=2))):
+                  lambda: delta_match(q, r, DeltaConfig(window=2)),
+                  lambda: seqslam_match(q, r, SeqSlamConfig(d_s=2))):
         monkeypatch.setattr(_Gemms, "log", [])
         meet = threading.Barrier(2, timeout=5.0)
         match()
@@ -685,6 +597,28 @@ def test_nearest_streams_run_two_gemms_at_once(monkeypatch):
         assert len(gemms) > 2 and len(set(gemms[:2])) == 2, gemms
         assert threading.get_ident() not in gemms
         assert threading.active_count() == threads
+
+
+def test_a_wide_seqslam_deploy_holds_one_more_block_of_each_stream_buffer(monkeypatch):
+    # two GEMMs in flight take a third slot in both rings: one more distance
+    # block (the carried rows and the block's rows, 500 columns each) and
+    # one more block of float64 query rows; the rest is a few small objects
+    rng = np.random.default_rng(38)
+    query, reference = _seq(rng, 600, 64), _seq(rng, 500, 64)
+    cfg = SeqSlamConfig()
+    rows = matching_classic._DISTANCE_ROWS + 1  # the largest block
+    extra = 8 * (cfg.r_window + cfg.d_s - 1 + rows) * 500 + 8 * rows * 64
+    for metric in METRICS:
+        peaks = {}
+        for ahead, wide_dim in ((1, 65), (2, 64), (1, 65)):  # the first run warms up
+            monkeypatch.setattr(matching_classic, "_WIDE_DIM", wide_dim)
+            tracemalloc.start()
+            try:
+                seqslam_match(query, reference, cfg, metric)
+                peaks[ahead] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[2] - peaks[1] - extra) <= 16 << 10, (metric, peaks, extra)
 
 
 def test_euclidean_nearest_stream_peaks_within_a_few_reference_rows_of_cosine():
